@@ -3,8 +3,23 @@ are reachable through which members.
 
 Remote knowledge arrives as courier-fetched snapshots and is merged with a
 minimum-hop rule; stale records age out by TTL.
+
+`NetworkFileCatalog` does work only for what changed, and keeps these
+invariants:
+
+- Every change to a field the snapshot shows (names, holder count, a remote
+  record added or removed, a record's hops or holder_count) clears that
+  entry's cached snapshot dict, `entry.wire`. A record's gateway and
+  last_refresh are not in the snapshot and keep it.
+- `_oldest` is never above any remote record's `last_refresh`, so
+  `expire_remote` can skip its sweep while no record can be old enough.
+- Snapshot entry dicts are shared between snapshots, and so between frames:
+  they are read-only.
+- `_by_digest` holds the same entries as `entries`, keyed by digest bytes,
+  so a merge finds an entry without building a `FileId`.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .core import FileId, FileMeta
@@ -24,11 +39,20 @@ class CatalogEntry:
     meta: FileMeta
     holders: set = field(default_factory=set)            # local member DeviceIds
     remote: dict = field(default_factory=dict)           # subnet ssid -> RemoteRecord
+    wire: dict | None = field(default=None, compare=False, repr=False)  # snapshot dict
+
+
+def _add_names(entry: CatalogEntry, names) -> None:
+    if not entry.meta.names.issuperset(names):
+        entry.meta.names.update(names)
+        entry.wire = None
 
 
 class NetworkFileCatalog:
     def __init__(self):
         self.entries: dict[FileId, CatalogEntry] = {}
+        self._by_digest: dict[bytes, CatalogEntry] = {}  # the same entries, by digest
+        self._oldest = math.inf  # lower bound on every remote last_refresh
 
     @classmethod
     def init_from(cls, root_id: int, metas) -> "NetworkFileCatalog":
@@ -37,108 +61,125 @@ class NetworkFileCatalog:
         return cat
 
     def _entry(self, meta: FileMeta) -> CatalogEntry:
-        entry = self.entries.get(meta.file_id)
+        entry = self._by_digest.get(meta.file_id.digest)
         if entry is None:
             entry = CatalogEntry(meta=FileMeta(meta.file_id, set(meta.names), meta.size, meta.block_count))
-            self.entries[meta.file_id] = entry
+            self.entries[meta.file_id] = self._by_digest[meta.file_id.digest] = entry
         else:
-            entry.meta.names |= meta.names
+            _add_names(entry, meta.names)
         return entry
+
+    def _drop_if_empty(self, entry: CatalogEntry) -> None:
+        if not entry.holders and not entry.remote:
+            file_id = entry.meta.file_id
+            del self.entries[file_id]
+            del self._by_digest[file_id.digest]
+
+    def _drop_holder_from(self, entry: CatalogEntry, peer: int) -> None:
+        if peer in entry.holders:
+            entry.holders.discard(peer)
+            entry.wire = None
+            self._drop_if_empty(entry)
 
     def register_files(self, peer: int, metas) -> None:
         for meta in metas:
-            self._entry(meta).holders.add(peer)
+            entry = self._entry(meta)
+            if peer not in entry.holders:
+                entry.holders.add(peer)
+                entry.wire = None
 
     def apply_file_change(self, peer: int, added, removed) -> None:
         self.register_files(peer, added)
         for file_id in removed:
             entry = self.entries.get(file_id)
-            if entry is None:
-                continue
-            entry.holders.discard(peer)
-            if not entry.holders and not entry.remote:
-                del self.entries[file_id]
+            if entry is not None:
+                self._drop_holder_from(entry, peer)
 
     def drop_holder(self, peer: int) -> None:
-        for file_id in list(self.entries):
-            entry = self.entries[file_id]
-            entry.holders.discard(peer)
-            if not entry.holders and not entry.remote:
-                del self.entries[file_id]
+        for entry in list(self.entries.values()):
+            self._drop_holder_from(entry, peer)
+
+    def _drop_records(self, stale) -> None:
+        """Delete the remote records for which `stale(record)` holds, and
+        entries left with neither holders nor records."""
+        for entry in list(self.entries.values()):
+            gone = [s for s, r in entry.remote.items() if stale(r)]
+            if gone:
+                for subnet in gone:
+                    del entry.remote[subnet]
+                entry.wire = None
+                self._drop_if_empty(entry)
 
     def expire_remote(self, now: float, ttl: float) -> None:
-        for file_id in list(self.entries):
-            entry = self.entries[file_id]
-            for subnet in list(entry.remote):
-                if now - entry.remote[subnet].last_refresh >= ttl:
-                    del entry.remote[subnet]
-            if not entry.holders and not entry.remote:
-                del self.entries[file_id]
+        # `now - t` falls as t rises, so no record is stale unless the
+        # oldest possible one is.
+        if now - self._oldest < ttl:
+            return
+        self._drop_records(lambda r: now - r.last_refresh >= ttl)
+        self._oldest = min((r.last_refresh for e in self.entries.values()
+                            for r in e.remote.values()), default=math.inf)
 
     def lookup_name(self, name: str) -> list:
         return sorted(fid for fid, e in self.entries.items() if name in e.meta.names)
 
     def snapshot(self, home_ssid: str) -> dict:
-        """Wire-encodable snapshot of the whole catalog, deterministically sorted."""
-        entries = []
-        for file_id in sorted(self.entries):
-            e = self.entries[file_id]
-            entries.append({
-                "file_id": file_id.digest,
-                "names": sorted(e.meta.names),
-                "size": e.meta.size,
-                "block_count": e.meta.block_count,
-                "holders": len(e.holders),
-                "remote": [
-                    {"subnet": s, "hops": r.hops, "holders": r.holder_count}
-                    for s, r in sorted(e.remote.items())
-                ],
-            })
-        return {"subnet": home_ssid, "entries": entries}
+        """Wire-encodable snapshot of the whole catalog, deterministically
+        sorted. Entry dicts are cached and shared between snapshots: read-only."""
+        out = []
+        for digest in sorted(self._by_digest):
+            e = self._by_digest[digest]
+            if e.wire is None:
+                e.wire = {
+                    "file_id": digest,
+                    "names": sorted(e.meta.names),
+                    "size": e.meta.size,
+                    "block_count": e.meta.block_count,
+                    "holders": len(e.holders),
+                    "remote": [
+                        {"subnet": s, "hops": r.hops, "holders": r.holder_count}
+                        for s, r in sorted(e.remote.items())
+                    ],
+                }
+            out.append(e.wire)
+        return {"subnet": home_ssid, "entries": out}
 
     def merge_snapshot(self, snap: dict, via_gateway: str, home_ssid: str, now: float) -> None:
         """Fold a courier-fetched snapshot in, adding one hop per jump and
         keeping the minimum-hop record per (file, subnet). Local holders are
         never touched."""
         origin = snap["subnet"]
+        from_home = origin == home_ssid
+        self._oldest = min(self._oldest, now)
         for raw in snap["entries"]:
-            meta = FileMeta(FileId(raw["file_id"]), set(raw["names"]),
-                            raw["size"], raw["block_count"])
-            candidates = []
-            if raw["holders"] > 0:
-                candidates.append((origin, 1, raw["holders"]))
-            for rec in raw["remote"]:
-                candidates.append((rec["subnet"], rec["hops"] + 1, rec["holders"]))
-            candidates = [c for c in candidates if c[0] != home_ssid]
+            holders = raw["holders"]
+            candidates = [(origin, 1, holders)] if holders > 0 and not from_home else []
+            candidates += [(rec["subnet"], rec["hops"] + 1, rec["holders"])
+                           for rec in raw["remote"] if rec["subnet"] != home_ssid]
             if not candidates:
                 continue
-            entry = self._entry(meta)
-            for subnet, hops, holders in candidates:
-                existing = entry.remote.get(subnet)
+            entry = self._by_digest.get(raw["file_id"])
+            if entry is None:
+                entry = self._entry(FileMeta(FileId(raw["file_id"]), set(raw["names"]),
+                                             raw["size"], raw["block_count"]))
+            else:
+                _add_names(entry, raw["names"])
+            remote = entry.remote
+            for subnet, hops, count in candidates:
+                existing = remote.get(subnet)
                 if existing is None or hops < existing.hops:
-                    entry.remote[subnet] = RemoteRecord(subnet, hops, via_gateway, holders, now)
+                    remote[subnet] = RemoteRecord(subnet, hops, via_gateway, count, now)
+                    entry.wire = None
                 elif hops == existing.hops:
-                    existing.holder_count = holders
+                    if existing.holder_count != count:
+                        existing.holder_count = count
+                        entry.wire = None
                     existing.gateway = via_gateway
                     existing.last_refresh = now
                 # hops > existing.hops: minimum retained, not refreshed
 
     def drop_via_gateways(self, gateways: set) -> None:
         """Remove remote records routed through now-unreachable gateways."""
-        for file_id in list(self.entries):
-            entry = self.entries[file_id]
-            for subnet in list(entry.remote):
-                if entry.remote[subnet].gateway in gateways:
-                    del entry.remote[subnet]
-            if not entry.holders and not entry.remote:
-                del self.entries[file_id]
-
-    def drop_subnet(self, subnet: str) -> None:
-        for file_id in list(self.entries):
-            entry = self.entries[file_id]
-            entry.remote.pop(subnet, None)
-            if not entry.holders and not entry.remote:
-                del self.entries[file_id]
+        self._drop_records(lambda r: r.gateway in gateways)
 
 
 @dataclass

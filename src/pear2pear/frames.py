@@ -10,7 +10,6 @@ import struct
 from dataclasses import dataclass, field
 
 PROTOCOL_VERSION = 1
-BROADCAST = 0xFFFF_FFFF_FFFF_FFFF
 
 
 class WireError(Exception):
@@ -107,6 +106,8 @@ def _decode_value(data: bytes, pos: int):
     if tag == _T_NONE:
         return None, pos
     if tag == _T_BOOL:
+        if pos >= len(data):
+            raise WireError("truncated bool")
         return bool(data[pos]), pos + 1
     if tag == _T_INT:
         return struct.unpack_from(">q", data, pos)[0], pos + 8
@@ -118,7 +119,12 @@ def _decode_value(data: bytes, pos: int):
         raw = data[pos:pos + n]
         if len(raw) != n:
             raise WireError("truncated string")
-        return (raw if tag == _T_BYTES else raw.decode("utf-8")), pos + n
+        if tag == _T_BYTES:
+            return raw, pos + n
+        try:
+            return raw.decode("utf-8"), pos + n
+        except UnicodeDecodeError:
+            raise WireError("string is not valid UTF-8")
     if tag == _T_LIST:
         (n,) = struct.unpack_from(">I", data, pos)
         pos += 4
@@ -133,6 +139,8 @@ def _decode_value(data: bytes, pos: int):
         out = {}
         for _ in range(n):
             key, pos = _decode_value(data, pos)
+            if not isinstance(key, str):
+                raise WireError(f"dict keys must be strings, got {type(key).__name__}")
             val, pos = _decode_value(data, pos)
             out[key] = val
         return out, pos
@@ -163,6 +171,8 @@ def decode_frame(data: bytes) -> Frame:
         payload, pos = _decode_value(data, 18)
     except struct.error:
         raise WireError("truncated frame")
+    except RecursionError:
+        raise WireError("payload nested too deeply")
     if pos != len(data):
         raise WireError("trailing bytes after payload")
     if not isinstance(payload, dict):

@@ -283,7 +283,6 @@ class Node:
         if m is not None and m.phase == transfer.M_JOINING_TARGET \
                 and payload.get("ssid") == m.target:
             self.attached = m.target
-            m.path_taken.append(m.target)
             m.phase = transfer.M_WORKING
             if m.kind == "file":
                 m.sub_session = transfer.TransferSession(

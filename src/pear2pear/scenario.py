@@ -7,6 +7,7 @@ contents are either inline ("text"/"hex") or generator-specified
 """
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -38,6 +39,8 @@ def _content_of(raw: dict, path: str) -> bytes:
     if sum([has_text, has_hex, has_gen]) != 1:
         raise ScenarioError(path, "file needs exactly one of: text, hex, seed+size")
     if has_text:
+        if not isinstance(raw["text"], str):
+            raise ScenarioError(f"{path}.text", "text must be a string")
         return raw["text"].encode("utf-8")
     if has_hex:
         try:
@@ -50,6 +53,16 @@ def _content_of(raw: dict, path: str) -> bytes:
     if not isinstance(size, int) or size < 0:
         raise ScenarioError(path, "size must be a non-negative integer")
     return random.Random(raw["seed"]).randbytes(size)
+
+
+def _time(value, path: str) -> float:
+    """A simulated time: a finite, non-negative JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ScenarioError(path, f"time must be a finite number, got {value!r}")
+    if value < 0:
+        raise ScenarioError(path, f"time must not be negative, got {value!r}")
+    return float(value)
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -103,7 +116,7 @@ def parse_scenario(doc: dict) -> Scenario:
         path = f"$.script[{i}]"
         if not isinstance(row, dict) or "time" not in row or "action" not in row:
             raise ScenarioError(path, "script row needs time and action")
-        t = float(row["time"])
+        t = _time(row["time"], f"{path}.time")
         if last_time is not None and t < last_time:
             raise ScenarioError(path, "script times must be nondecreasing")
         last_time = t
@@ -120,8 +133,11 @@ def parse_scenario(doc: dict) -> Scenario:
         elif action == "search":
             if "query" not in row:
                 raise ScenarioError(path, "search needs a query")
+            by = row.get("by", "name")
+            if by not in ("name", "id"):
+                raise ScenarioError(f"{path}.by", f"by must be name or id, got {by!r}")
             sc.script.append({"time": t, "action": "search", "device": device,
-                              "query": row["query"], "by": row.get("by", "name")})
+                              "query": row["query"], "by": by})
         elif action == "download":
             ref = row.get("file")
             if not isinstance(ref, str):
@@ -132,7 +148,7 @@ def parse_scenario(doc: dict) -> Scenario:
         else:
             raise ScenarioError(path, f"unknown action: {action}")
 
-    sc.until = float(doc.get("until", max_time + 60.0))
+    sc.until = _time(doc["until"], "$.until") if "until" in doc else max_time + 60.0
     return sc
 
 

@@ -86,10 +86,6 @@ class World:
                 return device
         return None
 
-    def hotspot_members(self, ssid: str) -> list:
-        return sorted(d for d, n in self.nodes.items()
-                      if n.active and n.attached == ssid)
-
     # --------------------------------------------------------------- stepping
 
     def step(self) -> bool:

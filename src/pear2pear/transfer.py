@@ -135,4 +135,3 @@ class CourierMission:
     session_id: str | None = None
     origin: str = ""               # user session this mission ultimately serves
     sub_session: TransferSession | None = None
-    path_taken: list = field(default_factory=list)

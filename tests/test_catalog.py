@@ -121,6 +121,21 @@ def test_remote_ttl_expiry():
     assert fid not in a.entries
 
 
+def test_expiry_after_a_partial_sweep():
+    # records refreshed at 0, 10 and 30; the sweep at 60 removes only the
+    # first, and the one from 10 must still expire at 70
+    a = NetworkFileCatalog()
+    fids = []
+    for t, content in ((0.0, b"zero"), (10.0, b"ten"), (30.0, b"thirty")):
+        a.merge_snapshot(_cat_with(("f", content), root=5).snapshot("NET-C"),
+                         via_gateway="NET-C", home_ssid="NET-A", now=t)
+        fids.append(make_meta("f", content, BS).file_id)
+    a.expire_remote(now=60.0, ttl=60.0)
+    assert set(a.entries) == set(fids[1:])
+    a.expire_remote(now=70.0, ttl=60.0)
+    assert set(a.entries) == {fids[2]}
+
+
 def test_drop_via_gateways():
     a = NetworkFileCatalog()
     fid = make_meta("song", b"tune", BS).file_id

@@ -1,11 +1,17 @@
 """Canonical frame wire encoding."""
 
+import pathlib
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
 from pear2pear.frames import (
     Frame, FrameKind, WireError, decode_frame, encode_frame,
 )
+from pear2pear.scenario import build_world, load_scenario
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _round_trip(frame):
@@ -71,3 +77,80 @@ def test_round_trip_property(payload, src, dst):
     # tuples come back as lists; payload strategy avoids tuples so equality holds
     assert back == frame
     assert encode_frame(back) == encode_frame(frame)
+
+
+# --- malformed input --------------------------------------------------------
+
+HEADER = encode_frame(Frame(kind=FrameKind.PING, src=1, dst=2))[:18]
+
+
+def _dict_of(key: bytes, value: bytes) -> bytes:
+    """A frame whose payload is a one-item dict, from pre-encoded parts."""
+    return HEADER + b"\x05" + struct.pack(">I", 1) + key + value
+
+
+def test_truncated_bool_rejected():
+    raw = encode_frame(Frame(kind=FrameKind.PING, src=1, dst=2, payload={"a": True}))
+    with pytest.raises(WireError):
+        decode_frame(raw[:-1])
+
+
+def test_bad_utf8_rejected():
+    raw = encode_frame(Frame(kind=FrameKind.PING, src=1, dst=2, payload={"a": "xy"}))
+    with pytest.raises(WireError):
+        decode_frame(raw.replace(b"xy", b"\xff\xfe"))
+
+
+def test_unhashable_dict_key_rejected():
+    empty_list = b"\x04" + struct.pack(">I", 0)
+    with pytest.raises(WireError):
+        decode_frame(_dict_of(empty_list, b"\x00"))
+
+
+def test_non_string_dict_key_rejected():
+    with pytest.raises(WireError):
+        encode_frame(Frame(kind=FrameKind.PING, src=1, dst=2, payload={5: None}))
+    int_key = b"\x01" + struct.pack(">q", 5)
+    with pytest.raises(WireError):
+        decode_frame(_dict_of(int_key, b"\x00"))
+
+
+def test_deep_nesting_rejected():
+    key = b"\x03" + struct.pack(">I", 1) + b"a"
+    nested = (b"\x04" + struct.pack(">I", 1)) * 5000 + b"\x00"
+    with pytest.raises(WireError):
+        decode_frame(_dict_of(key, nested))
+
+
+def _real_frames():
+    """The first frame of each kind emitted while running the shipped chain
+    and swarm scenarios, encoded."""
+    frames = {}
+    for name in ("chain.json", "swarm.json"):
+        sc = load_scenario(str(SCENARIOS / name))
+        world = build_world(sc)
+        world.metrics.on_frame_emit = lambda f: frames.setdefault(f.kind, encode_frame(f))
+        world.run_until(sc.until)
+    return [frames[k] for k in sorted(frames)]
+
+
+REAL_FRAMES = _real_frames()
+
+
+def _decodes_or_wire_error(data):
+    try:
+        decode_frame(data)
+    except WireError:
+        pass
+
+
+@given(st.sampled_from(REAL_FRAMES), st.integers(min_value=0))
+def test_truncated_real_frames(raw, cut):
+    _decodes_or_wire_error(raw[:cut % len(raw)])
+
+
+@given(st.sampled_from(REAL_FRAMES), st.integers(min_value=0), st.integers(1, 255))
+def test_byte_flipped_real_frames(raw, pos, mask):
+    flipped = bytearray(raw)
+    flipped[pos % len(raw)] ^= mask
+    _decodes_or_wire_error(bytes(flipped))

@@ -52,6 +52,45 @@ def test_validation_errors_carry_paths(mutate, path_prefix):
     assert err.value.path.startswith(path_prefix)
 
 
+def _search_at(time, **extra):
+    return {"time": time, "action": "search", "device": 1, "query": "x", **extra}
+
+
+def test_non_numeric_time_rejected():
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(_minimal(script=[_search_at("x")]))
+    assert err.value.path == "$.script[0].time"
+
+
+def test_non_numeric_until_rejected():
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(_minimal(until="soon"))
+    assert err.value.path == "$.until"
+
+
+def test_negative_times_rejected():
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(_minimal(script=[_search_at(-1.0)]))
+    assert err.value.path == "$.script[0].time"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(_minimal(until=-5))
+    assert err.value.path == "$.until"
+
+
+def test_unknown_search_by_rejected():
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(_minimal(script=[_search_at(1.0, by="bogus")]))
+    assert err.value.path == "$.script[0].by"
+
+
+def test_non_string_text_rejected():
+    doc = _minimal()
+    doc["devices"][1]["files"][0]["text"] = 42
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    assert err.value.path == "$.devices[1].files[0].text"
+
+
 def test_script_times_must_be_nondecreasing():
     doc = _minimal(script=[
         {"time": 5, "action": "search", "device": 1, "query": "x"},
