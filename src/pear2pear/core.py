@@ -12,6 +12,8 @@ SSID_PREFIX = "P2P-"
 PASSPHRASE_SALT = b"pear2pear-wpa/1:"
 PASSPHRASE_LEN = 20
 DIGEST_LEN = 32
+# Device ids travel as u64 in frames and as 16 hex digits in an SSID.
+DEVICE_ID_LIMIT = 1 << 64
 
 _SSID_RE = re.compile(r"^P2P-([0-9A-F]{16})-([0-9A-F]{8})$")
 

@@ -2,7 +2,9 @@
 
 The encoding is deterministic: fixed-width big-endian integers, length-prefixed
 byte strings, dict keys sorted. Two frames with equal contents always encode to
-identical bytes, which golden-trace comparisons depend on.
+identical bytes, which golden-trace comparisons depend on. The decoder accepts
+only that encoding (bools are 0 or 1, dict keys strictly ascending), so every
+input it accepts re-encodes to the same bytes.
 """
 
 import enum
@@ -108,7 +110,9 @@ def _decode_value(data: bytes, pos: int):
     if tag == _T_BOOL:
         if pos >= len(data):
             raise WireError("truncated bool")
-        return bool(data[pos]), pos + 1
+        if data[pos] > 1:
+            raise WireError(f"bool byte must be 0 or 1, got {data[pos]}")
+        return data[pos] == 1, pos + 1
     if tag == _T_INT:
         return struct.unpack_from(">q", data, pos)[0], pos + 8
     if tag == _T_FLOAT:
@@ -137,10 +141,14 @@ def _decode_value(data: bytes, pos: int):
         (n,) = struct.unpack_from(">I", data, pos)
         pos += 4
         out = {}
+        prev = None
         for _ in range(n):
             key, pos = _decode_value(data, pos)
             if not isinstance(key, str):
                 raise WireError(f"dict keys must be strings, got {type(key).__name__}")
+            if prev is not None and key <= prev:
+                raise WireError(f"dict key {key!r} not after {prev!r}")
+            prev = key
             val, pos = _decode_value(data, pos)
             out[key] = val
         return out, pos

@@ -52,6 +52,10 @@ class WantedEntry:
     emitted: int = 0
 
 
+def _ignore_frame(node, now, src, payload, out):
+    """PONG: the dispatch preamble already refreshed the sender's last_seen."""
+
+
 class Node:
     def __init__(self, device: int, params: Params, shared_files=()):
         self.device = device
@@ -231,26 +235,7 @@ class Node:
         if self.role == MEMBER and src == self.home_root:
             self.last_root_seen = now
 
-        handler = {
-            K.JOIN_REQUEST: self._h_join_request,
-            K.JOIN_ACCEPT: self._h_join_accept,
-            K.JOIN_REJECT: self._h_join_reject,
-            K.FILE_LIST: self._h_file_list,
-            K.SCAN_REPORT: self._h_scan_report,
-            K.LEAVE_NOTICE: self._h_leave_notice,
-            K.PING: self._h_ping,
-            K.PONG: self._h_pong,
-            K.SEARCH_REQUEST: self._h_search_request,
-            K.SEARCH_RESPONSE: self._h_search_response,
-            K.DOWNLOAD_REQUEST: self._h_download_request,
-            K.SOURCE_LIST: self._h_source_list,
-            K.BLOCK_REQUEST: self._h_block_request,
-            K.BLOCK_RESPONSE: self._h_block_response,
-            K.CATALOG_SNAPSHOT: self._h_catalog_snapshot,
-            K.COURIER_ORDER: self._h_courier_order,
-            K.WANTED_FILE: self._h_wanted_file,
-        }[frame.kind]
-        handler(now, src, frame.payload, out)
+        self._HANDLERS[frame.kind](self, now, src, frame.payload, out)
 
     # kernel: membership ----------------------------------------------------
 
@@ -343,9 +328,6 @@ class Node:
     def _h_ping(self, now, src, payload, out):
         if self.role in (MEMBER, JOINING) or self.mission is not None:
             self._send(out, K.PONG, src, {}, now)
-
-    def _h_pong(self, now, src, payload, out):
-        pass  # last_seen already refreshed in the dispatch preamble
 
     # catalogs --------------------------------------------------------------
 
@@ -1043,3 +1025,24 @@ class Node:
             if courier is None:
                 continue
             self._issue_order(now, courier, target, "catalog", out, ttl=1)
+
+    # Frame kind -> handler function, built once for the class.
+    _HANDLERS = {
+        K.JOIN_REQUEST: _h_join_request,
+        K.JOIN_ACCEPT: _h_join_accept,
+        K.JOIN_REJECT: _h_join_reject,
+        K.FILE_LIST: _h_file_list,
+        K.SCAN_REPORT: _h_scan_report,
+        K.LEAVE_NOTICE: _h_leave_notice,
+        K.PING: _h_ping,
+        K.PONG: _ignore_frame,
+        K.SEARCH_REQUEST: _h_search_request,
+        K.SEARCH_RESPONSE: _h_search_response,
+        K.DOWNLOAD_REQUEST: _h_download_request,
+        K.SOURCE_LIST: _h_source_list,
+        K.BLOCK_REQUEST: _h_block_request,
+        K.BLOCK_RESPONSE: _h_block_response,
+        K.CATALOG_SNAPSHOT: _h_catalog_snapshot,
+        K.COURIER_ORDER: _h_courier_order,
+        K.WANTED_FILE: _h_wanted_file,
+    }

@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .core import FileId, compute_file_id
+from .core import DEVICE_ID_LIMIT, FileId, compute_file_id
 from .params import Params
 from .sim import World
 
@@ -84,8 +84,8 @@ def parse_scenario(doc: dict) -> Scenario:
         if not isinstance(dev, dict) or "id" not in dev:
             raise ScenarioError(path, "device needs an integer id")
         device = dev["id"]
-        if not isinstance(device, int) or device < 0:
-            raise ScenarioError(path, "device id must be a non-negative integer")
+        if not isinstance(device, int) or not 0 <= device < DEVICE_ID_LIMIT:
+            raise ScenarioError(path, "device id must be an integer in [0, 2**64)")
         if device in ids:
             raise ScenarioError(path, f"duplicate device id {device}")
         ids.add(device)

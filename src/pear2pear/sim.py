@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass, field
 
 from .actions import HopTo, Note, RequestScan, Send, StartTimer
-from .core import FileId
+from .core import parse_ssid
 from .frames import JOIN_PHASE_KINDS, Frame
 from .metrics import MetricsCollector
 from .node import Node, ROOT
@@ -80,10 +80,12 @@ class World:
         return sorted(out)
 
     def find_root(self, ssid: str):
-        for device in self.nodes:
-            node = self.nodes[device]
-            if node.active and node.role == ROOT and node.ssid == ssid:
-                return device
+        """The active root hosting `ssid`, or None. A rendered SSID names its
+        root's device id, and only that device can host it."""
+        parsed = parse_ssid(ssid)
+        node = self.nodes.get(parsed.root_id) if parsed is not None else None
+        if node is not None and node.active and node.role == ROOT and node.ssid == ssid:
+            return parsed.root_id
         return None
 
     # --------------------------------------------------------------- stepping

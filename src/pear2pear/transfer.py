@@ -32,7 +32,7 @@ class TransferSession:
     sources: list = field(default_factory=list)      # sorted holder ids (pull)
     wanted: list = field(default_factory=list)       # block indices needed
     block_state: dict = field(default_factory=dict)  # idx -> MISSING|HELD|(src, since)
-    buffers: dict = field(default_factory=dict)      # idx -> bytes
+    buffers: dict = field(default_factory=dict)      # idx -> bytes, HELD blocks only
     hops_used: int = 0
     hash_retry_used: bool = False
     reassign_used: bool = False
@@ -89,8 +89,13 @@ class TransferSession:
                 dead.add(state[0])
         return sorted(dead)
 
+    @property
+    def held(self) -> int:
+        """Wanted blocks in HELD: exactly the buffered ones."""
+        return len(self.buffers)
+
     def complete(self) -> bool:
-        return bool(self.wanted) and all(self.block_state[i] == HELD for i in self.wanted)
+        return bool(self.wanted) and self.held == len(self.wanted)
 
     def assemble(self) -> bytes:
         return b"".join(self.buffers[i] for i in sorted(self.buffers))

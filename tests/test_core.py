@@ -68,9 +68,10 @@ def test_ssid_round_trip_simple():
     assert parse_ssid(render_ssid(s)) == s
 
 
-@given(st.integers(min_value=0, max_value=2**64 - 1),
+@given(st.integers(min_value=0, max_value=core.DEVICE_ID_LIMIT - 1),
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_ssid_round_trip(root_id, nonce):
+    # Every device id a scenario accepts names its root in a parseable SSID.
     s = Ssid(root_id, nonce)
     assert parse_ssid(render_ssid(s)) == s
 

@@ -115,6 +115,31 @@ def test_non_string_dict_key_rejected():
         decode_frame(_dict_of(int_key, b"\x00"))
 
 
+def test_bool_byte_other_than_0_or_1_rejected():
+    raw = bytearray(encode_frame(Frame(kind=FrameKind.PING, src=1, dst=2,
+                                       payload={"a": True})))
+    raw[-1] = 2
+    with pytest.raises(WireError, match="bool"):
+        decode_frame(bytes(raw))
+
+
+def _str(s: bytes) -> bytes:
+    return b"\x03" + struct.pack(">I", len(s)) + s
+
+
+def _dict_of_keys(*keys: bytes) -> bytes:
+    """A frame whose payload maps each key, in the given order, to None."""
+    return (HEADER + b"\x05" + struct.pack(">I", len(keys))
+            + b"".join(_str(k) + b"\x00" for k in keys))
+
+
+def test_dict_keys_out_of_order_or_repeated_rejected():
+    assert decode_frame(_dict_of_keys(b"a", b"b")).payload == {"a": None, "b": None}
+    for keys in ((b"b", b"a"), (b"a", b"a"), (b"", b"")):
+        with pytest.raises(WireError, match="not after"):
+            decode_frame(_dict_of_keys(*keys))
+
+
 def test_deep_nesting_rejected():
     key = b"\x03" + struct.pack(">I", 1) + b"a"
     nested = (b"\x04" + struct.pack(">I", 1)) * 5000 + b"\x00"
@@ -138,10 +163,13 @@ REAL_FRAMES = _real_frames()
 
 
 def _decodes_or_wire_error(data):
+    """Malformed input raises WireError; input that decodes is canonical, so
+    it re-encodes to the same bytes."""
     try:
-        decode_frame(data)
+        frame = decode_frame(data)
     except WireError:
-        pass
+        return
+    assert encode_frame(frame) == data
 
 
 @given(st.sampled_from(REAL_FRAMES), st.integers(min_value=0))

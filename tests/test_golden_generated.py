@@ -1,0 +1,69 @@
+"""Golden digests for the benchmark's generated topologies.
+
+The shipped scenarios are four small hand-written runs. The generated
+workloads of `perfbench/workloads.py`, at the tiny sizes of its self-test,
+add more subnets, many more courier hops (each one a root lookup), holder
+departures and re-arrivals, and failed missions, so these digests pin root
+lookup, frame dispatch and block bookkeeping under churn. Each workload
+pins its event count, the SHA-256 of its `--trace` output and the SHA-256
+of its metrics report, all taken before those paths were made O(1).
+"""
+
+import hashlib
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+from pear2pear.scenario import build_world, parse_scenario
+
+_WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+_spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+SEED = 3
+# The sizes perfbench/test_smoke.py runs.
+TINY = {
+    "chain_large": {"subnets": 5, "until": 160.0},
+    "bulk_blocks": {"size": 24 * 1024, "until": 120.0},
+    "catalog_mesh": {"rows": 2, "cols": 3, "files_per_member": 2, "until": 160.0},
+}
+# workload -> (events, trace SHA-256, metrics report SHA-256)
+GOLDEN = {
+    "chain_large": (
+        3560,
+        "1005cd9eda5064438a84f22155c02a96a3ccac145e2d945feb5ab7b5d6cc8a5e",
+        "8e04ddbce9ba501ea8749ef2f9cf3cf5ee8ee38378cdb5a2fe0d13e72c35d080"),
+    "bulk_blocks": (
+        2369,
+        "7285bce4c81d4f366a24a589e98bd1b1c94deac62301511ebf12ef0d1bc625e2",
+        "1ee2337de44a7977a6f07a3687d24bc091ae2889740a28e0ffdc2919cde1e80e"),
+    "catalog_mesh": (
+        4760,
+        "954980706cefd064ba71f318fbcf9c91bea369193f02b017071b738f5eed7844",
+        "fa6836fc288b6d3a71a44ea339a7ccd9051a072bd2bda6758f717080fc1f0f8c"),
+}
+
+
+def _run(name):
+    sc = parse_scenario(workloads.WORKLOADS[name](SEED, **TINY[name]))
+    world = build_world(sc)
+    events = 0
+    while world.queue and world.queue[0][0] <= sc.until:
+        world.step()
+        events += 1
+    trace = "".join(line + "\n" for line in world.trace_lines()).encode()
+    report = json.dumps(world.metrics.report(), sort_keys=True).encode()
+    return (events, hashlib.sha256(trace).hexdigest(),
+            hashlib.sha256(report).hexdigest())
+
+
+def test_every_workload_has_digests():
+    assert sorted(GOLDEN) == sorted(workloads.WORKLOADS)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_generated_digests(name):
+    assert _run(name) == GOLDEN[name]

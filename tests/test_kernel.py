@@ -1,9 +1,15 @@
 """Kernel layer: subnet formation, membership, leave/silent cleanup."""
 
 from pear2pear.core import parse_ssid
-from pear2pear.node import MEMBER, ROOT, SCANNING
+from pear2pear.frames import FrameKind
+from pear2pear.node import MEMBER, ROOT, SCANNING, Node
 
 from helpers import arrive, clique, make_world, members_of, roots_of, star, trace_events
+
+
+def test_every_frame_kind_has_a_handler():
+    assert set(Node._HANDLERS) == set(FrameKind)
+    assert all(callable(h) for h in Node._HANDLERS.values())
 
 
 def test_lone_device_hosts():

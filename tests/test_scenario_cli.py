@@ -34,6 +34,8 @@ def test_parse_minimal():
 @pytest.mark.parametrize("mutate,path_prefix", [
     (lambda d: d["devices"].append({"id": 1}), "$.devices[2]"),
     (lambda d: d["devices"].append({"files": []}), "$.devices[2]"),
+    (lambda d: d["devices"].append({"id": -1}), "$.devices[2]"),
+    (lambda d: d["devices"].append({"id": 2**64}), "$.devices[2]"),
     (lambda d: d["visibility"].append([1, 9]), "$.visibility[1]"),
     (lambda d: d["visibility"].append([1, 1]), "$.visibility[1]"),
     (lambda d: d["script"].append({"time": 1, "action": "explode", "device": 1}),

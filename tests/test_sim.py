@@ -2,8 +2,9 @@
 
 import pytest
 
+from pear2pear.core import Ssid, render_ssid
 from pear2pear.frames import Frame, FrameKind
-from pear2pear.node import ROOT
+from pear2pear.node import MEMBER, ROOT
 from pear2pear.sim import World
 
 from helpers import arrive, make_world, star, trace_events
@@ -110,3 +111,65 @@ def test_different_seed_still_runs():
     w = _busy_world(8)
     assert w.trace_lines()
     assert w.metrics.all_succeeded()
+
+
+# --- root lookup from the SSID ----------------------------------------------
+
+def _lone_root(w, device):
+    w.add_device(device)
+    arrive(w, [device])
+    w.run_until(w.clock + 1.0)
+    return w.nodes[device].ssid
+
+
+def test_find_root_answers_the_hosting_device():
+    w = make_world()
+    ssid = _lone_root(w, 1)
+    assert w.find_root(ssid) == 1
+
+
+def test_find_root_ignores_a_deactivated_root():
+    w = make_world()
+    ssid = _lone_root(w, 1)
+    w.schedule(2.0, "depart", device=1, silent=True)
+    w.run_until(3.0)
+    node = w.nodes[1]
+    assert not node.active and node.role == ROOT and node.ssid == ssid
+    assert w.find_root(ssid) is None
+
+
+def test_find_root_ignores_a_demoted_root():
+    # Device 1 hosts, leaves, and comes back in range of root 10: it joins
+    # 10 as a member and keeps its old SSID string.
+    w = make_world()
+    ssid = _lone_root(w, 1)
+    _lone_root(w, 10)
+    w.schedule(3.0, "depart", device=1, silent=True)
+    w.run_until(3.5)
+    w.add_edge(1, 10)
+    w.schedule(4.0, "arrive", device=1)
+    w.run_until(6.0)
+    node = w.nodes[1]
+    assert node.active and node.role == MEMBER and node.ssid == ssid
+    assert w.find_root(ssid) is None
+    assert w.find_root(w.nodes[10].ssid) == 10
+
+
+def test_find_root_ignores_the_ssid_of_an_earlier_generation():
+    w = make_world()
+    first = _lone_root(w, 1)
+    w.schedule(2.0, "depart", device=1, silent=True)
+    w.schedule(3.0, "arrive", device=1)
+    w.run_until(4.0)
+    second = w.nodes[1].ssid
+    assert second != first and w.nodes[1].role == ROOT
+    assert w.find_root(first) is None
+    assert w.find_root(second) == 1
+
+
+def test_find_root_of_ssids_no_device_hosts():
+    w = make_world()
+    _lone_root(w, 1)
+    assert w.find_root("HomeNetwork") is None
+    assert w.find_root("") is None
+    assert w.find_root(render_ssid(Ssid(999, 0))) is None

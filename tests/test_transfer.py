@@ -110,3 +110,58 @@ def test_single_byte_file_is_one_block():
     sess.next_requests(now=0.0)
     sess.on_block(0, b"z")
     assert sess.complete() and sess.verify()
+
+
+# --- held-block count -------------------------------------------------------
+
+def test_held_ignores_duplicates_and_out_of_range_blocks():
+    sess, _ = _pull_session(b"x" * (BS * 3), sources=[1])
+    sess.next_requests(now=0.0)
+    assert sess.held == 0
+    sess.on_block(0, b"x" * BS)
+    sess.on_block(0, b"x" * BS)
+    sess.on_block(7, b"x" * BS)
+    sess.on_block(-1, b"x" * BS)
+    assert sess.held == 1 and not sess.complete()
+    sess.on_block(1, b"x" * BS)
+    sess.on_block(2, b"x" * BS)
+    assert sess.held == 3 and sess.complete()
+
+
+def test_held_counts_a_block_once_across_a_dropped_source():
+    sess, _ = _pull_session(b"x" * (BS * 4), sources=[10, 20])
+    sess.next_requests(now=0.0)
+    sess.on_block(0, b"x" * BS)          # from 10, before it is dropped
+    sess.drop_source(10)                 # block 2 goes back to missing
+    assert sess.held == 1
+    assert sess.next_requests(now=1.0) == [(20, 2)]
+    sess.on_block(2, b"x" * BS)          # late copy from the dropped source
+    sess.on_block(2, b"x" * BS)          # the re-request's copy
+    assert sess.held == 2
+    sess.on_block(1, b"x" * BS)
+    sess.on_block(3, b"x" * BS)
+    assert sess.held == 4 and sess.complete()
+
+
+def test_reset_for_retry_restarts_the_held_count():
+    sess, _ = _pull_session(b"x" * (BS * 2), sources=[1])
+    sess.next_requests(now=0.0)
+    sess.on_block(0, b"x" * BS)
+    sess.on_block(1, b"x" * BS)
+    assert sess.complete()
+    sess.reset_for_retry()
+    assert sess.held == 0 and not sess.complete()
+    sess.next_requests(now=1.0)
+    sess.on_block(0, b"x" * BS)
+    assert sess.held == 1 and not sess.complete()
+    sess.on_block(1, b"x" * BS)
+    assert sess.held == 2 and sess.complete()
+
+
+def test_held_restarts_with_a_new_range():
+    sess, meta = _pull_session(b"x" * (BS * 4), sources=[1], block_range=(0, 2))
+    sess.on_block(0, b"x" * BS)
+    sess.begin_push(meta, block_range=(2, 4))
+    assert sess.held == 0
+    sess.on_block(0, b"x" * BS)
+    assert sess.held == 0
