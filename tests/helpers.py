@@ -40,6 +40,27 @@ def star(world, root, members, files=None):
     arrive(world, [root] + list(members))
 
 
+def swarm_world(bridges):
+    """Root 1 with members 2-5 and root 10 with member 11, which holds a
+    32-block file; `bridges` also see root 10. Device 5 downloads the file
+    at t=50, so with two or more idle bridges root 1 splits it into a swarm."""
+    content = random_content(42, 32768)
+    w = make_world(block_size=1024)
+    w.add_device(1)
+    w.add_device(10)
+    for d in (2, 3, 4, 5):
+        w.add_device(d)
+        w.add_edge(d, 1)
+    w.add_device(11, [("big.iso", content)])
+    w.add_edge(11, 10)
+    for d in bridges:
+        w.add_edge(d, 10)
+    arrive(w, [1, 10, 2, 3, 4, 5, 11])
+    fid = w.nodes[11].store_file("big.iso", content).file_id
+    w.schedule(50.0, "download", device=5, file_id=fid)
+    return w, fid, content
+
+
 def roots_of(world):
     """ssid -> root device for every active hotspot."""
     return {n.ssid: d for d, n in world.nodes.items()

@@ -16,7 +16,7 @@ from pear2pear.scenario import load_scenario, run_scenario
 
 from helpers import (
     arrive, bfs_distances, make_world, members_of, only_download,
-    random_content, roots_of, star, subnet_adjacency, trace_events,
+    random_content, roots_of, star, subnet_adjacency, swarm_world, trace_events,
 )
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -315,27 +315,9 @@ def test_c10_determinism():
         assert runs[0][1] == runs[1][1], f"{path.name}: metrics differ"
 
 
-def _swarm_world(bridges):
-    content = random_content(42, 32768)
-    w = make_world(block_size=1024)
-    w.add_device(1)
-    w.add_device(10)
-    for d in (2, 3, 4, 5):
-        w.add_device(d)
-        w.add_edge(d, 1)
-    w.add_device(11, [("big.iso", content)])
-    w.add_edge(11, 10)
-    for d in bridges:
-        w.add_edge(d, 10)
-    arrive(w, [1, 10, 2, 3, 4, 5, 11])
-    fid = w.nodes[11].store_file("big.iso", content).file_id
-    w.schedule(50.0, "download", device=5, file_id=fid)
-    return w, fid, content
-
-
 @criterion(11, "swarm courier partition and single-courier fallback")
 def test_c11_swarm():
-    w, fid, content = _swarm_world(bridges=(2, 3, 4))
+    w, fid, content = swarm_world(bridges=(2, 3, 4))
     w.run_until(50.05)
     orders = [o for o in w.nodes[1].outstanding.values() if o.kind == "file"]
     assert sorted(o.block_range for o in orders) == [(0, 11), (11, 22), (22, 32)]
@@ -346,7 +328,7 @@ def test_c11_swarm():
     assert w.nodes[5].files[fid] == content
 
     # with a single eligible bridge the request degrades to one courier
-    w, fid, content = _swarm_world(bridges=(2,))
+    w, fid, content = swarm_world(bridges=(2,))
     w.run_until(50.05)
     orders = [o for o in w.nodes[1].outstanding.values() if o.kind == "file"]
     assert len(orders) == 1 and orders[0].block_range is None

@@ -1,5 +1,7 @@
 """Kernel layer: subnet formation, membership, leave/silent cleanup."""
 
+import pytest
+
 from pear2pear.core import parse_ssid
 from pear2pear.frames import FrameKind
 from pear2pear.node import MEMBER, ROOT, SCANNING, Node
@@ -129,6 +131,25 @@ def test_rejoin_during_countdown_cancels_purge():
     assert w.nodes[2].role == MEMBER
     assert not [r for r in trace_events(w, "purge", device=1)
                 if r.details["peer"] == 2]
+
+
+def test_second_leave_restarts_the_countdown():
+    # the first leave's countdown fires while the member is leaving again;
+    # only the countdown of the second leave may purge it
+    w = make_world()
+    star(w, 1, [2, 3])
+    w.run_until(1.0)
+    w.schedule(10.0, "depart", device=2, silent=False)
+    w.schedule(15.0, "arrive", device=2)
+    w.schedule(25.0, "depart", device=2, silent=False)
+    w.run_until(25.0 + 2 * w.p.leave_countdown)
+    assert 2 not in w.nodes[1].members
+    leaving = [r for r in trace_events(w, "leaving", device=1) if r.details["peer"] == 2]
+    assert len(leaving) == 2
+    (purge,) = [r for r in trace_events(w, "purge", device=1)
+                if r.details["peer"] == 2]
+    assert purge.details["reason"] == "leave"
+    assert purge.time == pytest.approx(leaving[1].time + w.p.leave_countdown)
 
 
 def test_silent_member_purged_within_bound():
