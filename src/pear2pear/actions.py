@@ -19,14 +19,13 @@ class Send:
 class HopTo:
     target: str          # rendered SSID
     label: str = "hop"   # "forward" | "return" | "hop" (for traces)
-    mission_id: str = ""
     session_id: str = ""
 
 
 @dataclass
 class StartTimer:
     delay: float
-    tag: str
+    tag: tuple           # (handler, *args), handed back to Node.on_timer
 
 
 @dataclass

@@ -6,7 +6,7 @@ simulation time and return a list of actions (frames to send, hops, timers,
 trace notes) for the host to execute; nodes never touch the world directly.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import core, routing, transfer
 from .actions import HopTo, Note, RequestScan, Send, StartTimer
@@ -23,7 +23,6 @@ ROOT = "root"
 
 @dataclass
 class MembershipRecord:
-    peer: int
     last_seen: float
     leaving_since: float | None = None
 
@@ -34,7 +33,6 @@ class OutstandingOrder:
     courier: int
     target: str
     kind: str                      # "catalog" | "file"
-    issued_at: float
     ttl: int = 1
     session_id: str = ""
     origin: str = ""
@@ -45,11 +43,18 @@ class OutstandingOrder:
 
 @dataclass
 class WantedEntry:
-    key: str
     query: str
     by: str
     requester: int
     emitted: int = 0
+
+
+@dataclass
+class SwarmGroup:
+    """One swarm download at its root: the file orders still out."""
+    requester: int
+    pending: set = field(default_factory=set)   # mission ids
+    reassigned: bool = False
 
 
 def _ignore_frame(node, now, src, payload, out):
@@ -88,7 +93,7 @@ class Node:
         self.subnets: SubnetCatalog | None = None
         self.outstanding: dict[str, OutstandingOrder] = {}
         self.wanted: dict[str, WantedEntry] = {}
-        self.swarm: dict[str, dict] = {}
+        self.swarm: dict[str, SwarmGroup] = {}
         self._courier_cycle_n = 0
 
         # courier / transfer
@@ -171,7 +176,7 @@ class Node:
         root_id = parse_ssid(ssid).root_id
         self._send(out, K.JOIN_REQUEST, root_id,
                    {"ssid": ssid, "wants_catalog": False}, now)
-        out.append(StartTimer(self.p.join_timeout, f"jointo:{ssid}"))
+        out.append(StartTimer(self.p.join_timeout, (self._t_join_timeout, ssid)))
 
     def _become_root(self, now, out):
         self.generation += 1
@@ -187,8 +192,8 @@ class Node:
         self.wanted = {}
         self.swarm = {}
         self._courier_cycle_n = 0
-        out.append(StartTimer(self.p.ping_interval, "ping"))
-        out.append(StartTimer(self.p.courier_period, "courier"))
+        out.append(StartTimer(self.p.ping_interval, (self._t_ping,)))
+        out.append(StartTimer(self.p.courier_period, (self._t_courier,)))
         out.append(Note("role", {"role": ROOT, "ssid": self.ssid}))
 
     def _become_member(self, now, ssid, root_id, out):
@@ -201,8 +206,8 @@ class Node:
                  sorted(self.metas.values(), key=lambda m: m.file_id)]
         self._send(out, K.FILE_LIST, root_id, {"files": files, "removed": []}, now)
         out.append(RequestScan(0.0))
-        out.append(StartTimer(self.p.scan_period, "scanreport"))
-        out.append(StartTimer(self.p.ping_interval, "rootcheck"))
+        out.append(StartTimer(self.p.scan_period, (self._t_scan_report,)))
+        out.append(StartTimer(self.p.ping_interval, (self._t_root_check,)))
         out.append(Note("role", {"role": MEMBER, "ssid": ssid}))
 
     def _to_scanning(self, now, out, reason):
@@ -251,7 +256,7 @@ class Node:
             rec.leaving_since = None
             rec.last_seen = now
         elif len(self._active_members()) < self.p.max_members:
-            self.members[src] = MembershipRecord(src, now)
+            self.members[src] = MembershipRecord(now)
             out.append(Note("admit", {"peer": src}))
         else:
             self._send(out, K.JOIN_REJECT, src, {"ssid": self.ssid}, now)
@@ -261,7 +266,7 @@ class Node:
         if wants_catalog:
             # the joiner only attaches once the accept lands; send the
             # snapshot after that round trip so it is deliverable
-            out.append(StartTimer(2 * self.p.link_latency, f"snap:{src}"))
+            out.append(StartTimer(2 * self.p.link_latency, (self._t_snapshot, src)))
 
     def _h_join_accept(self, now, src, payload, out):
         m = self.mission
@@ -270,15 +275,14 @@ class Node:
             self.attached = m.target
             m.phase = transfer.M_WORKING
             if m.kind == "file":
-                m.sub_session = transfer.TransferSession(
-                    session_id=f"{m.mission_id}/sub", requester=self.device,
-                    file_id=m.file_id, started_at=now, user=False)
+                m.sub_session = transfer.TransferSession(f"{m.mission_id}/sub", m.file_id)
                 self._send(out, K.DOWNLOAD_REQUEST, src,
                            {"file_id": m.file_id.digest,
                             "session_id": m.sub_session.session_id,
                             "origin": m.origin,
                             "ttl": m.ttl - 1, "user": False}, now)
-            out.append(StartTimer(self.p.mission_timeout, f"mwork:{m.mission_id}"))
+            out.append(StartTimer(self.p.mission_timeout,
+                                  (self._t_mission_work, m.mission_id)))
             return
         if m is not None and m.phase == transfer.M_REJOINING_HOME \
                 and payload.get("ssid") == m.home:
@@ -293,7 +297,8 @@ class Node:
         if m is not None and m.phase == transfer.M_JOINING_TARGET:
             if not m.join_retried:
                 m.join_retried = True
-                out.append(StartTimer(self.p.hop_latency, f"mretry:{m.mission_id}"))
+                out.append(StartTimer(self.p.hop_latency,
+                                      (self._t_mission_retry, m.mission_id)))
             else:
                 self._mission_abort(now, out, "join-rejected")
             return
@@ -316,7 +321,7 @@ class Node:
             return
         rec.leaving_since = now
         self.subnets.drop_peer(src)
-        out.append(StartTimer(self.p.leave_countdown, f"leavep:{src}:{now:.6f}"))
+        out.append(StartTimer(self.p.leave_countdown, (self._t_leave_countdown, src, now)))
         out.append(Note("leaving", {"peer": src}))
 
     def _purge_member(self, now, peer, reason, out):
@@ -350,7 +355,7 @@ class Node:
         m = self.mission
         if m is not None and m.kind == "catalog" and m.phase == transfer.M_WORKING:
             m.snapshot = payload["snapshot"]
-            self._leave_target(now, src, out)
+            self._leave_target(now, out)
             return
         if self.role == ROOT:
             mid = payload.get("mission_id", "")
@@ -420,7 +425,7 @@ class Node:
         key = f"{by}:{query}"
         if key in self.wanted:
             return
-        self.wanted[key] = WantedEntry(key=key, query=query, by=by, requester=requester)
+        self.wanted[key] = WantedEntry(query=query, by=by, requester=requester)
         self._emit_wanted(now, key, out)
 
     def _emit_wanted(self, now, key, out):
@@ -436,7 +441,7 @@ class Node:
             del self.wanted[key]
             out.append(Note("wanted-dead", {"key": key}))
         else:
-            out.append(StartTimer(self.p.wanted_repeat, f"wanted:{key}"))
+            out.append(StartTimer(self.p.wanted_repeat, (self._t_wanted, key)))
 
     def _check_wanted(self, now, added_metas, out):
         for key in sorted(self.wanted):
@@ -476,13 +481,12 @@ class Node:
         if self.role not in (MEMBER, ROOT):
             out.append(Note("download-failed", {"session": sid, "reason": "unattached"}))
             return out
-        sess = transfer.TransferSession(session_id=sid, requester=self.device,
-                                        file_id=file_id, started_at=now)
+        sess = transfer.TransferSession(sid, file_id)
         self.sessions[sid] = sess
         target = self.device if self.role == ROOT else self.home_root
         self._send(out, K.DOWNLOAD_REQUEST, target,
                    {"file_id": file_id.digest, "session_id": sid, "user": True}, now)
-        out.append(StartTimer(self.p.session_timeout, f"sessdl:{sid}"))
+        out.append(StartTimer(self.p.session_timeout, (self._t_session_timeout, sid)))
         return out
 
     def _eligible_couriers(self, gateway, exclude=()):
@@ -504,7 +508,7 @@ class Node:
                      origin="", requester=None, file_id=None, block_range=None):
         mid = self._new_id()
         order = OutstandingOrder(mission_id=mid, courier=courier, target=target,
-                                 kind=kind, issued_at=now, ttl=ttl,
+                                 kind=kind, ttl=ttl,
                                  session_id=session_id, origin=origin or session_id,
                                  requester=requester,
                                  file_id=file_id, block_range=block_range)
@@ -517,7 +521,7 @@ class Node:
         if block_range is not None:
             payload["range"] = [block_range[0], block_range[1]]
         self._send(out, K.COURIER_ORDER, courier, payload, now)
-        out.append(StartTimer(self.p.mission_timeout, f"mdeadline:{mid}"))
+        out.append(StartTimer(self.p.mission_timeout, (self._t_mission_deadline, mid)))
         out.append(Note("courier-assign", {"courier": courier, "target": target,
                                            "mission": kind, "session": session_id}))
         return order
@@ -559,9 +563,7 @@ class Node:
             if swarm_ok:
                 k = min(len(eligible), self.p.max_swarm)
                 ranges = routing.partition_blocks(meta.block_count, k)
-                group = {"reassigned": False, "requester": src, "pending": set(),
-                         "gateway": sel.gateway, "file_id": file_id}
-                self.swarm[sid] = group
+                group = self.swarm[sid] = SwarmGroup(requester=src)
                 for rng in ranges:
                     courier = routing.designate_courier(
                         self.subnets, sel.gateway,
@@ -572,7 +574,7 @@ class Node:
                                               ttl=req_ttl, session_id=sid,
                                               origin=origin, requester=src,
                                               file_id=file_id, block_range=rng)
-                    group["pending"].add(order.mission_id)
+                    group.pending.add(order.mission_id)
             else:
                 courier = routing.designate_courier(self.subnets, sel.gateway,
                                                     eligible=eligible)
@@ -597,32 +599,33 @@ class Node:
 
     # requester / courier reception of SourceList ---------------------------
 
-    def _h_source_list(self, now, src, payload, out):
-        sid = payload.get("session_id", "")
+    def _session(self, sid):
+        """A user download's session, or the current mission's sub-fetch."""
         sess = self.sessions.get(sid)
-        if sess is not None and sess.phase == transfer.PHASE_INIT:
-            self._session_source_list(now, sess, payload, out, user=True)
-            return
         m = self.mission
-        if m is not None and m.sub_session is not None \
-                and m.sub_session.session_id == sid \
-                and m.sub_session.phase == transfer.PHASE_INIT:
-            self._session_source_list(now, m.sub_session, payload, out, user=False)
+        if sess is None and m is not None and m.sub_session is not None \
+                and m.sub_session.session_id == sid:
+            sess = m.sub_session
+        return sess
 
-    def _session_source_list(self, now, sess, payload, out, user):
+    def _h_source_list(self, now, src, payload, out):
+        sess = self._session(payload.get("session_id", ""))
+        if sess is None or sess.phase != transfer.PHASE_INIT:
+            return
         if not payload.get("ok"):
             self._session_fail(now, sess, payload.get("reason", "refused"), out)
             return
         meta = self._meta_from_payload(payload["meta"])
         sess.hops_used = payload.get("hops", 0)
-        block_range = None if user else (self.mission.block_range if self.mission else None)
+        block_range = None if sess.session_id in self.sessions else self.mission.block_range
         out.append(Note("download-source", {"session": sess.session_id,
                                             "mode": payload["mode"],
                                             "hops": sess.hops_used}))
         if payload["mode"] == "pull":
             sess.begin_pull(meta, payload["sources"], block_range, now)
             self._session_pump(now, sess, out)
-            out.append(StartTimer(self.p.block_timeout, f"sess:{sess.session_id}"))
+            out.append(StartTimer(self.p.block_timeout,
+                                  (self._t_block_timeout, sess.session_id)))
         else:
             sess.begin_push(meta, block_range)
 
@@ -650,14 +653,7 @@ class Node:
                     "data": data, "session_id": sid}, now)
 
     def _h_block_response(self, now, src, payload, out):
-        sid = payload.get("session_id", "")
-        sess = self.sessions.get(sid)
-        user = sess is not None
-        if sess is None:
-            m = self.mission
-            if m is not None and m.sub_session is not None \
-                    and m.sub_session.session_id == sid:
-                sess = m.sub_session
+        sess = self._session(payload.get("session_id", ""))
         if sess is None or sess.phase not in (transfer.PHASE_PULL, transfer.PHASE_PUSH):
             return
         if not payload.get("ok"):
@@ -665,7 +661,7 @@ class Node:
             return
         sess.on_block(payload["index"], payload.get("data", b""))
         if sess.complete():
-            self._session_complete(now, sess, out, user=user)
+            self._session_complete(now, sess, out)
 
     def _session_drop_source(self, now, sess, src, out):
         if sess.phase != transfer.PHASE_PULL:
@@ -678,7 +674,7 @@ class Node:
         out.append(Note("reassign", {"session": sess.session_id, "dropped": src}))
         self._session_pump(now, sess, out)
 
-    def _session_complete(self, now, sess, out, user):
+    def _session_complete(self, now, sess, out):
         partial = len(sess.wanted) != (sess.meta.block_count if sess.meta else 0)
         if not partial and not sess.verify():
             if sess.phase == transfer.PHASE_PULL and not sess.hash_retry_used:
@@ -689,7 +685,7 @@ class Node:
             self._session_fail(now, sess, "hash-mismatch", out)
             return
         sess.phase = transfer.PHASE_DONE
-        if user:
+        if sess.session_id in self.sessions:
             content = sess.assemble()
             if sess.file_id not in self.files:
                 name = sorted(sess.meta.names)[0] if sess.meta.names else sess.file_id.short
@@ -706,8 +702,7 @@ class Node:
             self.sessions.pop(sess.session_id, None)
         else:
             # courier sub-fetch finished: head home with the goods
-            m = self.mission
-            self._leave_target(now, parse_ssid(m.target).root_id, out)
+            self._leave_target(now, out)
 
     def _session_fail(self, now, sess, reason, out):
         sess.phase = transfer.PHASE_FAILED
@@ -718,7 +713,7 @@ class Node:
         elif self.mission is not None and self.mission.sub_session is sess:
             self.mission.failed = True
             self.mission.fail_reason = reason
-            self._leave_target(now, parse_ssid(self.mission.target).root_id, out)
+            self._leave_target(now, out)
 
     # courier missions ------------------------------------------------------
 
@@ -742,21 +737,27 @@ class Node:
             session_id=payload.get("session_id", ""))
         m.origin = payload.get("origin", "") or m.session_id
         self.mission = m
-        out.append(HopTo(m.target, label="forward", mission_id=m.mission_id,
-                         session_id=m.origin or ""))
+        out.append(HopTo(m.target, label="forward", session_id=m.origin))
 
-    def _leave_target(self, now, target_root, out):
+    def _join_target(self, now, m, out):
+        self._send(out, K.JOIN_REQUEST, parse_ssid(m.target).root_id,
+                   {"ssid": m.target, "wants_catalog": m.kind == "catalog"}, now)
+        out.append(StartTimer(self.p.join_timeout, (self._t_target_join, m.mission_id)))
+
+    def _leave_target(self, now, out):
         m = self.mission
-        self._send(out, K.LEAVE_NOTICE, target_root, {}, now)
-        out.append(StartTimer(2 * self.p.link_latency, f"mhome:{m.mission_id}"))
+        self._send(out, K.LEAVE_NOTICE, parse_ssid(m.target).root_id, {}, now)
+        out.append(StartTimer(2 * self.p.link_latency, (self._t_mission_home, m.mission_id)))
+
+    def _head_home(self, m, out):
+        m.phase = transfer.M_HOMEBOUND
+        out.append(HopTo(m.home, label="return", session_id=m.origin))
 
     def _mission_abort(self, now, out, reason):
         m = self.mission
         m.failed = True
         m.fail_reason = reason
-        m.phase = transfer.M_HOMEBOUND
-        out.append(HopTo(m.home, label="return", mission_id=m.mission_id,
-                         session_id=m.origin or ""))
+        self._head_home(m, out)
 
     def _deliver_mission(self, now, out):
         m = self.mission
@@ -786,40 +787,35 @@ class Node:
         if order is None:
             return
         status = payload["status"]
+        group = self.swarm.get(order.session_id)
         if status == "done":
-            group = self.swarm.get(order.session_id)
             if group is not None:
-                group["pending"].discard(mid)
-                if not group["pending"]:
+                group.pending.discard(mid)
+                if not group.pending:
                     del self.swarm[order.session_id]
             return
         out.append(Note("mission-failed", {"mission": mid, "status": status,
                                            "kind": order.kind}))
         if order.kind == "catalog":
             return  # the next courier period retries
-        group = self.swarm.get(order.session_id)
         if group is not None:
-            group["pending"].discard(mid)
-            if not group["reassigned"]:
+            group.pending.discard(mid)
+            if not group.reassigned:
                 eligible = self._eligible_couriers(
-                    order.target, exclude={order.courier, group["requester"]})
+                    order.target, exclude={order.courier, group.requester})
                 courier = routing.designate_courier(self.subnets, order.target,
                                                     eligible=eligible)
                 if courier is not None:
-                    group["reassigned"] = True
+                    group.reassigned = True
                     replacement = self._issue_order(
                         now, courier, order.target, "file", out, ttl=order.ttl,
                         session_id=order.session_id, origin=order.origin,
-                        requester=group["requester"],
+                        requester=group.requester,
                         file_id=order.file_id, block_range=order.block_range)
-                    group["pending"].add(replacement.mission_id)
+                    group.pending.add(replacement.mission_id)
                     return
             # no replacement available (or already used): the session fails
             del self.swarm[order.session_id]
-            self._send(out, K.SOURCE_LIST, group["requester"],
-                       {"ok": False, "session_id": order.session_id,
-                        "reason": "courier-failed"}, now)
-            return
         if order.requester is not None:
             self._send(out, K.SOURCE_LIST, order.requester,
                        {"ok": False, "session_id": order.session_id,
@@ -835,14 +831,12 @@ class Node:
             return out
         if m.phase == transfer.M_OUTBOUND and target == m.target:
             m.phase = transfer.M_JOINING_TARGET
-            self._send(out, K.JOIN_REQUEST, parse_ssid(target).root_id,
-                       {"ssid": target, "wants_catalog": m.kind == "catalog"}, now)
-            out.append(StartTimer(self.p.join_timeout, f"mjoin:{m.mission_id}:t"))
+            self._join_target(now, m, out)
         elif m.phase == transfer.M_HOMEBOUND and target == m.home:
             m.phase = transfer.M_REJOINING_HOME
             self._send(out, K.JOIN_REQUEST, parse_ssid(target).root_id,
                        {"ssid": target, "wants_catalog": False}, now)
-            out.append(StartTimer(self.p.join_timeout, f"mjoin:{m.mission_id}:h"))
+            out.append(StartTimer(self.p.join_timeout, (self._t_home_join, m.mission_id)))
         return out
 
     def on_hop_failed(self, now: float, target: str) -> list:
@@ -866,128 +860,122 @@ class Node:
         return out
 
     # timers ----------------------------------------------------------------
+    # A timer's tag is (handler, *args); it fires as handler(now, out, *args).
 
-    def on_timer(self, now: float, tag: str) -> list:
+    def on_timer(self, now: float, tag: tuple) -> list:
         out = []
-        kind, _, rest = tag.partition(":")
-        m = self.mission
-
-        if kind == "jointo":
-            if self.role == JOINING and self.join_target == rest:
-                self._become_root(now, out)
-
-        elif kind == "ping":
-            if self.role == ROOT:
-                out.append(StartTimer(self.p.ping_interval, "ping"))
-                self._ping_cycle(now, out)
-
-        elif kind == "courier":
-            if self.role == ROOT:
-                out.append(StartTimer(self.p.courier_period, "courier"))
-                self._courier_cycle(now, out)
-
-        elif kind == "scanreport":
-            if self.role == MEMBER:
-                out.append(StartTimer(self.p.scan_period, "scanreport"))
-                if self.mission is None:
-                    out.append(RequestScan(0.0))
-
-        elif kind == "rootcheck":
-            if self.role == MEMBER:
-                out.append(StartTimer(self.p.ping_interval, "rootcheck"))
-                if self.mission is None and now - self.last_root_seen >= self.p.silent_timeout:
-                    self._to_scanning(now, out, "root-silent")
-
-        elif kind == "leavep":
-            peer_s, _, stamp = rest.partition(":")
-            peer = int(peer_s)
-            rec = self.members.get(peer) if self.role == ROOT else None
-            if rec is not None and rec.leaving_since is not None \
-                    and f"{rec.leaving_since:.6f}" == stamp:
-                self._purge_member(now, peer, "leave", out)
-
-        elif kind == "snap":
-            peer = int(rest)
-            if self.role == ROOT and peer in self.members \
-                    and self.members[peer].leaving_since is None:
-                self._send(out, K.CATALOG_SNAPSHOT, peer,
-                           {"snapshot": self.catalog.snapshot(self.ssid),
-                            "via": self.ssid, "mission_id": ""}, now)
-
-        elif kind == "wanted":
-            if self.role == ROOT and rest in self.wanted:
-                self._emit_wanted(now, rest, out)
-
-        elif kind == "mdeadline":
-            if self.role == ROOT and rest in self.outstanding:
-                order = self.outstanding[rest]
-                out.append(Note("mission-timeout", {"mission": rest}))
-                self._h_courier_report(now, order.courier,
-                                       {"status": "timeout", "mission_id": rest}, out)
-
-        elif kind == "sessdl":
-            sess = self.sessions.get(rest)
-            if sess is not None and sess.phase not in (transfer.PHASE_DONE,
-                                                       transfer.PHASE_FAILED):
-                self._session_fail(now, sess, "timeout", out)
-
-        elif kind == "sess":
-            sess = self.sessions.get(rest)
-            if sess is None and m is not None and m.sub_session is not None \
-                    and m.sub_session.session_id == rest:
-                sess = m.sub_session
-            if sess is not None and sess.phase == transfer.PHASE_PULL:
-                overdue = sess.overdue_sources(now, self.p.block_timeout)
-                if overdue:
-                    if sess.reassign_used:
-                        self._session_fail(now, sess, "sources-timeout", out)
-                    else:
-                        sess.reassign_used = True
-                        for srcdev in overdue:
-                            sess.drop_source(srcdev)
-                        out.append(Note("reassign", {"session": rest,
-                                                     "dropped": overdue[0]}))
-                        if not sess.sources:
-                            self._session_fail(now, sess, "sources-exhausted", out)
-                        else:
-                            self._session_pump(now, sess, out)
-                if sess.phase == transfer.PHASE_PULL:
-                    out.append(StartTimer(self.p.block_timeout, f"sess:{rest}"))
-
-        elif kind == "mretry":
-            if m is not None and m.mission_id == rest \
-                    and m.phase == transfer.M_JOINING_TARGET:
-                self._send(out, K.JOIN_REQUEST, parse_ssid(m.target).root_id,
-                           {"ssid": m.target, "wants_catalog": m.kind == "catalog"},
-                           now)
-                out.append(StartTimer(self.p.join_timeout, f"mjoin:{m.mission_id}:t"))
-
-        elif kind == "mjoin":
-            mid, _, leg = rest.partition(":")
-            if m is not None and m.mission_id == mid:
-                if leg == "t" and m.phase == transfer.M_JOINING_TARGET:
-                    self._mission_abort(now, out, "join-timeout")
-                elif leg == "h" and m.phase == transfer.M_REJOINING_HOME:
-                    self.mission = None
-                    self._to_scanning(now, out, "home-unreachable")
-
-        elif kind == "mhome":
-            if m is not None and m.mission_id == rest \
-                    and m.phase == transfer.M_WORKING:
-                m.phase = transfer.M_HOMEBOUND
-                out.append(HopTo(m.home, label="return", mission_id=m.mission_id,
-                                 session_id=m.origin or ""))
-
-        elif kind == "mwork":
-            if m is not None and m.mission_id == rest \
-                    and m.phase == transfer.M_WORKING:
-                m.failed = True
-                m.fail_reason = "work-timeout"
-                if m.sub_session is not None:
-                    m.sub_session.phase = transfer.PHASE_FAILED
-                self._leave_target(now, parse_ssid(m.target).root_id, out)
-
+        tag[0](now, out, *tag[1:])
         return out
+
+    def _t_join_timeout(self, now, out, ssid):
+        if self.role == JOINING and self.join_target == ssid:
+            self._become_root(now, out)
+
+    def _t_ping(self, now, out):
+        if self.role == ROOT:
+            out.append(StartTimer(self.p.ping_interval, (self._t_ping,)))
+            self._ping_cycle(now, out)
+
+    def _t_courier(self, now, out):
+        if self.role == ROOT:
+            out.append(StartTimer(self.p.courier_period, (self._t_courier,)))
+            self._courier_cycle(now, out)
+
+    def _t_scan_report(self, now, out):
+        if self.role == MEMBER:
+            out.append(StartTimer(self.p.scan_period, (self._t_scan_report,)))
+            if self.mission is None:
+                out.append(RequestScan(0.0))
+
+    def _t_root_check(self, now, out):
+        if self.role == MEMBER:
+            out.append(StartTimer(self.p.ping_interval, (self._t_root_check,)))
+            if self.mission is None and now - self.last_root_seen >= self.p.silent_timeout:
+                self._to_scanning(now, out, "root-silent")
+
+    def _t_leave_countdown(self, now, out, peer, since):
+        """Purge `peer` only if the leave that started this countdown is
+        still its current one: a rejoin and a second leave restart it."""
+        rec = self.members.get(peer) if self.role == ROOT else None
+        if rec is not None and rec.leaving_since == since:
+            self._purge_member(now, peer, "leave", out)
+
+    def _t_snapshot(self, now, out, peer):
+        if self.role == ROOT and peer in self.members \
+                and self.members[peer].leaving_since is None:
+            self._send(out, K.CATALOG_SNAPSHOT, peer,
+                       {"snapshot": self.catalog.snapshot(self.ssid),
+                        "via": self.ssid, "mission_id": ""}, now)
+
+    def _t_wanted(self, now, out, key):
+        if self.role == ROOT and key in self.wanted:
+            self._emit_wanted(now, key, out)
+
+    def _t_mission_deadline(self, now, out, mid):
+        if self.role == ROOT and mid in self.outstanding:
+            order = self.outstanding[mid]
+            out.append(Note("mission-timeout", {"mission": mid}))
+            self._h_courier_report(now, order.courier,
+                                   {"status": "timeout", "mission_id": mid}, out)
+
+    def _t_session_timeout(self, now, out, sid):
+        sess = self.sessions.get(sid)
+        if sess is not None and sess.phase not in (transfer.PHASE_DONE,
+                                                   transfer.PHASE_FAILED):
+            self._session_fail(now, sess, "timeout", out)
+
+    def _t_block_timeout(self, now, out, sid):
+        sess = self._session(sid)
+        if sess is None or sess.phase != transfer.PHASE_PULL:
+            return
+        overdue = sess.overdue_sources(now, self.p.block_timeout)
+        if overdue:
+            if sess.reassign_used:
+                self._session_fail(now, sess, "sources-timeout", out)
+            else:
+                sess.reassign_used = True
+                for srcdev in overdue:
+                    sess.drop_source(srcdev)
+                out.append(Note("reassign", {"session": sid, "dropped": overdue[0]}))
+                if not sess.sources:
+                    self._session_fail(now, sess, "sources-exhausted", out)
+                else:
+                    self._session_pump(now, sess, out)
+        if sess.phase == transfer.PHASE_PULL:
+            out.append(StartTimer(self.p.block_timeout, (self._t_block_timeout, sid)))
+
+    def _mission_in(self, mid, phase):
+        """The current mission if it is `mid` and in `phase`, else None."""
+        m = self.mission
+        return m if m is not None and m.mission_id == mid and m.phase == phase else None
+
+    def _t_mission_retry(self, now, out, mid):
+        m = self._mission_in(mid, transfer.M_JOINING_TARGET)
+        if m is not None:
+            self._join_target(now, m, out)
+
+    def _t_target_join(self, now, out, mid):
+        if self._mission_in(mid, transfer.M_JOINING_TARGET) is not None:
+            self._mission_abort(now, out, "join-timeout")
+
+    def _t_home_join(self, now, out, mid):
+        if self._mission_in(mid, transfer.M_REJOINING_HOME) is not None:
+            self.mission = None
+            self._to_scanning(now, out, "home-unreachable")
+
+    def _t_mission_home(self, now, out, mid):
+        m = self._mission_in(mid, transfer.M_WORKING)
+        if m is not None:
+            self._head_home(m, out)
+
+    def _t_mission_work(self, now, out, mid):
+        m = self._mission_in(mid, transfer.M_WORKING)
+        if m is not None:
+            m.failed = True
+            m.fail_reason = "work-timeout"
+            if m.sub_session is not None:
+                m.sub_session.phase = transfer.PHASE_FAILED
+            self._leave_target(now, out)
 
     # root periodic cycles --------------------------------------------------
 

@@ -23,10 +23,7 @@ PHASE_FAILED = "failed"
 @dataclass
 class TransferSession:
     session_id: str
-    requester: int
     file_id: FileId
-    started_at: float
-    user: bool = True                    # scripted download vs courier sub-fetch
     meta: FileMeta | None = None
     phase: str = PHASE_INIT
     sources: list = field(default_factory=list)      # sorted holder ids (pull)

@@ -10,7 +10,7 @@ BS = 16
 
 def _pull_session(content, sources, block_range=None, name="f"):
     meta = make_meta(name, content, BS)
-    sess = TransferSession("s1", requester=9, file_id=meta.file_id, started_at=0.0)
+    sess = TransferSession("s1", file_id=meta.file_id)
     sess.begin_pull(meta, sources, block_range, now=0.0)
     return sess, meta
 
@@ -80,7 +80,7 @@ def test_block_range_limits_wanted():
 
 def test_push_session_has_no_sources():
     meta = make_meta("f", b"x" * (BS * 2), BS)
-    sess = TransferSession("s2", requester=9, file_id=meta.file_id, started_at=0.0)
+    sess = TransferSession("s2", file_id=meta.file_id)
     sess.begin_push(meta)
     assert sess.phase == PHASE_PUSH
     assert sess.next_requests(now=0.0) == []
