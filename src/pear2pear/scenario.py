@@ -50,9 +50,21 @@ def _content_of(raw: dict, path: str) -> bytes:
     if "seed" not in raw or "size" not in raw:
         raise ScenarioError(path, "generated content needs both seed and size")
     size = raw["size"]
-    if not isinstance(size, int) or size < 0:
+    if not _is_int(size) or size < 0:
         raise ScenarioError(path, "size must be a non-negative integer")
     return random.Random(raw["seed"]).randbytes(size)
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: JSON true/false load as bool, which is an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list(doc: dict, key: str, path: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise ScenarioError(path, f"{key} must be a list")
+    return value
 
 
 def _time(value, path: str) -> float:
@@ -79,18 +91,18 @@ def parse_scenario(doc: dict) -> Scenario:
 
     ids = set()
     names: dict[str, set] = {}
-    for i, dev in enumerate(doc.get("devices", [])):
+    for i, dev in enumerate(_list(doc, "devices", "$.devices")):
         path = f"$.devices[{i}]"
         if not isinstance(dev, dict) or "id" not in dev:
             raise ScenarioError(path, "device needs an integer id")
         device = dev["id"]
-        if not isinstance(device, int) or not 0 <= device < DEVICE_ID_LIMIT:
+        if not _is_int(device) or not 0 <= device < DEVICE_ID_LIMIT:
             raise ScenarioError(path, "device id must be an integer in [0, 2**64)")
         if device in ids:
             raise ScenarioError(path, f"duplicate device id {device}")
         ids.add(device)
         files = []
-        for j, raw in enumerate(dev.get("files", [])):
+        for j, raw in enumerate(_list(dev, "files", f"{path}.files")):
             fpath = f"{path}.files[{j}]"
             if not isinstance(raw, dict) or "name" not in raw:
                 raise ScenarioError(fpath, "file needs a name")
@@ -99,10 +111,10 @@ def parse_scenario(doc: dict) -> Scenario:
             names.setdefault(raw["name"], set()).add(compute_file_id(content))
         sc.devices.append((device, files))
 
-    for i, edge in enumerate(doc.get("visibility", [])):
+    for i, edge in enumerate(_list(doc, "visibility", "$.visibility")):
         path = f"$.visibility[{i}]"
         if (not isinstance(edge, list) or len(edge) != 2
-                or not all(isinstance(e, int) for e in edge)):
+                or not all(_is_int(e) for e in edge)):
             raise ScenarioError(path, "edge must be a pair of device ids")
         if edge[0] not in ids or edge[1] not in ids:
             raise ScenarioError(path, f"edge references undeclared device: {edge}")
@@ -112,7 +124,7 @@ def parse_scenario(doc: dict) -> Scenario:
 
     last_time = None
     max_time = 0.0
-    for i, row in enumerate(doc.get("script", [])):
+    for i, row in enumerate(_list(doc, "script", "$.script")):
         path = f"$.script[{i}]"
         if not isinstance(row, dict) or "time" not in row or "action" not in row:
             raise ScenarioError(path, "script row needs time and action")
@@ -123,7 +135,7 @@ def parse_scenario(doc: dict) -> Scenario:
         max_time = max(max_time, t)
         action = row["action"]
         device = row.get("device")
-        if device not in ids:
+        if not _is_int(device) or device not in ids:
             raise ScenarioError(path, f"undeclared device: {device}")
         if action == "arrive":
             sc.script.append({"time": t, "action": "arrive", "device": device})

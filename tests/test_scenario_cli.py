@@ -93,6 +93,31 @@ def test_non_string_text_rejected():
     assert err.value.path == "$.devices[1].files[0].text"
 
 
+def _generated(size):
+    return {"name": "g.bin", "seed": 1, "size": size}
+
+
+@pytest.mark.parametrize("mutate,path", [
+    (lambda d: d.update(devices=3), "$.devices"),
+    (lambda d: d.update(visibility=7), "$.visibility"),
+    (lambda d: d.update(script=5), "$.script"),
+    (lambda d: d["devices"][1].update(files=5), "$.devices[1].files"),
+    # JSON true/false are not integers, though Python's bool is an int
+    (lambda d: d["devices"][0].update(id=True), "$.devices[0]"),
+    (lambda d: d["visibility"].append([True, 2]), "$.visibility[1]"),
+    (lambda d: d["script"].append({"time": 1, "action": "search", "device": True,
+                                   "query": "x"}), "$.script[0]"),
+    (lambda d: d["devices"][1]["files"].append(_generated(True)), "$.devices[1].files[1]"),
+], ids=["devices-not-list", "visibility-not-list", "script-not-list", "files-not-list",
+        "bool-device-id", "bool-edge-endpoint", "bool-script-device", "bool-size"])
+def test_malformed_shapes_rejected(mutate, path):
+    doc = _minimal()
+    mutate(doc)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    assert err.value.path == path
+
+
 def test_script_times_must_be_nondecreasing():
     doc = _minimal(script=[
         {"time": 5, "action": "search", "device": 1, "query": "x"},
