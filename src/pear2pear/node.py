@@ -711,7 +711,6 @@ class Node:
                                                 "reason": reason}))
             self.sessions.pop(sess.session_id, None)
         elif self.mission is not None and self.mission.sub_session is sess:
-            self.mission.failed = True
             self.mission.fail_reason = reason
             self._leave_target(now, out)
 
@@ -755,17 +754,16 @@ class Node:
 
     def _mission_abort(self, now, out, reason):
         m = self.mission
-        m.failed = True
         m.fail_reason = reason
         self._head_home(m, out)
 
     def _deliver_mission(self, now, out):
         m = self.mission
-        if m.kind == "catalog" and not m.failed and m.snapshot is not None:
+        if m.kind == "catalog" and not m.fail_reason and m.snapshot is not None:
             self._send(out, K.CATALOG_SNAPSHOT, m.home_root,
                        {"snapshot": m.snapshot, "via": m.target,
                         "mission_id": m.mission_id}, now)
-        elif m.kind == "file" and not m.failed and m.sub_session is not None:
+        elif m.kind == "file" and not m.fail_reason and m.sub_session is not None:
             sub = m.sub_session
             for idx in sorted(sub.buffers):
                 self._send(out, K.BLOCK_RESPONSE, m.requester,
@@ -971,7 +969,6 @@ class Node:
     def _t_mission_work(self, now, out, mid):
         m = self._mission_in(mid, transfer.M_WORKING)
         if m is not None:
-            m.failed = True
             m.fail_reason = "work-timeout"
             if m.sub_session is not None:
                 m.sub_session.phase = transfer.PHASE_FAILED

@@ -125,8 +125,7 @@ class CourierMission:
     home_root: int
     ttl: int = 1
     phase: str = M_OUTBOUND
-    failed: bool = False
-    fail_reason: str = ""
+    fail_reason: str = ""          # set when the mission fails
     join_retried: bool = False
     # catalog missions
     snapshot: dict | None = None
