@@ -610,10 +610,14 @@ class Node:
 
     def _h_source_list(self, now, src, payload, out):
         sess = self._session(payload.get("session_id", ""))
-        if sess is None or sess.phase != transfer.PHASE_INIT:
+        if sess is None:
             return
         if not payload.get("ok"):
-            self._session_fail(now, sess, payload.get("reason", "refused"), out)
+            # refused up front, or every courier of a push has failed
+            if sess.phase in (transfer.PHASE_INIT, transfer.PHASE_PUSH):
+                self._session_fail(now, sess, payload.get("reason", "refused"), out)
+            return
+        if sess.phase != transfer.PHASE_INIT:
             return
         meta = self._meta_from_payload(payload["meta"])
         sess.hops_used = payload.get("hops", 0)

@@ -1,5 +1,5 @@
-"""Courier missions that go wrong: a courier lost mid-swarm, a target
-subnet that disappears while the courier is hopping."""
+"""Courier missions that go wrong: swarm couriers lost mid-mission, a
+target subnet that disappears while the courier is hopping."""
 
 import pytest
 
@@ -22,6 +22,22 @@ def test_swarm_courier_lost_mid_mission_is_replaced():
     rec = only_download(w)
     assert rec["success"]
     assert w.nodes[5].files[fid] == content
+
+
+def test_swarm_with_every_courier_lost_fails_at_the_deadline():
+    # both couriers leave mid-mission; with no replacement the root gives up
+    # at the mission deadline, and the requester fails then, not at its own
+    # session timeout
+    w = swarm_world(bridges=(2, 3))[0]
+    w.schedule(50.5, "depart", device=2, silent=True)
+    w.schedule(50.5, "depart", device=3, silent=True)
+    w.run_until(50.0 + w.p.session_timeout + 10.0)
+    rec = only_download(w)
+    assert rec["success"] is False
+    (failed,) = trace_events(w, "download-failed", device=5)
+    assert failed.details["reason"] == "courier-failed"
+    deadline = 50.0 + w.p.link_latency + w.p.mission_timeout
+    assert deadline < failed.time < deadline + 1.0
 
 
 def test_target_root_gone_during_hop_aborts_mission():
