@@ -2,15 +2,24 @@
 are reachable through which members.
 
 Remote knowledge arrives as courier-fetched snapshots and is merged with a
-minimum-hop rule; stale records age out by TTL.
+minimum-hop rule; stale records age out by TTL. A courier carries a delta,
+not the whole catalog: the target root cuts the entries changed since the
+version the courier's home root last merged from it, and the home root
+applies that delta to its `Mirror` of the target's catalog before merging.
 
 `NetworkFileCatalog` does work only for what changed, and keeps these
 invariants:
 
 - Every change to a field the snapshot shows (names, holder count, a remote
-  record added or removed, a record's hops or holder_count) clears that
-  entry's cached snapshot dict, `entry.wire`. A record's gateway and
-  last_refresh are not in the snapshot and keep it.
+  record added or removed, a record's hops or holder_count), and the
+  entry's creation, goes through `_changed`: it clears that entry's cached
+  snapshot dict, `entry.wire`, and stamps `entry.version` with a new
+  catalog version. A record's gateway and last_refresh are not in the
+  snapshot and keep both.
+- A dropped entry leaves a tombstone, its digest stamped with a new
+  version, until the digest comes back. There are never more tombstones
+  than entries: the oldest go first, and `_floor` rises to the version of
+  the last one gone.
 - `_oldest` is never above any remote record's `last_refresh`, so
   `expire_remote` can skip its sweep while no record can be old enough.
 - Snapshot entry dicts are shared between snapshots, and so between frames:
@@ -40,12 +49,7 @@ class CatalogEntry:
     holders: set = field(default_factory=set)            # local member DeviceIds
     remote: dict = field(default_factory=dict)           # subnet ssid -> RemoteRecord
     wire: dict | None = field(default=None, compare=False, repr=False)  # snapshot dict
-
-
-def _add_names(entry: CatalogEntry, names) -> None:
-    if not entry.meta.names.issuperset(names):
-        entry.meta.names.update(names)
-        entry.wire = None
+    version: int = field(default=0, compare=False, repr=False)  # of the last change
 
 
 class NetworkFileCatalog:
@@ -53,6 +57,9 @@ class NetworkFileCatalog:
         self.entries: dict[FileId, CatalogEntry] = {}
         self._by_digest: dict[bytes, CatalogEntry] = {}  # the same entries, by digest
         self._oldest = math.inf  # lower bound on every remote last_refresh
+        self._version = 0  # bumped by every change a snapshot shows
+        self._tombstones: dict[bytes, int] = {}  # dropped digest -> version, oldest first
+        self._floor = 0  # the version of the newest tombstone pruned
 
     @classmethod
     def init_from(cls, root_id: int, metas) -> "NetworkFileCatalog":
@@ -60,13 +67,26 @@ class NetworkFileCatalog:
         cat.register_files(root_id, metas)
         return cat
 
+    def _changed(self, entry: CatalogEntry) -> None:
+        self._version += 1
+        entry.version = self._version
+        entry.wire = None
+
+    def _add_names(self, entry: CatalogEntry, names) -> None:
+        if not entry.meta.names.issuperset(names):
+            entry.meta.names.update(names)
+            self._changed(entry)
+
     def _entry(self, meta: FileMeta) -> CatalogEntry:
-        entry = self._by_digest.get(meta.file_id.digest)
+        digest = meta.file_id.digest
+        entry = self._by_digest.get(digest)
         if entry is None:
             entry = CatalogEntry(meta=FileMeta(meta.file_id, set(meta.names), meta.size, meta.block_count))
-            self.entries[meta.file_id] = self._by_digest[meta.file_id.digest] = entry
+            self.entries[meta.file_id] = self._by_digest[digest] = entry
+            self._tombstones.pop(digest, None)
+            self._changed(entry)
         else:
-            _add_names(entry, meta.names)
+            self._add_names(entry, meta.names)
         return entry
 
     def _drop_if_empty(self, entry: CatalogEntry) -> None:
@@ -74,11 +94,16 @@ class NetworkFileCatalog:
             file_id = entry.meta.file_id
             del self.entries[file_id]
             del self._by_digest[file_id.digest]
+            self._version += 1
+            self._tombstones[file_id.digest] = self._version
+            while len(self._tombstones) > len(self._by_digest):
+                oldest = next(iter(self._tombstones))
+                self._floor = self._tombstones.pop(oldest)
 
     def _drop_holder_from(self, entry: CatalogEntry, peer: int) -> None:
         if peer in entry.holders:
             entry.holders.discard(peer)
-            entry.wire = None
+            self._changed(entry)
             self._drop_if_empty(entry)
 
     def register_files(self, peer: int, metas) -> None:
@@ -86,7 +111,7 @@ class NetworkFileCatalog:
             entry = self._entry(meta)
             if peer not in entry.holders:
                 entry.holders.add(peer)
-                entry.wire = None
+                self._changed(entry)
 
     def apply_file_change(self, peer: int, added, removed) -> None:
         self.register_files(peer, added)
@@ -107,7 +132,7 @@ class NetworkFileCatalog:
             if gone:
                 for subnet in gone:
                     del entry.remote[subnet]
-                entry.wire = None
+                self._changed(entry)
                 self._drop_if_empty(entry)
 
     def expire_remote(self, now: float, ttl: float) -> None:
@@ -122,11 +147,30 @@ class NetworkFileCatalog:
     def lookup_name(self, name: str) -> list:
         return sorted(fid for fid, e in self.entries.items() if name in e.meta.names)
 
-    def snapshot(self, home_ssid: str) -> dict:
-        """Wire-encodable snapshot of the whole catalog, deterministically
-        sorted. Entry dicts are cached and shared between snapshots: read-only."""
+    def snapshot(self, home_ssid: str, since: int | None = None) -> dict:
+        """Wire-encodable snapshot sorted by digest: with no `since`, the
+        whole catalog.
+
+        With `since`, a delta for a reader that holds this catalog as it was
+        at version `since`: the entries changed after it, the digests
+        `removed` after it, the catalog's `version` now and the `base` the
+        delta was cut against. A `since` of 0, or one this catalog cannot
+        answer (below `_floor` or above its version), gets a full dump with
+        `base` 0 and nothing `removed`. Entry dicts are cached and shared
+        between snapshots: read-only."""
+        if since is None:
+            return {"subnet": home_ssid, "entries": self._wire(sorted(self._by_digest))}
+        if not self._floor <= since <= self._version:
+            since = 0
+        changed = sorted(d for d, e in self._by_digest.items() if e.version > since)
+        removed = sorted(d for d, v in self._tombstones.items() if v > since) if since else []
+        return {"subnet": home_ssid, "entries": self._wire(changed), "removed": removed,
+                "version": self._version, "base": since}
+
+    def _wire(self, digests) -> list:
+        """The snapshot dicts of the entries with these digests, in order."""
         out = []
-        for digest in sorted(self._by_digest):
+        for digest in digests:
             e = self._by_digest[digest]
             if e.wire is None:
                 e.wire = {
@@ -141,7 +185,7 @@ class NetworkFileCatalog:
                     ],
                 }
             out.append(e.wire)
-        return {"subnet": home_ssid, "entries": out}
+        return out
 
     def merge_snapshot(self, snap: dict, via_gateway: str, home_ssid: str, now: float) -> None:
         """Fold a courier-fetched snapshot in, adding one hop per jump and
@@ -162,17 +206,17 @@ class NetworkFileCatalog:
                 entry = self._entry(FileMeta(FileId(raw["file_id"]), set(raw["names"]),
                                              raw["size"], raw["block_count"]))
             else:
-                _add_names(entry, raw["names"])
+                self._add_names(entry, raw["names"])
             remote = entry.remote
             for subnet, hops, count in candidates:
                 existing = remote.get(subnet)
                 if existing is None or hops < existing.hops:
                     remote[subnet] = RemoteRecord(subnet, hops, via_gateway, count, now)
-                    entry.wire = None
+                    self._changed(entry)
                 elif hops == existing.hops:
                     if existing.holder_count != count:
                         existing.holder_count = count
-                        entry.wire = None
+                        self._changed(entry)
                     existing.gateway = via_gateway
                     existing.last_refresh = now
                 # hops > existing.hops: minimum retained, not refreshed
@@ -180,6 +224,34 @@ class NetworkFileCatalog:
     def drop_via_gateways(self, gateways: set) -> None:
         """Remove remote records routed through now-unreachable gateways."""
         self._drop_records(lambda r: r.gateway in gateways)
+
+
+@dataclass
+class Mirror:
+    """A neighbour root's catalog as this root last merged it: the version
+    it was cut at and its snapshot entries in digest order (shared dicts,
+    read-only)."""
+    version: int = 0
+    entries: list = field(default_factory=list)
+
+    def apply(self, delta: dict) -> bool:
+        """Bring the mirror to the version of `delta`, a `snapshot(..., since)`.
+        Returns False, changing nothing, when the delta was cut against a
+        version other than this mirror's and is not a full dump."""
+        base = delta["base"]
+        if base == 0:
+            self.entries = delta["entries"]
+        elif base != self.version:
+            return False
+        elif delta["entries"] or delta["removed"]:
+            by_digest = {e["file_id"]: e for e in self.entries}
+            for digest in delta["removed"]:  # some were added after the base
+                by_digest.pop(digest, None)
+            for e in delta["entries"]:
+                by_digest[e["file_id"]] = e
+            self.entries = [by_digest[d] for d in sorted(by_digest)]
+        self.version = delta["version"]
+        return True
 
 
 @dataclass

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from . import core, routing, transfer
 from .actions import HopTo, Note, RequestScan, Send, StartTimer
-from .catalog import NetworkFileCatalog, SubnetCatalog
+from .catalog import Mirror, NetworkFileCatalog, SubnetCatalog
 from .core import FileId, FileMeta, parse_ssid, render_ssid
 from .frames import PROTOCOL_VERSION, Frame, FrameKind as K
 from .params import Params
@@ -91,6 +91,7 @@ class Node:
         self.members: dict[int, MembershipRecord] = {}
         self.catalog: NetworkFileCatalog | None = None
         self.subnets: SubnetCatalog | None = None
+        self.mirrors: dict[str, Mirror] = {}  # neighbour ssid -> its catalog as merged
         self.outstanding: dict[str, OutstandingOrder] = {}
         self.wanted: dict[str, WantedEntry] = {}
         self.swarm: dict[str, SwarmGroup] = {}
@@ -188,6 +189,7 @@ class Node:
         self.members = {}
         self.catalog = NetworkFileCatalog.init_from(self.device, self.metas.values())
         self.subnets = SubnetCatalog()
+        self.mirrors = {}
         self.outstanding = {}
         self.wanted = {}
         self.swarm = {}
@@ -266,7 +268,8 @@ class Node:
         if wants_catalog:
             # the joiner only attaches once the accept lands; send the
             # snapshot after that round trip so it is deliverable
-            out.append(StartTimer(2 * self.p.link_latency, (self._t_snapshot, src)))
+            out.append(StartTimer(2 * self.p.link_latency,
+                                  (self._t_snapshot, src, payload.get("since", 0))))
 
     def _h_join_accept(self, now, src, payload, out):
         m = self.mission
@@ -362,8 +365,14 @@ class Node:
             order = self.outstanding.pop(mid, None)
             if order is None:
                 return
-            self.catalog.merge_snapshot(payload["snapshot"], payload["via"],
-                                        self.ssid, now)
+            mirror = self.mirrors.setdefault(order.target, Mirror())
+            if not mirror.apply(payload["snapshot"]):
+                # cut against a version this root no longer holds: the next
+                # order asks for a full dump
+                del self.mirrors[order.target]
+                return
+            self.catalog.merge_snapshot({"subnet": order.target, "entries": mirror.entries},
+                                        payload["via"], self.ssid, now)
             out.append(Note("catalog-merge", {"via": payload["via"]}))
 
     # search and wanted -----------------------------------------------------
@@ -520,6 +529,9 @@ class Node:
             payload["requester"] = requester
         if block_range is not None:
             payload["range"] = [block_range[0], block_range[1]]
+        if kind == "catalog":
+            mirror = self.mirrors.get(target)
+            payload["since"] = mirror.version if mirror is not None else 0
         self._send(out, K.COURIER_ORDER, courier, payload, now)
         out.append(StartTimer(self.p.mission_timeout, (self._t_mission_deadline, mid)))
         out.append(Note("courier-assign", {"courier": courier, "target": target,
@@ -737,14 +749,17 @@ class Node:
             file_id=FileId(payload["file_id"]) if "file_id" in payload else None,
             block_range=(rng[0], rng[1]) if rng else None,
             requester=payload.get("requester"),
-            session_id=payload.get("session_id", ""))
+            session_id=payload.get("session_id", ""),
+            since=payload.get("since", 0))
         m.origin = payload.get("origin", "") or m.session_id
         self.mission = m
         out.append(HopTo(m.target, label="forward", session_id=m.origin))
 
     def _join_target(self, now, m, out):
-        self._send(out, K.JOIN_REQUEST, parse_ssid(m.target).root_id,
-                   {"ssid": m.target, "wants_catalog": m.kind == "catalog"}, now)
+        payload = {"ssid": m.target, "wants_catalog": m.kind == "catalog"}
+        if m.kind == "catalog":
+            payload["since"] = m.since
+        self._send(out, K.JOIN_REQUEST, parse_ssid(m.target).root_id, payload, now)
         out.append(StartTimer(self.p.join_timeout, (self._t_target_join, m.mission_id)))
 
     def _leave_target(self, now, out):
@@ -902,11 +917,11 @@ class Node:
         if rec is not None and rec.leaving_since == since:
             self._purge_member(now, peer, "leave", out)
 
-    def _t_snapshot(self, now, out, peer):
+    def _t_snapshot(self, now, out, peer, since):
         if self.role == ROOT and peer in self.members \
                 and self.members[peer].leaving_since is None:
             self._send(out, K.CATALOG_SNAPSHOT, peer,
-                       {"snapshot": self.catalog.snapshot(self.ssid),
+                       {"snapshot": self.catalog.snapshot(self.ssid, since),
                         "via": self.ssid, "mission_id": ""}, now)
 
     def _t_wanted(self, now, out, key):
@@ -985,6 +1000,12 @@ class Node:
         gone = self.subnets.expire(now, self.p.neighbor_ttl)
         if gone:
             self.catalog.drop_via_gateways(set(gone))
+        # A mirror lasts as long as its neighbour, or until the catalog fetch
+        # from it that is still out lands or lapses.
+        fetching = {o.target for o in self.outstanding.values() if o.kind == "catalog"}
+        for ssid in [s for s in self.mirrors
+                     if s not in self.subnets.neighbors and s not in fetching]:
+            del self.mirrors[ssid]
         exempt = {o.courier for o in self.outstanding.values()}
         for peer in sorted(self.members):
             rec = self.members[peer]

@@ -128,7 +128,8 @@ class CourierMission:
     fail_reason: str = ""          # set when the mission fails
     join_retried: bool = False
     # catalog missions
-    snapshot: dict | None = None
+    since: int = 0                 # the target's catalog version the home root holds
+    snapshot: dict | None = None   # the delta the target root cut against `since`
     # file missions
     file_id: FileId | None = None
     block_range: tuple | None = None

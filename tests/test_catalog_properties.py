@@ -3,14 +3,16 @@
 Random sequences of catalog operations run on one catalog. After every step
 its snapshot must equal a full rendering of its entries, every snapshot it
 returned earlier must be unchanged, and `expire_remote` must leave exactly
-what an unconditional sweep of every record would.
+what an unconditional sweep of every record would. A delta cut against any
+earlier version must bring a replica of that version to the snapshot, and a
+`since` the catalog cannot answer must get a full dump.
 """
 
 import copy
 
 from hypothesis import given, settings, strategies as st
 
-from pear2pear.catalog import NetworkFileCatalog
+from pear2pear.catalog import Mirror, NetworkFileCatalog
 from pear2pear.core import make_meta
 
 BS = 16
@@ -99,11 +101,29 @@ operations = st.one_of(
 )
 
 
+def check_deltas(cat, snap, replicas, data):
+    """`replicas` holds (version, snapshot) pairs of earlier states."""
+    assert len(cat._tombstones) <= len(cat.entries)
+    since, then = data.draw(st.sampled_from(replicas), label="since")
+    delta = cat.snapshot(HOME, since)
+    assert delta["version"] == cat._version
+    assert delta["base"] == (since if since >= cat._floor else 0)
+    replica = Mirror(since, then["entries"])
+    assert replica.apply(delta)
+    assert replica.entries == snap["entries"]
+    future = cat._version + data.draw(st.integers(1, 3), label="ahead")
+    for since in {0, -1, cat._floor - 1, future}:
+        dump = cat.snapshot(HOME, since)
+        assert (dump["base"], dump["removed"]) == (0, [])
+        assert dump["entries"] == snap["entries"]
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(operations, max_size=40))
-def test_incremental_catalog_matches_full_rendering(ops):
+@given(st.lists(operations, max_size=40), st.data())
+def test_incremental_catalog_matches_full_rendering(ops, data):
     cat = NetworkFileCatalog()
     earlier = []
+    replicas = [(0, cat.snapshot(HOME))]
     now = 0.0
     for op in ops:
         kind = op[0]
@@ -128,3 +148,5 @@ def test_incremental_catalog_matches_full_rendering(ops):
         for old, frozen in earlier:
             assert old == frozen
         earlier.append((snap, copy.deepcopy(snap)))
+        replicas.append((cat._version, snap))
+        check_deltas(cat, snap, replicas, data)
