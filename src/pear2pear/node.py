@@ -498,7 +498,10 @@ class Node:
         out.append(StartTimer(self.p.session_timeout, (self._t_session_timeout, sid)))
         return out
 
-    def _eligible_couriers(self, gateway, exclude=()):
+    def _eligible_couriers(self, now, gateway, exclude=()):
+        """Members that can fly to `gateway` now. A member unheard for
+        `silent_timeout` may have left silently: ordering it again would
+        keep it exempt from the silent purge."""
         busy = {o.courier for o in self.outstanding.values()}
         info = self.subnets.neighbors.get(gateway)
         if info is None:
@@ -506,7 +509,8 @@ class Node:
         ok = set()
         for peer in info.reachable_by:
             rec = self.members.get(peer)
-            if rec is None or rec.leaving_since is not None:
+            if rec is None or rec.leaving_since is not None \
+                    or now - rec.last_seen >= self.p.silent_timeout:
                 continue
             if peer in busy or peer in exclude:
                 continue
@@ -569,7 +573,7 @@ class Node:
                 self._send(out, K.SOURCE_LIST, src,
                            {"ok": False, "session_id": sid, "reason": "ttl"}, now)
                 return
-            eligible = self._eligible_couriers(sel.gateway, exclude={src})
+            eligible = self._eligible_couriers(now, sel.gateway, exclude={src})
             swarm_ok = (is_user and sel.hops == 1 and
                         meta.block_count >= self.p.swarm_threshold and len(eligible) >= 2)
             if swarm_ok:
@@ -579,7 +583,7 @@ class Node:
                 for rng in ranges:
                     courier = routing.designate_courier(
                         self.subnets, sel.gateway,
-                        eligible=self._eligible_couriers(sel.gateway, exclude={src}))
+                        eligible=self._eligible_couriers(now, sel.gateway, exclude={src}))
                     if courier is None:
                         continue
                     order = self._issue_order(now, courier, sel.gateway, "file", out,
@@ -819,7 +823,7 @@ class Node:
             group.pending.discard(mid)
             if not group.reassigned:
                 eligible = self._eligible_couriers(
-                    order.target, exclude={order.courier, group.requester})
+                    now, order.target, exclude={order.courier, group.requester})
                 courier = routing.designate_courier(self.subnets, order.target,
                                                     eligible=eligible)
                 if courier is not None:
@@ -1030,7 +1034,7 @@ class Node:
         for target in targets:
             if target in busy_targets:
                 continue
-            eligible = self._eligible_couriers(target)
+            eligible = self._eligible_couriers(now, target)
             courier = routing.designate_courier(self.subnets, target, eligible=eligible)
             if courier is None:
                 continue

@@ -1,5 +1,6 @@
 """Courier missions that go wrong: swarm couriers lost mid-mission, a
-target subnet that disappears while the courier is hopping."""
+courier that leaves silently, a target subnet that disappears while the
+courier is hopping."""
 
 import pytest
 
@@ -38,6 +39,22 @@ def test_swarm_with_every_courier_lost_fails_at_the_deadline():
     assert failed.details["reason"] == "courier-failed"
     deadline = 50.0 + w.p.link_latency + w.p.mission_timeout
     assert deadline < failed.time < deadline + 1.0
+
+
+def test_courier_that_left_silently_is_not_ordered_again():
+    # courier 3 leaves mid-mission without a word: its order lapses at the
+    # mission deadline, no new order keeps it exempt from the silent purge,
+    # and the next ping cycle purges it
+    w = swarm_world(bridges=(2, 3))[0]
+    departed = 50.5
+    w.schedule(departed, "depart", device=3, silent=True)
+    w.run_until(400.0)
+    orders = [r.time for r in trace_events(w, "courier-assign", device=1)
+              if r.details["courier"] == 3]
+    assert orders and max(orders) < departed
+    (purge,) = [r for r in trace_events(w, "purge", device=1) if r.details["peer"] == 3]
+    assert purge.details["reason"] == "silent"
+    assert purge.time <= departed + w.p.mission_timeout + w.p.ping_interval
 
 
 def test_target_root_gone_during_hop_aborts_mission():
