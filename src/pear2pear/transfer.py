@@ -80,9 +80,13 @@ class TransferSession:
                 self.block_state[idx] = MISSING
 
     def overdue_sources(self, now: float, timeout: float) -> list:
+        """Sources of blocks requested `timeout` or more before `now`. The
+        deadline is `sent + timeout`, the same float sum as the fire time of
+        a timer armed when the block was sent; `now - sent` can round below
+        `timeout` at that very instant."""
         dead = set()
         for state in self.block_state.values():
-            if isinstance(state, tuple) and now - state[1] >= timeout:
+            if isinstance(state, tuple) and now >= state[1] + timeout:
                 dead.add(state[0])
         return sorted(dead)
 

@@ -36,10 +36,15 @@ GOLDEN = {
         3560,
         "1005cd9eda5064438a84f22155c02a96a3ccac145e2d945feb5ab7b5d6cc8a5e",
         "8e04ddbce9ba501ea8749ef2f9cf3cf5ee8ee38378cdb5a2fe0d13e72c35d080"),
+    # Re-pinned when the block timeout began comparing `now >= sent +
+    # timeout`: `now - sent >= timeout` rounded below the timeout for a
+    # block sent in the instant the periodic check was armed, so the pull
+    # after the holder loss waited a second period. The pull now takes
+    # 5.04 sim s instead of 10.04, with one event fewer.
     "bulk_blocks": (
-        2369,
-        "7285bce4c81d4f366a24a589e98bd1b1c94deac62301511ebf12ef0d1bc625e2",
-        "1ee2337de44a7977a6f07a3687d24bc091ae2889740a28e0ffdc2919cde1e80e"),
+        2368,
+        "1f230b284f0539e5c717a6b717ddeaea5caa3ef290949fbc5ec74f2c7ae101a4",
+        "e886df4d16bfeee3539d06812cf8dad293a97b9b69f9a228cb0960602e8df4cd"),
     # Re-pinned when push-phase sessions began failing on the root's
     # courier-failed SourceList: five downloads now fail with that reason
     # 4-9 s after they start; before, one of them failed at session_timeout

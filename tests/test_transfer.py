@@ -1,6 +1,9 @@
 """TransferSession block bookkeeping."""
 
+import math
+
 from pear2pear.core import block_count_for, block_payload, compute_file_id, make_meta
+from pear2pear.params import Params
 from pear2pear.transfer import (
     HELD, MISSING, PHASE_PULL, PHASE_PUSH, TransferSession,
 )
@@ -67,6 +70,20 @@ def test_overdue_sources():
     sess.on_block(0, b"x" * BS)
     assert sess.overdue_sources(now=4.9, timeout=5.0) == []
     assert sess.overdue_sources(now=5.0, timeout=5.0) == [20]
+
+
+def test_block_is_overdue_exactly_at_its_deadline():
+    # The block timer for a block sent at t fires at t + timeout, and
+    # (t + timeout) - t rounds below timeout for some t (27.02, 30.2, ...):
+    # the check must still find the block overdue when that timer fires.
+    timeout = Params().block_timeout
+    for k in range(2001):
+        sent = 20.0 + k * 0.01
+        sess, _ = _pull_session(b"x" * BS, sources=[10])
+        sess.next_requests(now=sent)
+        assert sess.overdue_sources(now=sent + timeout, timeout=timeout) == [10], sent
+        before = math.nextafter(sent + timeout, 0.0)
+        assert sess.overdue_sources(now=before, timeout=timeout) == [], sent
 
 
 def test_block_range_limits_wanted():
