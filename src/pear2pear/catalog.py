@@ -16,10 +16,10 @@ invariants:
   snapshot dict, `entry.wire`, and stamps `entry.version` with a new
   catalog version. A record's gateway and last_refresh are not in the
   snapshot and keep both.
-- A dropped entry leaves a tombstone, its digest stamped with a new
-  version, until the digest comes back. There are never more tombstones
-  than entries: the oldest go first, and `_floor` rises to the version of
-  the last one gone.
+- A dropped entry leaves a tombstone, its digest stamped with the version
+  of the change that emptied it, until the digest comes back. There are
+  never more tombstones than entries: the oldest go first, and `_floor`
+  rises to the version of the last one gone.
 - `_oldest` is never above any remote record's `last_refresh`, so
   `expire_remote` can skip its sweep while no record can be old enough.
 - Snapshot entry dicts are shared between snapshots, and so between frames:
@@ -94,8 +94,8 @@ class NetworkFileCatalog:
             file_id = entry.meta.file_id
             del self.entries[file_id]
             del self._by_digest[file_id.digest]
-            self._version += 1
-            self._tombstones[file_id.digest] = self._version
+            # stamped with the version of the change that emptied it
+            self._tombstones[file_id.digest] = entry.version
             while len(self._tombstones) > len(self._by_digest):
                 oldest = next(iter(self._tombstones))
                 self._floor = self._tombstones.pop(oldest)

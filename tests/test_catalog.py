@@ -1,6 +1,6 @@
 """NetworkFileCatalog and SubnetCatalog behaviour."""
 
-from pear2pear.catalog import NetworkFileCatalog, SubnetCatalog
+from pear2pear.catalog import Mirror, NetworkFileCatalog, SubnetCatalog
 from pear2pear.core import make_meta
 
 BS = 16
@@ -151,6 +151,47 @@ def test_snapshot_deterministic_and_sorted():
     ids = [e["file_id"] for e in snap["entries"]]
     assert ids == sorted(ids)
     assert snap == cat.snapshot("NET-A")
+
+
+def test_mirror_refuses_a_delta_cut_against_another_version():
+    cat = _cat_with(("a.txt", b"x"), root=9)
+    held = Mirror()
+    assert held.apply(cat.snapshot("NET-B", 0))
+    cat.register_files(3, [make_meta("b.txt", b"y", BS)])
+    newer = Mirror()
+    assert newer.apply(cat.snapshot("NET-B", 0))
+    cat.apply_file_change(9, [], [make_meta("a.txt", b"x", BS).file_id])
+    delta = cat.snapshot("NET-B", newer.version)
+    assert delta["entries"] == []
+    assert len(delta["removed"]) == 1
+    before = (held.version, held.entries)
+    assert not held.apply(delta)
+    assert (held.version, held.entries) == before
+    assert newer.apply(delta)
+    assert newer.entries == cat.snapshot("NET-B")["entries"]
+    # a repeat cut of an unchanged catalog ships nothing
+    again = cat.snapshot("NET-B", newer.version)
+    assert (again["entries"], again["removed"]) == ([], [])
+
+
+def test_delta_carries_a_holder_count_refresh():
+    # an equal-hop record whose holder count changes is a change to ship
+    meta = make_meta("song", b"tune", BS)
+
+    def far(holders):
+        return {"subnet": "NET-C", "entries": [{
+            "file_id": meta.file_id.digest, "names": ["song"], "size": meta.size,
+            "block_count": meta.block_count, "holders": holders, "remote": []}]}
+
+    a = NetworkFileCatalog()
+    a.merge_snapshot(far(1), via_gateway="NET-C", home_ssid="NET-A", now=0.0)
+    held = Mirror()
+    assert held.apply(a.snapshot("NET-A", 0))
+    a.merge_snapshot(far(2), via_gateway="NET-C", home_ssid="NET-A", now=1.0)
+    delta = a.snapshot("NET-A", held.version)
+    assert [e["remote"][0]["holders"] for e in delta["entries"]] == [2]
+    assert held.apply(delta)
+    assert held.entries == a.snapshot("NET-A")["entries"]
 
 
 # --- SubnetCatalog --------------------------------------------------------

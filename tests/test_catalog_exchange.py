@@ -12,6 +12,7 @@ import pytest
 from pear2pear.catalog import Mirror, NetworkFileCatalog
 from pear2pear.scenario import build_world, parse_scenario
 
+from helpers import make_world, star, trace_events
 from test_golden_generated import SEED, TINY, workloads
 
 
@@ -58,3 +59,37 @@ def test_merges_see_the_full_snapshot_of_the_cut(name, monkeypatch):
     shipped = sum(len(d["entries"]) for _, d in deltas)
     whole = sum(len(full_at[d["subnet"], d["version"]]) for _, d in deltas)
     assert shipped < whole
+
+
+def test_a_mirror_goes_with_its_neighbour():
+    w = make_world()
+    star(w, 1, [2])
+    star(w, 10, [11])
+    w.add_edge(2, 10)
+    w.run_until(w.p.courier_period + 5.0)
+    target = w.nodes[10].ssid
+    assert set(w.nodes[1].mirrors) == {target}
+    gone = w.clock
+    w.schedule(gone, "depart", device=10, silent=True)
+    w.run_until(gone + w.p.neighbor_ttl + w.p.scan_period + w.p.ping_interval)
+    assert target not in w.nodes[1].subnets.neighbors
+    assert w.nodes[1].mirrors == {}
+
+
+def test_a_mirror_outlives_its_neighbour_while_a_fetch_is_out():
+    # Root 1 orders its second catalog fetch at 40 s. Its only courier is
+    # away, so no scan report refreshes the neighbour, which expires at the
+    # 42 s ping. The fetch still lands on the mirror it was cut against.
+    w = make_world(ping_interval=7.0, scan_period=5.0, neighbor_ttl=6.5)
+    star(w, 1, [2])
+    star(w, 10, [11], files={11: [("f.txt", b"x")]})
+    w.add_edge(2, 10)
+    w.run_until(43.0)
+    target = w.nodes[10].ssid
+    assert target not in w.nodes[1].subnets.neighbors
+    assert target in w.nodes[1].mirrors
+    w.run_until(50.0)
+    fetches = [r.time for r in trace_events(w, "courier-assign", device=1)]
+    merges = [r.time for r in trace_events(w, "catalog-merge", device=1)]
+    assert fetches == [20.0, 40.0]
+    assert merges == pytest.approx([24.1, 44.1])

@@ -3,9 +3,9 @@
 Random sequences of catalog operations run on one catalog. After every step
 its snapshot must equal a full rendering of its entries, every snapshot it
 returned earlier must be unchanged, and `expire_remote` must leave exactly
-what an unconditional sweep of every record would. A delta cut against any
-earlier version must bring a replica of that version to the snapshot, and a
-`since` the catalog cannot answer must get a full dump.
+what an unconditional sweep of every record would. A delta cut against
+every earlier version must bring a replica of that version to the
+snapshot, and a `since` the catalog cannot answer must get a full dump.
 """
 
 import copy
@@ -102,15 +102,17 @@ operations = st.one_of(
 
 
 def check_deltas(cat, snap, replicas, data):
-    """`replicas` holds (version, snapshot) pairs of earlier states."""
+    """`replicas` holds (version, snapshot) pairs of every earlier state."""
     assert len(cat._tombstones) <= len(cat.entries)
-    since, then = data.draw(st.sampled_from(replicas), label="since")
-    delta = cat.snapshot(HOME, since)
-    assert delta["version"] == cat._version
-    assert delta["base"] == (since if since >= cat._floor else 0)
-    replica = Mirror(since, then["entries"])
-    assert replica.apply(delta)
-    assert replica.entries == snap["entries"]
+    live = {e["file_id"] for e in snap["entries"]}
+    for since, then in replicas:
+        delta = cat.snapshot(HOME, since)
+        assert delta["version"] == cat._version
+        assert delta["base"] == (since if since >= cat._floor else 0)
+        assert live.isdisjoint(delta["removed"])
+        replica = Mirror(since, then["entries"])
+        assert replica.apply(delta)
+        assert replica.entries == snap["entries"]
     future = cat._version + data.draw(st.integers(1, 3), label="ahead")
     for since in {0, -1, cat._floor - 1, future}:
         dump = cat.snapshot(HOME, since)
