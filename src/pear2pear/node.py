@@ -28,20 +28,6 @@ class MembershipRecord:
 
 
 @dataclass
-class OutstandingOrder:
-    mission_id: str
-    courier: int
-    target: str
-    kind: str                      # "catalog" | "file"
-    ttl: int = 1
-    session_id: str = ""
-    origin: str = ""
-    requester: int | None = None
-    file_id: FileId | None = None
-    block_range: tuple | None = None
-
-
-@dataclass
 class WantedEntry:
     query: str
     by: str
@@ -50,8 +36,10 @@ class WantedEntry:
 
 
 @dataclass
-class SwarmGroup:
-    """One swarm download at its root: the file orders still out."""
+class FileRequest:
+    """One file request at its root: the file orders still out for it, one
+    for a single courier or one per block range for a swarm. A swarm may
+    replace one lost courier; a single courier is not replaced."""
     requester: int
     pending: set = field(default_factory=set)   # mission ids
     reassigned: bool = False
@@ -92,9 +80,9 @@ class Node:
         self.catalog: NetworkFileCatalog | None = None
         self.subnets: SubnetCatalog | None = None
         self.mirrors: dict[str, Mirror] = {}  # neighbour ssid -> its catalog as merged
-        self.outstanding: dict[str, OutstandingOrder] = {}
+        self.outstanding: dict[str, transfer.CourierMission] = {}
         self.wanted: dict[str, WantedEntry] = {}
-        self.swarm: dict[str, SwarmGroup] = {}
+        self.requests: dict[str, FileRequest] = {}  # by the request's session id
         self._courier_cycle_n = 0
 
         # courier / transfer
@@ -174,10 +162,17 @@ class Node:
         self.role = JOINING
         self.join_target = ssid
         self.join_tried.add(ssid)
-        root_id = parse_ssid(ssid).root_id
-        self._send(out, K.JOIN_REQUEST, root_id,
-                   {"ssid": ssid, "wants_catalog": False}, now)
-        out.append(StartTimer(self.p.join_timeout, (self._t_join_timeout, ssid)))
+        self._request_join(now, out, ssid, (self._t_join_timeout, ssid))
+
+    def _request_join(self, now, out, ssid, timer, since=None):
+        """Ask the root of `ssid` for admission and arm `timer` for the
+        answer. A catalog courier passes `since` to be sent the target's
+        catalog cut against that version once admitted."""
+        payload = {"ssid": ssid, "wants_catalog": since is not None}
+        if since is not None:
+            payload["since"] = since
+        self._send(out, K.JOIN_REQUEST, parse_ssid(ssid).root_id, payload, now)
+        out.append(StartTimer(self.p.join_timeout, timer))
 
     def _become_root(self, now, out):
         self.generation += 1
@@ -192,7 +187,7 @@ class Node:
         self.mirrors = {}
         self.outstanding = {}
         self.wanted = {}
-        self.swarm = {}
+        self.requests = {}
         self._courier_cycle_n = 0
         out.append(StartTimer(self.p.ping_interval, (self._t_ping,)))
         out.append(StartTimer(self.p.courier_period, (self._t_courier,)))
@@ -517,30 +512,31 @@ class Node:
             ok.add(peer)
         return ok
 
-    def _issue_order(self, now, courier, target, kind, out, ttl=1, session_id="",
-                     origin="", requester=None, file_id=None, block_range=None):
-        mid = self._new_id()
-        order = OutstandingOrder(mission_id=mid, courier=courier, target=target,
-                                 kind=kind, ttl=ttl,
-                                 session_id=session_id, origin=origin or session_id,
-                                 requester=requester,
-                                 file_id=file_id, block_range=block_range)
-        self.outstanding[mid] = order
-        payload = {"mission": kind, "target": target, "mission_id": mid, "ttl": ttl,
-                   "session_id": session_id, "origin": order.origin}
-        if file_id is not None:
-            payload["file_id"] = file_id.digest
-            payload["requester"] = requester
-        if block_range is not None:
-            payload["range"] = [block_range[0], block_range[1]]
-        if kind == "catalog":
-            mirror = self.mirrors.get(target)
-            payload["since"] = mirror.version if mirror is not None else 0
-        self._send(out, K.COURIER_ORDER, courier, payload, now)
+    def _order(self, now, out, mission, exclude=()):
+        """Hand `mission` to the next eligible courier for its target and
+        hold it in `outstanding` until the courier reports or the deadline
+        lapses. Returns None, drawing no mission id, when nobody can go."""
+        courier = routing.designate_courier(
+            self.subnets, mission.target,
+            eligible=self._eligible_couriers(now, mission.target, exclude))
+        if courier is None:
+            return None
+        mission.courier = courier
+        mission.mission_id = mid = self._new_id()
+        if mission.kind == "catalog":
+            mirror = self.mirrors.get(mission.target)
+            mission.since = mirror.version if mirror is not None else 0
+        self.outstanding[mid] = mission
+        self._send(out, K.COURIER_ORDER, courier, mission.order(), now)
         out.append(StartTimer(self.p.mission_timeout, (self._t_mission_deadline, mid)))
-        out.append(Note("courier-assign", {"courier": courier, "target": target,
-                                           "mission": kind, "session": session_id}))
-        return order
+        out.append(Note("courier-assign", {"courier": courier, "target": mission.target,
+                                           "mission": mission.kind,
+                                           "session": mission.session_id}))
+        return mission
+
+    def _refuse(self, now, out, dst, sid, reason):
+        self._send(out, K.SOURCE_LIST, dst,
+                   {"ok": False, "session_id": sid, "reason": reason}, now)
 
     def _h_download_request(self, now, src, payload, out):
         if self.role != ROOT:
@@ -558,8 +554,7 @@ class Node:
             holders = [h for h in sel.holders if h != src]
             meta = self.catalog.entries[file_id].meta
             if not holders:
-                self._send(out, K.SOURCE_LIST, src,
-                           {"ok": False, "session_id": sid, "reason": "no-source"}, now)
+                self._refuse(now, out, src, sid, "no-source")
                 return
             self._send(out, K.SOURCE_LIST, src,
                        {"ok": True, "mode": "pull", "session_id": sid,
@@ -570,46 +565,33 @@ class Node:
         if isinstance(sel, routing.Remote):
             meta = self.catalog.entries[file_id].meta
             if req_ttl < 1:
-                self._send(out, K.SOURCE_LIST, src,
-                           {"ok": False, "session_id": sid, "reason": "ttl"}, now)
+                self._refuse(now, out, src, sid, "ttl")
                 return
             eligible = self._eligible_couriers(now, sel.gateway, exclude={src})
-            swarm_ok = (is_user and sel.hops == 1 and
-                        meta.block_count >= self.p.swarm_threshold and len(eligible) >= 2)
-            if swarm_ok:
-                k = min(len(eligible), self.p.max_swarm)
-                ranges = routing.partition_blocks(meta.block_count, k)
-                group = self.swarm[sid] = SwarmGroup(requester=src)
-                for rng in ranges:
-                    courier = routing.designate_courier(
-                        self.subnets, sel.gateway,
-                        eligible=self._eligible_couriers(now, sel.gateway, exclude={src}))
-                    if courier is None:
-                        continue
-                    order = self._issue_order(now, courier, sel.gateway, "file", out,
-                                              ttl=req_ttl, session_id=sid,
-                                              origin=origin, requester=src,
-                                              file_id=file_id, block_range=rng)
-                    group.pending.add(order.mission_id)
-            else:
-                courier = routing.designate_courier(self.subnets, sel.gateway,
-                                                    eligible=eligible)
-                if courier is None:
-                    self._send(out, K.SOURCE_LIST, src,
-                               {"ok": False, "session_id": sid,
-                                "reason": "no-courier"}, now)
-                    return
-                self._issue_order(now, courier, sel.gateway, "file", out,
-                                  ttl=req_ttl, session_id=sid, origin=origin,
-                                  requester=src, file_id=file_id)
+            ranges = [None]
+            if is_user and sel.hops == 1 and meta.block_count >= self.p.swarm_threshold \
+                    and len(eligible) >= 2:
+                ranges = routing.partition_blocks(
+                    meta.block_count, min(len(eligible), self.p.max_swarm))
+            request = FileRequest(requester=src, reassigned=len(ranges) == 1)
+            for rng in ranges:
+                order = self._order(now, out, transfer.CourierMission(
+                    "", "file", sel.gateway, ttl=req_ttl, file_id=file_id,
+                    block_range=rng, requester=src, session_id=sid, origin=origin),
+                    exclude={src})
+                if order is not None:
+                    request.pending.add(order.mission_id)
+            if not request.pending:
+                self._refuse(now, out, src, sid, "no-courier")
+                return
+            self.requests[sid] = request
             self._send(out, K.SOURCE_LIST, src,
                        {"ok": True, "mode": "push", "session_id": sid,
                         "file_id": file_id.digest, "hops": sel.hops,
                         "meta": self._meta_payload(meta)}, now)
             return
 
-        self._send(out, K.SOURCE_LIST, src,
-                   {"ok": False, "session_id": sid, "reason": "notfound"}, now)
+        self._refuse(now, out, src, sid, "notfound")
         if is_user:
             self._start_wanted(now, file_id.hex, "id", src, out)
 
@@ -742,29 +724,15 @@ class Node:
             self._h_courier_report(now, src, payload, out)
             return
         if self.role != MEMBER or src != self.home_root or self.mission is not None:
-            self._send(out, K.COURIER_ORDER, src,
-                       {"status": "refused", "mission_id": payload["mission_id"]}, now)
+            self._report(now, out, src, payload["mission_id"], "refused")
             return
-        rng = payload.get("range")
-        m = transfer.CourierMission(
-            mission_id=payload["mission_id"], kind=payload["mission"],
-            target=payload["target"], home=self.attached, home_root=src,
-            ttl=payload.get("ttl", 1),
-            file_id=FileId(payload["file_id"]) if "file_id" in payload else None,
-            block_range=(rng[0], rng[1]) if rng else None,
-            requester=payload.get("requester"),
-            session_id=payload.get("session_id", ""),
-            since=payload.get("since", 0))
-        m.origin = payload.get("origin", "") or m.session_id
-        self.mission = m
+        m = self.mission = transfer.CourierMission.from_order(
+            payload, self.device, self.attached, src)
         out.append(HopTo(m.target, label="forward", session_id=m.origin))
 
     def _join_target(self, now, m, out):
-        payload = {"ssid": m.target, "wants_catalog": m.kind == "catalog"}
-        if m.kind == "catalog":
-            payload["since"] = m.since
-        self._send(out, K.JOIN_REQUEST, parse_ssid(m.target).root_id, payload, now)
-        out.append(StartTimer(self.p.join_timeout, (self._t_target_join, m.mission_id)))
+        self._request_join(now, out, m.target, (self._t_target_join, m.mission_id),
+                           since=m.since if m.kind == "catalog" else None)
 
     def _leave_target(self, now, out):
         m = self.mission
@@ -792,13 +760,18 @@ class Node:
                 self._send(out, K.BLOCK_RESPONSE, m.requester,
                            {"ok": True, "file_id": m.file_id.digest, "index": idx,
                             "data": sub.buffers[idx], "session_id": m.session_id}, now)
-            self._send(out, K.COURIER_ORDER, m.home_root,
-                       {"status": "done", "mission_id": m.mission_id}, now)
+            self._report(now, out, m.home_root, m.mission_id, "done")
         else:
-            self._send(out, K.COURIER_ORDER, m.home_root,
-                       {"status": "failed", "mission_id": m.mission_id,
-                        "reason": m.fail_reason or "unknown"}, now)
+            self._report(now, out, m.home_root, m.mission_id, "failed",
+                         m.fail_reason or "unknown")
         self.mission = None
+
+    def _report(self, now, out, dst, mid, status, reason=None):
+        """A courier's COURIER_ORDER status frame for mission `mid`."""
+        payload = {"status": status, "mission_id": mid}
+        if reason is not None:
+            payload["reason"] = reason
+        self._send(out, K.COURIER_ORDER, dst, payload, now)
 
     def _h_courier_report(self, now, src, payload, out):
         if self.role != ROOT:
@@ -808,39 +781,26 @@ class Node:
         if order is None:
             return
         status = payload["status"]
-        group = self.swarm.get(order.session_id)
-        if status == "done":
-            if group is not None:
-                group.pending.discard(mid)
-                if not group.pending:
-                    del self.swarm[order.session_id]
+        if status != "done":
+            out.append(Note("mission-failed", {"mission": mid, "status": status,
+                                               "kind": order.kind}))
+        # a catalog order is retried by the next courier period; a file order
+        # with no request left belongs to one that has already failed
+        request = self.requests.get(order.session_id) if order.kind == "file" else None
+        if request is None:
             return
-        out.append(Note("mission-failed", {"mission": mid, "status": status,
-                                           "kind": order.kind}))
-        if order.kind == "catalog":
-            return  # the next courier period retries
-        if group is not None:
-            group.pending.discard(mid)
-            if not group.reassigned:
-                eligible = self._eligible_couriers(
-                    now, order.target, exclude={order.courier, group.requester})
-                courier = routing.designate_courier(self.subnets, order.target,
-                                                    eligible=eligible)
-                if courier is not None:
-                    group.reassigned = True
-                    replacement = self._issue_order(
-                        now, courier, order.target, "file", out, ttl=order.ttl,
-                        session_id=order.session_id, origin=order.origin,
-                        requester=group.requester,
-                        file_id=order.file_id, block_range=order.block_range)
-                    group.pending.add(replacement.mission_id)
-                    return
-            # no replacement available (or already used): the session fails
-            del self.swarm[order.session_id]
-        if order.requester is not None:
-            self._send(out, K.SOURCE_LIST, order.requester,
-                       {"ok": False, "session_id": order.session_id,
-                        "reason": "courier-failed"}, now)
+        request.pending.discard(mid)
+        if status == "done":
+            if not request.pending:
+                del self.requests[order.session_id]
+            return
+        if not request.reassigned and self._order(
+                now, out, order, exclude={order.courier, request.requester}) is not None:
+            request.reassigned = True
+            request.pending.add(order.mission_id)
+            return
+        del self.requests[order.session_id]
+        self._refuse(now, out, request.requester, order.session_id, "courier-failed")
 
     # physical hop callbacks ------------------------------------------------
 
@@ -855,9 +815,7 @@ class Node:
             self._join_target(now, m, out)
         elif m.phase == transfer.M_HOMEBOUND and target == m.home:
             m.phase = transfer.M_REJOINING_HOME
-            self._send(out, K.JOIN_REQUEST, parse_ssid(target).root_id,
-                       {"ssid": target, "wants_catalog": False}, now)
-            out.append(StartTimer(self.p.join_timeout, (self._t_home_join, m.mission_id)))
+            self._request_join(now, out, target, (self._t_home_join, m.mission_id))
         return out
 
     def on_hop_failed(self, now: float, target: str) -> list:
@@ -868,9 +826,7 @@ class Node:
             return out
         if self.attached is not None:
             # validated before leaving: still home, report and stand down
-            self._send(out, K.COURIER_ORDER, m.home_root,
-                       {"status": "failed", "mission_id": m.mission_id,
-                        "reason": "hop-failed"}, now)
+            self._report(now, out, m.home_root, m.mission_id, "failed", "hop-failed")
             self.mission = None
             return out
         if target != m.home:
@@ -1032,13 +988,8 @@ class Node:
             off = self._courier_cycle_n % len(targets)
             targets = targets[off:] + targets[:off]
         for target in targets:
-            if target in busy_targets:
-                continue
-            eligible = self._eligible_couriers(now, target)
-            courier = routing.designate_courier(self.subnets, target, eligible=eligible)
-            if courier is None:
-                continue
-            self._issue_order(now, courier, target, "catalog", out, ttl=1)
+            if target not in busy_targets:
+                self._order(now, out, transfer.CourierMission("", "catalog", target))
 
     # Frame kind -> handler function, built once for the class.
     _HANDLERS = {

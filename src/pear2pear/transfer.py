@@ -122,12 +122,16 @@ M_REJOINING_HOME = "rejoining_home"
 
 @dataclass
 class CourierMission:
+    """One courier order. The home root holds it in `outstanding` until the
+    courier reports; the courier rebuilds it with `from_order` and flies it.
+    Only the courier side sets `home` and `home_root`."""
     mission_id: str
     kind: str                      # "catalog" | "file"
     target: str                    # rendered SSID to visit
-    home: str                      # rendered SSID to return to
-    home_root: int
+    home: str = ""                 # rendered SSID to return to
+    home_root: int | None = None
     ttl: int = 1
+    courier: int | None = None
     phase: str = M_OUTBOUND
     fail_reason: str = ""          # set when the mission fails
     join_retried: bool = False
@@ -138,6 +142,35 @@ class CourierMission:
     file_id: FileId | None = None
     block_range: tuple | None = None
     requester: int | None = None
-    session_id: str | None = None
+    session_id: str = ""
     origin: str = ""               # user session this mission ultimately serves
     sub_session: TransferSession | None = None
+
+    def order(self) -> dict:
+        """The COURIER_ORDER payload that hands this mission to a courier."""
+        payload = {"mission": self.kind, "target": self.target,
+                   "mission_id": self.mission_id, "ttl": self.ttl,
+                   "session_id": self.session_id, "origin": self.origin}
+        if self.file_id is not None:
+            payload["file_id"] = self.file_id.digest
+            payload["requester"] = self.requester
+        if self.block_range is not None:
+            payload["range"] = [self.block_range[0], self.block_range[1]]
+        if self.kind == "catalog":
+            payload["since"] = self.since
+        return payload
+
+    @classmethod
+    def from_order(cls, payload: dict, courier: int, home: str,
+                   home_root: int) -> "CourierMission":
+        """The mission a courier flies for an `order()` payload."""
+        rng = payload.get("range")
+        session_id = payload.get("session_id", "")
+        return cls(mission_id=payload["mission_id"], kind=payload["mission"],
+                   target=payload["target"], home=home, home_root=home_root,
+                   ttl=payload.get("ttl", 1), courier=courier,
+                   since=payload.get("since", 0),
+                   file_id=FileId(payload["file_id"]) if "file_id" in payload else None,
+                   block_range=(rng[0], rng[1]) if rng else None,
+                   requester=payload.get("requester"), session_id=session_id,
+                   origin=payload.get("origin", "") or session_id)

@@ -4,6 +4,8 @@ courier is hopping."""
 
 import pytest
 
+from pear2pear.frames import FrameKind
+
 from helpers import make_world, only_download, star, swarm_world, trace_events
 
 
@@ -39,6 +41,23 @@ def test_swarm_with_every_courier_lost_fails_at_the_deadline():
     assert failed.details["reason"] == "courier-failed"
     deadline = 50.0 + w.p.link_latency + w.p.mission_timeout
     assert deadline < failed.time < deadline + 1.0
+
+
+def test_a_swarm_that_loses_every_courier_is_refused_once():
+    # the first lost courier finds no replacement and fails the request; the
+    # other two lapse into a request that has already failed
+    w = swarm_world(bridges=(2, 3, 4))[0]
+    for d in (2, 3, 4):
+        w.schedule(50.5, "depart", device=d, silent=True)
+    w.run_until(200.0)
+    lists = [r for r in trace_events(w, "recv", device=5)
+             if r.details["frame"] == FrameKind.SOURCE_LIST.name]
+    deadline = 50.0 + w.p.link_latency + w.p.mission_timeout
+    assert [r.time < deadline for r in lists] == [True, False]
+    assert len(trace_events(w, "mission-timeout", device=1)) == 3
+    assert w.nodes[1].requests == {}
+    (failed,) = trace_events(w, "download-failed", device=5)
+    assert failed.details["reason"] == "courier-failed"
 
 
 def test_courier_that_left_silently_is_not_ordered_again():

@@ -1,11 +1,15 @@
-"""TransferSession block bookkeeping."""
+"""TransferSession block bookkeeping and courier order payloads."""
 
 import math
+from dataclasses import replace
+
+import pytest
 
 from pear2pear.core import block_count_for, block_payload, compute_file_id, make_meta
+from pear2pear.frames import Frame, FrameKind, decode_frame, encode_frame
 from pear2pear.params import Params
 from pear2pear.transfer import (
-    HELD, MISSING, PHASE_PULL, PHASE_PUSH, TransferSession,
+    HELD, MISSING, PHASE_PULL, PHASE_PUSH, CourierMission, TransferSession,
 )
 
 BS = 16
@@ -182,3 +186,39 @@ def test_held_restarts_with_a_new_range():
     assert sess.held == 0
     sess.on_block(0, b"x" * BS)
     assert sess.held == 0
+
+
+TARGET = "P2P-000000000000000A-0000002A"
+FID = compute_file_id(b"courier cargo")
+
+ORDERS = [
+    (CourierMission("1-3", "catalog", TARGET, since=7),
+     {"mission": "catalog", "target": TARGET, "mission_id": "1-3", "ttl": 1,
+      "session_id": "", "origin": "", "since": 7}),
+    (CourierMission("1-4", "file", TARGET, ttl=2, file_id=FID, requester=5,
+                    session_id="11-1/sub", origin="5-2"),
+     {"mission": "file", "target": TARGET, "mission_id": "1-4", "ttl": 2,
+      "session_id": "11-1/sub", "origin": "5-2", "file_id": FID.digest,
+      "requester": 5}),
+    (CourierMission("1-5", "file", TARGET, ttl=3, file_id=FID, block_range=(11, 22),
+                    requester=5, session_id="5-2", origin="5-2"),
+     {"mission": "file", "target": TARGET, "mission_id": "1-5", "ttl": 3,
+      "session_id": "5-2", "origin": "5-2", "file_id": FID.digest,
+      "requester": 5, "range": [11, 22]}),
+]
+
+
+@pytest.mark.parametrize("mission,payload", ORDERS, ids=["catalog", "file", "range"])
+def test_an_order_renders_and_round_trips(mission, payload):
+    assert mission.order() == payload
+    frame = Frame(kind=FrameKind.COURIER_ORDER, src=1, dst=2, payload=mission.order())
+    back = decode_frame(encode_frame(frame))
+    assert back == frame
+    home = "P2P-0000000000000001-00000001"
+    flown = CourierMission.from_order(back.payload, 2, home, 1)
+    assert flown == replace(mission, courier=2, home=home, home_root=1)
+
+
+def test_an_order_without_an_origin_serves_its_own_session():
+    payload = ORDERS[1][1] | {"origin": ""}
+    assert CourierMission.from_order(payload, 2, "", 1).origin == "11-1/sub"
