@@ -214,10 +214,7 @@ class Node:
         self.home_root = None
         self.mission = None
         for sid in sorted(self.sessions):
-            sess = self.sessions[sid]
-            if sess.phase not in (transfer.PHASE_DONE, transfer.PHASE_FAILED):
-                sess.phase = transfer.PHASE_FAILED
-                out.append(Note("download-failed", {"session": sid, "reason": reason}))
+            self._session_fail(now, self.sessions[sid], reason, out)
         out.append(RequestScan(0.0))
 
     # ------------------------------------------------------------------ frames
@@ -897,8 +894,7 @@ class Node:
 
     def _t_session_timeout(self, now, out, sid):
         sess = self.sessions.get(sid)
-        if sess is not None and sess.phase not in (transfer.PHASE_DONE,
-                                                   transfer.PHASE_FAILED):
+        if sess is not None:
             self._session_fail(now, sess, "timeout", out)
 
     def _t_block_timeout(self, now, out, sid):

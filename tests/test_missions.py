@@ -1,6 +1,6 @@
 """Courier missions that go wrong: swarm couriers lost mid-mission, a
 courier that leaves silently, a target subnet that disappears while the
-courier is hopping."""
+courier is hopping, a requester whose root is lost mid-download."""
 
 import pytest
 
@@ -58,6 +58,18 @@ def test_a_swarm_that_loses_every_courier_is_refused_once():
     assert w.nodes[1].requests == {}
     (failed,) = trace_events(w, "download-failed", device=5)
     assert failed.details["reason"] == "courier-failed"
+
+
+def test_a_lost_root_fails_and_drops_every_open_session():
+    # device 5 waits for a courier push when its root leaves silently
+    w = swarm_world(bridges=(2,))[0]
+    w.schedule(51.0, "depart", device=1, silent=True)
+    w.run_until(51.0 + w.p.silent_timeout + w.p.ping_interval + 1.0)
+    (lost,) = trace_events(w, "root-lost", device=5)
+    (failed,) = trace_events(w, "download-failed", device=5)
+    assert failed.time == lost.time
+    assert failed.details["reason"] == lost.details["reason"] == "root-silent"
+    assert w.nodes[5].sessions == {}
 
 
 def test_courier_that_left_silently_is_not_ordered_again():
