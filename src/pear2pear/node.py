@@ -353,9 +353,10 @@ class Node:
             self._leave_target(now, out)
             return
         if self.role == ROOT:
-            mid = payload.get("mission_id", "")
-            order = self.outstanding.pop(mid, None)
-            if order is None:
+            order = self.outstanding.pop(payload.get("mission_id", ""), None)
+            if order is None or order.target not in self.subnets.neighbors:
+                # its records would route through a gateway this root no
+                # longer lists, and its mirror went with the neighbour
                 return
             mirror = self.mirrors.setdefault(order.target, Mirror())
             if not mirror.apply(payload["snapshot"]):
@@ -956,12 +957,8 @@ class Node:
         gone = self.subnets.expire(now, self.p.neighbor_ttl)
         if gone:
             self.catalog.drop_via_gateways(set(gone))
-        # A mirror lasts as long as its neighbour, or until the catalog fetch
-        # from it that is still out lands or lapses.
-        fetching = {o.target for o in self.outstanding.values() if o.kind == "catalog"}
-        for ssid in [s for s in self.mirrors
-                     if s not in self.subnets.neighbors and s not in fetching]:
-            del self.mirrors[ssid]
+        for ssid in [s for s in self.mirrors if s not in self.subnets.neighbors]:
+            del self.mirrors[ssid]   # a mirror lasts as long as its neighbour
         exempt = {o.courier for o in self.outstanding.values()}
         for peer in sorted(self.members):
             rec = self.members[peer]

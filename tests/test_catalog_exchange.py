@@ -76,20 +76,27 @@ def test_a_mirror_goes_with_its_neighbour():
     assert w.nodes[1].mirrors == {}
 
 
-def test_a_mirror_outlives_its_neighbour_while_a_fetch_is_out():
+def test_a_fetch_that_lands_after_its_neighbour_expired_is_dropped():
     # Root 1 orders its second catalog fetch at 40 s. Its only courier is
-    # away, so no scan report refreshes the neighbour, which expires at the
-    # 42 s ping. The fetch still lands on the mirror it was cut against.
+    # away, so no scan report refreshes the neighbour, which expires with
+    # its mirror at the 42 s ping. The fetch lands at 44.1 s and is dropped,
+    # and the next one, once the courier has reported the neighbour again,
+    # asks for a full dump.
     w = make_world(ping_interval=7.0, scan_period=5.0, neighbor_ttl=6.5)
     star(w, 1, [2])
     star(w, 10, [11], files={11: [("f.txt", b"x")]})
     w.add_edge(2, 10)
     w.run_until(43.0)
-    target = w.nodes[10].ssid
-    assert target not in w.nodes[1].subnets.neighbors
-    assert target in w.nodes[1].mirrors
+    root, target = w.nodes[1], w.nodes[10].ssid
+    assert target not in root.subnets.neighbors
+    assert target not in root.mirrors
     w.run_until(50.0)
     fetches = [r.time for r in trace_events(w, "courier-assign", device=1)]
     merges = [r.time for r in trace_events(w, "catalog-merge", device=1)]
     assert fetches == [20.0, 40.0]
-    assert merges == pytest.approx([24.1, 44.1])
+    assert merges == pytest.approx([24.1])
+    assert not [r for e in root.catalog.entries.values() for r in e.remote.values()
+                if r.gateway == target]
+    w.run_until(60.05)
+    (order,) = root.outstanding.values()
+    assert (order.target, order.since) == (target, 0)
