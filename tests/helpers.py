@@ -9,6 +9,7 @@ touches the merge logic.
 import random
 from collections import deque
 
+from pear2pear.frames import FrameKind
 from pear2pear.node import MEMBER, ROOT
 from pear2pear.params import Params
 from pear2pear.sim import World
@@ -115,6 +116,27 @@ def only_download(world):
 def trace_events(world, kind, device=None):
     return [r for r in world.trace
             if r.kind == kind and (device is None or r.device == device)]
+
+
+def record_frames(world):
+    """Every frame `world` emits over the radio from now on, in order. A
+    courier's failure reason travels only in its COURIER_ORDER report, which
+    the trace names but does not show."""
+    frames = []
+    emit = world.metrics.on_frame_emit
+
+    def recording(frame):
+        frames.append(frame)
+        emit(frame)
+
+    world.metrics.on_frame_emit = recording
+    return frames
+
+
+def courier_reports(frames):
+    """The COURIER_ORDER status reports among recorded `frames`."""
+    return [f for f in frames
+            if f.kind == FrameKind.COURIER_ORDER and "status" in f.payload]
 
 
 def random_content(seed, size):

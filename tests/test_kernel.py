@@ -200,3 +200,25 @@ def test_new_hosting_generation_gets_fresh_ssid():
     assert w.nodes[1].role == ROOT
     assert first != second
     assert parse_ssid(first).root_id == parse_ssid(second).root_id == 1
+
+
+def test_a_rejected_joiner_falls_back_to_the_next_hotspot():
+    # root 1 is full and root 2 is open; device 50 sees both, asks 1 first
+    # (lower SSID), is rejected and joins 2. The first request's timer must
+    # not act on the second exchange.
+    w = make_world(max_members=2)
+    star(w, 1, [3, 4])
+    star(w, 2, [])
+    w.add_device(50)
+    w.add_edge(50, 1)
+    w.add_edge(50, 2)
+    arrive(w, [50], t=5.0)
+    w.run_until(5.0 + 2 * w.p.join_timeout)
+    (reject,) = [r for r in trace_events(w, "recv", device=50)
+                 if r.details["frame"] == FrameKind.JOIN_REJECT.name]
+    assert reject.time == pytest.approx(5.02) and reject.details["src"] == 1
+    node = w.nodes[50]
+    assert node.role == MEMBER
+    assert node.attached == w.nodes[2].ssid
+    assert members_of(w, w.nodes[2].ssid) == {50}
+    assert [r.details["role"] for r in trace_events(w, "role", device=50)] == [MEMBER]

@@ -6,7 +6,10 @@ import pytest
 
 from pear2pear.frames import FrameKind
 
-from helpers import make_world, only_download, star, swarm_world, trace_events
+from helpers import (
+    arrive, courier_reports, make_world, only_download, record_frames, star, swarm_world,
+    trace_events,
+)
 
 
 def test_swarm_courier_lost_mid_mission_is_replaced():
@@ -108,3 +111,81 @@ def test_target_root_gone_during_hop_aborts_mission():
     assert mf.details["kind"] == "catalog" and mf.details["status"] == "failed"
     assert w.nodes[2].mission is None
     assert w.nodes[2].attached == w.nodes[1].ssid
+
+
+def _catalog_run(**overrides):
+    """Root 1 with courier 2, which also sees root 10 with member 11. Root 1
+    orders its first catalog mission at `courier_period` (20 s); courier 2
+    lands at the target at 22.01 s."""
+    w = make_world(**overrides)
+    star(w, 1, [2])
+    star(w, 10, [11])
+    w.add_edge(2, 10)
+    return w, record_frames(w)
+
+
+def _return_hop(w):
+    hops = trace_events(w, "hop-start", device=2)
+    assert [h.details["label"] for h in hops] == ["forward", "return"]
+    return hops[1].time
+
+
+def test_a_courier_rejected_twice_by_its_target_heads_home():
+    # the target is full: the first reject at 22.03 s arms one retry after
+    # hop_latency, and the second reject sends the courier home
+    w, frames = _catalog_run(max_members=1)
+    w.run_until(30.0)
+    assert _return_hop(w) == pytest.approx(24.05)
+    rejects = [r.time for r in trace_events(w, "recv", device=2)
+               if r.details["frame"] == FrameKind.JOIN_REJECT.name]
+    assert rejects == pytest.approx([22.03, 24.05])
+    (report,) = courier_reports(frames)
+    assert report.payload["status"] == "failed"
+    assert report.payload["reason"] == "join-rejected"
+    (mf,) = trace_events(w, "mission-failed", device=1)
+    assert mf.details["kind"] == "catalog"
+    assert w.nodes[2].mission is None and w.nodes[2].attached == w.nodes[1].ssid
+
+
+def test_a_courier_whose_target_never_answers_heads_home():
+    # one-way visibility: 2 sees root 10, so its JOIN_REQUEST lands, but the
+    # accept cannot reach it and the join times out
+    w, frames = _catalog_run()
+    w.vis[10].discard(2)
+    w.run_until(35.0)
+    assert _return_hop(w) == pytest.approx(22.01 + w.p.join_timeout)
+    (report,) = courier_reports(frames)
+    assert report.payload["status"] == "failed"
+    assert report.payload["reason"] == "join-timeout"
+    assert w.nodes[2].mission is None
+
+
+def test_a_courier_whose_home_never_answers_is_lost():
+    # root 1 stops seeing the courier while it is away: its rejoin request
+    # lands but the accept cannot, so the courier gives its home up
+    w, frames = _catalog_run()
+    w.run_until(21.0)
+    w.vis[1].discard(2)
+    w.run_until(30.0)
+    (lost,) = trace_events(w, "root-lost", device=2)
+    assert lost.details["reason"] == "home-unreachable"
+    assert lost.time == pytest.approx(24.07 + w.p.join_timeout)
+    assert courier_reports(frames) == []
+    assert w.nodes[2].mission is None
+
+
+def test_a_courier_whose_full_home_dropped_it_is_lost():
+    # root 1 has forgotten courier 2 while it was away and admitted devices
+    # 3 and 4 in its place, so the rejoin is rejected
+    w, frames = _catalog_run(max_members=2)
+    for d in (3, 4):
+        w.add_device(d)
+        w.add_edge(d, 1)
+    w.run_until(21.0)
+    del w.nodes[1].members[2]
+    arrive(w, [3, 4], t=21.0)
+    w.run_until(30.0)
+    (lost,) = trace_events(w, "root-lost", device=2)
+    assert lost.details["reason"] == "rejoin-rejected"
+    assert lost.time == pytest.approx(24.09)
+    assert courier_reports(frames) == []
