@@ -64,11 +64,10 @@ class Node:
         self.generation = 0
         self._counter = 0
 
-        # joining
-        self.join_target: str | None = None
-        self.join_candidates: list = []
-        self.join_tried: set = set()
-        self.join_retried = False
+        # the join exchange: the SSID asked, and the one (ssid, delay) to ask
+        # after a reject
+        self.joining: str | None = None
+        self.join_retry: tuple | None = None
 
         # member
         self.home_root: int | None = None
@@ -131,6 +130,7 @@ class Node:
     def on_arrive(self, now: float) -> list:
         out = [Note("arrive", {})]
         self.role = SCANNING
+        self.joining = None
         out.append(RequestScan(0.0))
         return out
 
@@ -146,33 +146,17 @@ class Node:
         out = []
         if self.role == SCANNING:
             candidates = [s for s in ssids if parse_ssid(s) is not None]
-            self.join_candidates = candidates
-            self.join_tried = set()
-            self.join_retried = False
             if candidates:
-                self._begin_join(now, candidates[0], out)
+                # a rejected joiner asks the next hotspot at once, and only that one
+                self.role = JOINING
+                self._request_join(now, out, candidates[0],
+                                   (candidates[1], 0.0) if len(candidates) > 1 else None)
             else:
                 self._become_root(now, out)
         elif self.role == MEMBER and self.mission is None and self.home_root is not None:
             foreign = [s for s in ssids if parse_ssid(s) is not None and s != self.attached]
             self._send(out, K.SCAN_REPORT, self.home_root, {"visible": foreign}, now)
         return out
-
-    def _begin_join(self, now, ssid, out):
-        self.role = JOINING
-        self.join_target = ssid
-        self.join_tried.add(ssid)
-        self._request_join(now, out, ssid, (self._t_join_timeout, ssid))
-
-    def _request_join(self, now, out, ssid, timer, since=None):
-        """Ask the root of `ssid` for admission and arm `timer` for the
-        answer. A catalog courier passes `since` to be sent the target's
-        catalog cut against that version once admitted."""
-        payload = {"ssid": ssid, "wants_catalog": since is not None}
-        if since is not None:
-            payload["since"] = since
-        self._send(out, K.JOIN_REQUEST, parse_ssid(ssid).root_id, payload, now)
-        out.append(StartTimer(self.p.join_timeout, timer))
 
     def _become_root(self, now, out):
         self.generation += 1
@@ -198,7 +182,6 @@ class Node:
         self.attached = ssid
         self.home_root = root_id
         self.last_root_seen = now
-        self.join_target = None
         files = [self._meta_payload(m) for m in
                  sorted(self.metas.values(), key=lambda m: m.file_id)]
         self._send(out, K.FILE_LIST, root_id, {"files": files, "removed": []}, now)
@@ -263,50 +246,86 @@ class Node:
             out.append(StartTimer(2 * self.p.link_latency,
                                   (self._t_snapshot, src, payload.get("since", 0))))
 
+    # The joiner's side serves a scanning device, a courier at its target and
+    # a courier back home; each answer picks its outcome from whom it serves.
+
+    def _join_mission(self):
+        """The mission the join exchange serves; None for a scanning device."""
+        return None if self.role == JOINING else self.mission
+
+    def _request_join(self, now, out, ssid, retry=None):
+        """Ask the root of `ssid` for admission and arm the timeout; `retry` is
+        the one (ssid, delay) to ask after a reject. A catalog courier at its
+        target asks for the target's catalog cut against `since`."""
+        m = self._join_mission()
+        self.joining, self.join_retry = ssid, retry
+        payload = {"ssid": ssid, "wants_catalog": False}
+        if m is not None and m.kind == "catalog" and ssid == m.target:
+            payload.update(wants_catalog=True, since=m.since)
+        self._send(out, K.JOIN_REQUEST, parse_ssid(ssid).root_id, payload, now)
+        out.append(StartTimer(self.p.join_timeout,
+                              (self._t_join_timeout, ssid, m and m.mission_id)))
+
+    def _join_open(self, ssid, mid):
+        """Whether the exchange a timer was armed for still waits: `ssid` is
+        still asked, for mission `mid` or, with `mid` None, while scanning."""
+        m = self._join_mission()
+        return self.joining == ssid and (m and m.mission_id) == mid
+
     def _h_join_accept(self, now, src, payload, out):
-        m = self.mission
-        if m is not None and m.phase == transfer.M_JOINING_TARGET \
-                and payload.get("ssid") == m.target:
-            self.attached = m.target
-            m.phase = transfer.M_WORKING
-            if m.kind == "file":
-                m.sub_session = transfer.TransferSession(f"{m.mission_id}/sub", m.file_id)
-                self._send(out, K.DOWNLOAD_REQUEST, src,
-                           {"file_id": m.file_id.digest,
-                            "session_id": m.sub_session.session_id,
-                            "origin": m.origin,
-                            "ttl": m.ttl - 1, "user": False}, now)
-            out.append(StartTimer(self.p.mission_timeout,
-                                  (self._t_mission_work, m.mission_id)))
+        if self.joining is None or payload.get("ssid") != self.joining:
             return
-        if m is not None and m.phase == transfer.M_REJOINING_HOME \
-                and payload.get("ssid") == m.home:
-            self.attached = m.home
-            self._deliver_mission(now, out)
+        ssid, m = self.joining, self._join_mission()
+        self.joining = self.join_retry = None
+        if m is None:
+            self._become_member(now, ssid, src, out)
             return
-        if self.role == JOINING and payload.get("ssid") == self.join_target:
-            self._become_member(now, self.join_target, src, out)
+        self.attached = ssid
+        if ssid != m.target:
+            self._deliver_mission(now, out)   # home again
+            return
+        m.phase = transfer.M_WORKING
+        if m.kind == "file":
+            m.sub_session = transfer.TransferSession(f"{m.mission_id}/sub", m.file_id)
+            self._send(out, K.DOWNLOAD_REQUEST, src,
+                       {"file_id": m.file_id.digest,
+                        "session_id": m.sub_session.session_id,
+                        "origin": m.origin,
+                        "ttl": m.ttl - 1, "user": False}, now)
+        out.append(StartTimer(self.p.mission_timeout, (self._t_mission_work, m.mission_id)))
 
     def _h_join_reject(self, now, src, payload, out):
-        m = self.mission
-        if m is not None and m.phase == transfer.M_JOINING_TARGET:
-            if not m.join_retried:
-                m.join_retried = True
-                out.append(StartTimer(self.p.hop_latency,
-                                      (self._t_mission_retry, m.mission_id)))
-            else:
-                self._mission_abort(now, out, "join-rejected")
+        if self.joining is None or payload.get("ssid") != self.joining:
             return
-        if m is not None and m.phase == transfer.M_REJOINING_HOME:
-            self._to_scanning(now, out, "rejoin-rejected")
+        retry, self.join_retry = self.join_retry, None
+        if retry is None:
+            self._join_failed(now, out, rejected=True)
             return
-        if self.role == JOINING and payload.get("ssid") == self.join_target:
-            untried = [s for s in self.join_candidates if s not in self.join_tried]
-            if not self.join_retried and untried:
-                self.join_retried = True
-                self._begin_join(now, untried[0], out)
-            else:
-                self._become_root(now, out)
+        ssid, delay = retry
+        if delay:  # a courier asks its target again; the first deadline stays live
+            out.append(StartTimer(delay, (self._t_join_retry, ssid, self.mission.mission_id)))
+        else:
+            self._request_join(now, out, ssid)
+
+    def _join_failed(self, now, out, rejected):
+        """Rejected or timed out: a scanning device hosts, a courier at its
+        target heads home and a courier at home gives it up."""
+        ssid, m = self.joining, self._join_mission()
+        self.joining = self.join_retry = None
+        if m is None:
+            self._become_root(now, out)
+        elif ssid == m.target:
+            self._head_home(m, out, "join-rejected" if rejected else "join-timeout")
+        else:
+            self._to_scanning(now, out, "rejoin-rejected" if rejected else "home-unreachable")
+
+    def _t_join_timeout(self, now, out, ssid, mid):
+        if self._join_open(ssid, mid):
+            self._join_failed(now, out, rejected=False)
+
+    def _t_join_retry(self, now, out, ssid, mid):
+        if self._join_open(ssid, mid):
+            self._request_join(now, out, ssid)
 
     def _h_leave_notice(self, now, src, payload, out):
         if self.role != ROOT:
@@ -728,23 +747,16 @@ class Node:
             payload, self.device, self.attached, src)
         out.append(HopTo(m.target, label="forward", session_id=m.origin))
 
-    def _join_target(self, now, m, out):
-        self._request_join(now, out, m.target, (self._t_target_join, m.mission_id),
-                           since=m.since if m.kind == "catalog" else None)
-
     def _leave_target(self, now, out):
         m = self.mission
         self._send(out, K.LEAVE_NOTICE, parse_ssid(m.target).root_id, {}, now)
         out.append(StartTimer(2 * self.p.link_latency, (self._t_mission_home, m.mission_id)))
 
-    def _head_home(self, m, out):
+    def _head_home(self, m, out, reason=None):
+        if reason is not None:
+            m.fail_reason = reason
         m.phase = transfer.M_HOMEBOUND
         out.append(HopTo(m.home, label="return", session_id=m.origin))
-
-    def _mission_abort(self, now, out, reason):
-        m = self.mission
-        m.fail_reason = reason
-        self._head_home(m, out)
 
     def _deliver_mission(self, now, out):
         m = self.mission
@@ -809,11 +821,10 @@ class Node:
             self._to_scanning(now, out, "stray-hop")
             return out
         if m.phase == transfer.M_OUTBOUND and target == m.target:
-            m.phase = transfer.M_JOINING_TARGET
-            self._join_target(now, m, out)
+            # a rejected courier asks its target once more, a hop's time later
+            self._request_join(now, out, target, (target, self.p.hop_latency))
         elif m.phase == transfer.M_HOMEBOUND and target == m.home:
-            m.phase = transfer.M_REJOINING_HOME
-            self._request_join(now, out, target, (self._t_home_join, m.mission_id))
+            self._request_join(now, out, target)
         return out
 
     def on_hop_failed(self, now: float, target: str) -> list:
@@ -828,9 +839,8 @@ class Node:
             self.mission = None
             return out
         if target != m.home:
-            self._mission_abort(now, out, "hop-failed")
+            self._head_home(m, out, "hop-failed")
         else:
-            self.mission = None
             self._to_scanning(now, out, "home-gone")
         return out
 
@@ -841,10 +851,6 @@ class Node:
         out = []
         tag[0](now, out, *tag[1:])
         return out
-
-    def _t_join_timeout(self, now, out, ssid):
-        if self.role == JOINING and self.join_target == ssid:
-            self._become_root(now, out)
 
     def _t_ping(self, now, out):
         if self.role == ROOT:
@@ -922,20 +928,6 @@ class Node:
         """The current mission if it is `mid` and in `phase`, else None."""
         m = self.mission
         return m if m is not None and m.mission_id == mid and m.phase == phase else None
-
-    def _t_mission_retry(self, now, out, mid):
-        m = self._mission_in(mid, transfer.M_JOINING_TARGET)
-        if m is not None:
-            self._join_target(now, m, out)
-
-    def _t_target_join(self, now, out, mid):
-        if self._mission_in(mid, transfer.M_JOINING_TARGET) is not None:
-            self._mission_abort(now, out, "join-timeout")
-
-    def _t_home_join(self, now, out, mid):
-        if self._mission_in(mid, transfer.M_REJOINING_HOME) is not None:
-            self.mission = None
-            self._to_scanning(now, out, "home-unreachable")
 
     def _t_mission_home(self, now, out, mid):
         m = self._mission_in(mid, transfer.M_WORKING)

@@ -112,12 +112,11 @@ class TransferSession:
         self.buffers = {}
 
 
-# Courier mission phases
+# Courier mission phases; `Node.joining` tells whether the courier is
+# waiting to be admitted at its target (outbound) or at home (homebound).
 M_OUTBOUND = "outbound"            # ordered, hopping toward the target subnet
-M_JOINING_TARGET = "joining_target"
 M_WORKING = "working"              # fetching catalog/blocks inside the target
 M_HOMEBOUND = "homebound"
-M_REJOINING_HOME = "rejoining_home"
 
 
 @dataclass
@@ -134,7 +133,6 @@ class CourierMission:
     courier: int | None = None
     phase: str = M_OUTBOUND
     fail_reason: str = ""          # set when the mission fails
-    join_retried: bool = False
     # catalog missions
     since: int = 0                 # the target's catalog version the home root holds
     snapshot: dict | None = None   # the delta the target root cut against `since`
