@@ -259,6 +259,7 @@ class NeighborInfo:
     reachable_by: set = field(default_factory=set)
     last_seen: float = 0.0
     assigned: dict = field(default_factory=dict)  # peer -> missions handed out
+    mirror: Mirror = field(default_factory=Mirror)  # its catalog as last merged here
 
 
 class SubnetCatalog:

@@ -78,7 +78,6 @@ class Node:
         self.members: dict[int, MembershipRecord] = {}
         self.catalog: NetworkFileCatalog | None = None
         self.subnets: SubnetCatalog | None = None
-        self.mirrors: dict[str, Mirror] = {}  # neighbour ssid -> its catalog as merged
         self.outstanding: dict[str, transfer.CourierMission] = {}
         self.wanted: dict[str, WantedEntry] = {}
         self.requests: dict[str, FileRequest] = {}  # by the request's session id
@@ -168,7 +167,6 @@ class Node:
         self.members = {}
         self.catalog = NetworkFileCatalog.init_from(self.device, self.metas.values())
         self.subnets = SubnetCatalog()
-        self.mirrors = {}
         self.outstanding = {}
         self.wanted = {}
         self.requests = {}
@@ -373,17 +371,17 @@ class Node:
             return
         if self.role == ROOT:
             order = self.outstanding.pop(payload.get("mission_id", ""), None)
-            if order is None or order.target not in self.subnets.neighbors:
+            info = self.subnets.neighbors.get(order.target) if order is not None else None
+            if info is None:
                 # its records would route through a gateway this root no
                 # longer lists, and its mirror went with the neighbour
                 return
-            mirror = self.mirrors.setdefault(order.target, Mirror())
-            if not mirror.apply(payload["snapshot"]):
+            if not info.mirror.apply(payload["snapshot"]):
                 # cut against a version this root no longer holds: the next
                 # order asks for a full dump
-                del self.mirrors[order.target]
+                info.mirror = Mirror()
                 return
-            self.catalog.merge_snapshot({"subnet": order.target, "entries": mirror.entries},
+            self.catalog.merge_snapshot({"subnet": order.target, "entries": info.mirror.entries},
                                         payload["via"], self.ssid, now)
             out.append(Note("catalog-merge", {"via": payload["via"]}))
 
@@ -541,8 +539,7 @@ class Node:
         mission.courier = courier
         mission.mission_id = mid = self._new_id()
         if mission.kind == "catalog":
-            mirror = self.mirrors.get(mission.target)
-            mission.since = mirror.version if mirror is not None else 0
+            mission.since = self.subnets.neighbors[mission.target].mirror.version
         self.outstanding[mid] = mission
         self._send(out, K.COURIER_ORDER, courier, mission.order(), now)
         out.append(StartTimer(self.p.mission_timeout, (self._t_mission_deadline, mid)))
@@ -949,8 +946,6 @@ class Node:
         gone = self.subnets.expire(now, self.p.neighbor_ttl)
         if gone:
             self.catalog.drop_via_gateways(set(gone))
-        for ssid in [s for s in self.mirrors if s not in self.subnets.neighbors]:
-            del self.mirrors[ssid]   # a mirror lasts as long as its neighbour
         exempt = {o.courier for o in self.outstanding.values()}
         for peer in sorted(self.members):
             rec = self.members[peer]

@@ -64,16 +64,16 @@ def test_merges_see_the_full_snapshot_of_the_cut(name, monkeypatch):
 def test_a_mirror_goes_with_its_neighbour():
     w = make_world()
     star(w, 1, [2])
-    star(w, 10, [11])
+    star(w, 10, [11], files={11: [("f.txt", b"x")]})
     w.add_edge(2, 10)
     w.run_until(w.p.courier_period + 5.0)
     target = w.nodes[10].ssid
-    assert set(w.nodes[1].mirrors) == {target}
+    assert len(w.nodes[1].subnets.neighbors[target].mirror.entries) == 1
     gone = w.clock
     w.schedule(gone, "depart", device=10, silent=True)
     w.run_until(gone + w.p.neighbor_ttl + w.p.scan_period + w.p.ping_interval)
+    # the mirror lives in the neighbour's record and went with it
     assert target not in w.nodes[1].subnets.neighbors
-    assert w.nodes[1].mirrors == {}
 
 
 def test_a_fetch_that_lands_after_its_neighbour_expired_is_dropped():
@@ -88,8 +88,7 @@ def test_a_fetch_that_lands_after_its_neighbour_expired_is_dropped():
     w.add_edge(2, 10)
     w.run_until(43.0)
     root, target = w.nodes[1], w.nodes[10].ssid
-    assert target not in root.subnets.neighbors
-    assert target not in root.mirrors
+    assert target not in root.subnets.neighbors   # and its mirror with it
     w.run_until(50.0)
     fetches = [r.time for r in trace_events(w, "courier-assign", device=1)]
     merges = [r.time for r in trace_events(w, "catalog-merge", device=1)]
