@@ -389,11 +389,9 @@ class Node:
 
     def on_user_search(self, now: float, query: str, by: str = "name") -> list:
         out = [Note("search", {"query": query, "by": by})]
-        if self.role == ROOT:
-            self._h_search_request(now, self.device, {"query": query, "by": by}, out)
-        elif self.role == MEMBER and self.home_root is not None:
-            self._send(out, K.SEARCH_REQUEST, self.home_root,
-                       {"query": query, "by": by}, now)
+        if self.role in (MEMBER, ROOT):
+            root = self.device if self.role == ROOT else self.home_root
+            self._send(out, K.SEARCH_REQUEST, root, {"query": query, "by": by}, now)
         else:
             out.append(Note("search-result", {"ok": False, "count": 0, "query": query}))
         return out
