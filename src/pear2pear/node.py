@@ -678,7 +678,8 @@ class Node:
             self._session_complete(now, sess, out)
 
     def _session_drop_source(self, now, sess, src, out):
-        if sess.phase != transfer.PHASE_PULL:
+        # a dropped source's later refusals are for blocks already moved
+        if sess.phase != transfer.PHASE_PULL or src not in sess.sources:
             return
         sess.drop_source(src)
         if sess.reassign_used or not sess.sources:
