@@ -371,7 +371,7 @@ class Node:
             return
         if self.role == ROOT:
             order = self.outstanding.pop(payload.get("mission_id", ""), None)
-            info = self.subnets.neighbors.get(order.target) if order is not None else None
+            info = order and self.subnets.neighbors.get(order.target)
             if info is None:
                 # its records would route through a gateway this root no
                 # longer lists, and its mirror went with the neighbour
