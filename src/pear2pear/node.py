@@ -787,7 +787,13 @@ class Node:
         if order is None:
             return
         status = payload["status"]
-        if status != "done":
+        if status == "done":
+            # the courier was just in the target, so it is still reachable,
+            # though a courier flying missions sends no scan reports
+            info = self.subnets.neighbors.get(order.target)
+            if info is not None:
+                info.last_seen = now
+        else:
             out.append(Note("mission-failed", {"mission": mid, "status": status,
                                                "kind": order.kind}))
         # a catalog order is retried by the next courier period; a file order

@@ -189,3 +189,20 @@ def test_a_courier_whose_full_home_dropped_it_is_lost():
     assert lost.details["reason"] == "rejoin-rejected"
     assert lost.time == pytest.approx(24.09)
     assert courier_reports(frames) == []
+
+
+def test_a_done_report_keeps_its_target_listed():
+    # courier 2 scans only when it joins, so root 1 last hears of root 10
+    # from a scan report at 0.02 s. Its file mission for device 3 reports
+    # done at about 29 s, which keeps root 10 listed past the 30 s ping,
+    # where neighbor_ttl would otherwise expire it.
+    w = make_world(scan_period=100.0, neighbor_ttl=30.0)
+    star(w, 1, [2, 3])
+    star(w, 10, [11], files={11: [("f.txt", b"x")]})
+    w.add_edge(2, 10)
+    fid = next(iter(w.nodes[11].files))
+    w.schedule(25.0, "download", device=3, file_id=fid)
+    w.run_until(31.0)
+    assert only_download(w)["success"]
+    info = w.nodes[1].subnets.neighbors.get(w.nodes[10].ssid)
+    assert info is not None and 25.0 < info.last_seen < 30.0
