@@ -1,6 +1,7 @@
 """Courier missions that go wrong: swarm couriers lost mid-mission, a
 courier that leaves silently, a target subnet that disappears while the
-courier is hopping, a requester whose root is lost mid-download."""
+courier is hopping, a target or home that turns the courier away or never
+answers, a requester whose root is lost mid-download."""
 
 import pytest
 
