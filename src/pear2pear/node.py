@@ -58,11 +58,23 @@ class Node:
         for name, content in shared_files:
             self.store_file(name, content)
 
-        self.role = SCANNING
-        self.attached: str | None = None
         self.active = True
+        self.ssid: str | None = None   # the last SSID hosted
         self.generation = 0
         self._counter = 0
+        self.term = 0
+        self._new_life()
+
+    def _enter(self, role):
+        """Take `role` in a new term: timers and hops begun in the old one are dropped."""
+        self.role = role
+        self.term += 1
+
+    def _new_life(self):
+        """Scan afresh with no role state: on every arrival, and when a
+        member loses its hotspot."""
+        self._enter(SCANNING)
+        self.attached: str | None = None
 
         # the join exchange: the SSID asked, and the one (ssid, delay) to ask
         # after a reject
@@ -74,7 +86,6 @@ class Node:
         self.last_root_seen = 0.0
 
         # root
-        self.ssid: str | None = None
         self.members: dict[int, MembershipRecord] = {}
         self.catalog: NetworkFileCatalog | None = None
         self.subnets: SubnetCatalog | None = None
@@ -120,6 +131,10 @@ class Node:
         else:
             out.append(Send(frame))
 
+    def _after(self, out, delay, handler, *args):
+        """Arm `handler(now, out, *args)` to fire after `delay` within this term."""
+        out.append(StartTimer(delay, (self.term, handler) + args))
+
     def detach(self):
         """Called by the world when a hop physically leaves the hotspot."""
         self.attached = None
@@ -128,15 +143,18 @@ class Node:
 
     def on_arrive(self, now: float) -> list:
         out = [Note("arrive", {})]
-        self.role = SCANNING
-        self.joining = None
+        self._new_life()
         out.append(RequestScan(0.0))
         return out
 
     def on_depart(self, now: float, silent: bool) -> list:
+        """A departure ends the device's downloads; its mission and any hop
+        in flight end with the next arrival's new life."""
         out = [Note("depart", {"silent": silent})]
-        if not silent and self.role == MEMBER and self.attached and self.home_root is not None:
+        if not silent and self.role == MEMBER and self.attached:
             self._send(out, K.LEAVE_NOTICE, self.home_root, {}, now)
+        for sid in sorted(self.sessions):
+            self._session_fail(now, self.sessions[sid], "departed", out)
         return out
 
     # ------------------------------------------------------------------- scan
@@ -147,12 +165,12 @@ class Node:
             candidates = [s for s in ssids if parse_ssid(s) is not None]
             if candidates:
                 # a rejected joiner asks the next hotspot at once, and only that one
-                self.role = JOINING
+                self._enter(JOINING)
                 self._request_join(now, out, candidates[0],
                                    (candidates[1], 0.0) if len(candidates) > 1 else None)
             else:
                 self._become_root(now, out)
-        elif self.role == MEMBER and self.mission is None and self.home_root is not None:
+        elif self.role == MEMBER and self.mission is None:
             foreign = [s for s in ssids if parse_ssid(s) is not None and s != self.attached]
             self._send(out, K.SCAN_REPORT, self.home_root, {"visible": foreign}, now)
         return out
@@ -161,22 +179,16 @@ class Node:
         self.generation += 1
         nonce = core.allocate_nonce(self.device, self.generation)
         self.ssid = render_ssid(core.Ssid(self.device, nonce))
-        self.role = ROOT
+        self._enter(ROOT)
         self.attached = self.ssid
-        self.home_root = None
-        self.members = {}
         self.catalog = NetworkFileCatalog.init_from(self.device, self.metas.values())
         self.subnets = SubnetCatalog()
-        self.outstanding = {}
-        self.wanted = {}
-        self.requests = {}
-        self._courier_cycle_n = 0
-        out.append(StartTimer(self.p.ping_interval, (self._t_ping,)))
-        out.append(StartTimer(self.p.courier_period, (self._t_courier,)))
+        self._after(out, self.p.ping_interval, self._t_ping)
+        self._after(out, self.p.courier_period, self._t_courier)
         out.append(Note("role", {"role": ROOT, "ssid": self.ssid}))
 
     def _become_member(self, now, ssid, root_id, out):
-        self.role = MEMBER
+        self._enter(MEMBER)
         self.attached = ssid
         self.home_root = root_id
         self.last_root_seen = now
@@ -184,18 +196,15 @@ class Node:
                  sorted(self.metas.values(), key=lambda m: m.file_id)]
         self._send(out, K.FILE_LIST, root_id, {"files": files, "removed": []}, now)
         out.append(RequestScan(0.0))
-        out.append(StartTimer(self.p.scan_period, (self._t_scan_report,)))
-        out.append(StartTimer(self.p.ping_interval, (self._t_root_check,)))
+        self._after(out, self.p.scan_period, self._t_scan_report)
+        self._after(out, self.p.ping_interval, self._t_root_check)
         out.append(Note("role", {"role": MEMBER, "ssid": ssid}))
 
     def _to_scanning(self, now, out, reason):
         out.append(Note("root-lost", {"reason": reason}))
-        self.role = SCANNING
-        self.attached = None
-        self.home_root = None
-        self.mission = None
         for sid in sorted(self.sessions):
             self._session_fail(now, self.sessions[sid], reason, out)
+        self._new_life()
         out.append(RequestScan(0.0))
 
     # ------------------------------------------------------------------ frames
@@ -241,39 +250,35 @@ class Node:
         if wants_catalog:
             # the joiner only attaches once the accept lands; send the
             # snapshot after that round trip so it is deliverable
-            out.append(StartTimer(2 * self.p.link_latency,
-                                  (self._t_snapshot, src, payload.get("since", 0))))
+            self._after(out, 2 * self.p.link_latency,
+                        self._t_snapshot, src, payload.get("since", 0))
 
     # The joiner's side serves a scanning device, a courier at its target and
-    # a courier back home; each answer picks its outcome from whom it serves.
-
-    def _join_mission(self):
-        """The mission the join exchange serves; None for a scanning device."""
-        return None if self.role == JOINING else self.mission
+    # a courier back home; each answer picks its outcome from whom it serves:
+    # the mission, which is None for a scanning device.
 
     def _request_join(self, now, out, ssid, retry=None):
         """Ask the root of `ssid` for admission and arm the timeout; `retry` is
         the one (ssid, delay) to ask after a reject. A catalog courier at its
         target asks for the target's catalog cut against `since`."""
-        m = self._join_mission()
+        m = self.mission
         self.joining, self.join_retry = ssid, retry
         payload = {"ssid": ssid, "wants_catalog": False}
         if m is not None and m.kind == "catalog" and ssid == m.target:
             payload.update(wants_catalog=True, since=m.since)
         self._send(out, K.JOIN_REQUEST, parse_ssid(ssid).root_id, payload, now)
-        out.append(StartTimer(self.p.join_timeout,
-                              (self._t_join_timeout, ssid, m and m.mission_id)))
+        self._after(out, self.p.join_timeout, self._t_join_timeout, ssid, m and m.mission_id)
 
     def _join_open(self, ssid, mid):
         """Whether the exchange a timer was armed for still waits: `ssid` is
         still asked, for mission `mid` or, with `mid` None, while scanning."""
-        m = self._join_mission()
+        m = self.mission
         return self.joining == ssid and (m and m.mission_id) == mid
 
     def _h_join_accept(self, now, src, payload, out):
         if self.joining is None or payload.get("ssid") != self.joining:
             return
-        ssid, m = self.joining, self._join_mission()
+        ssid, m = self.joining, self.mission
         self.joining = self.join_retry = None
         if m is None:
             self._become_member(now, ssid, src, out)
@@ -290,7 +295,7 @@ class Node:
                         "session_id": m.sub_session.session_id,
                         "origin": m.origin,
                         "ttl": m.ttl - 1, "user": False}, now)
-        out.append(StartTimer(self.p.mission_timeout, (self._t_mission_work, m.mission_id)))
+        self._after(out, self.p.mission_timeout, self._t_mission_work, m.mission_id)
 
     def _h_join_reject(self, now, src, payload, out):
         if self.joining is None or payload.get("ssid") != self.joining:
@@ -301,14 +306,14 @@ class Node:
             return
         ssid, delay = retry
         if delay:  # a courier asks its target again; the first deadline stays live
-            out.append(StartTimer(delay, (self._t_join_retry, ssid, self.mission.mission_id)))
+            self._after(out, delay, self._t_join_retry, ssid, self.mission.mission_id)
         else:
             self._request_join(now, out, ssid)
 
     def _join_failed(self, now, out, rejected):
         """Rejected or timed out: a scanning device hosts, a courier at its
         target heads home and a courier at home gives it up."""
-        ssid, m = self.joining, self._join_mission()
+        ssid, m = self.joining, self.mission
         self.joining = self.join_retry = None
         if m is None:
             self._become_root(now, out)
@@ -333,7 +338,7 @@ class Node:
             return
         rec.leaving_since = now
         self.subnets.drop_peer(src)
-        out.append(StartTimer(self.p.leave_countdown, (self._t_leave_countdown, src, now)))
+        self._after(out, self.p.leave_countdown, self._t_leave_countdown, src, now)
         out.append(Note("leaving", {"peer": src}))
 
     def _purge_member(self, now, peer, reason, out):
@@ -343,7 +348,7 @@ class Node:
         out.append(Note("purge", {"peer": peer, "reason": reason}))
 
     def _h_ping(self, now, src, payload, out):
-        if self.role in (MEMBER, JOINING) or self.mission is not None:
+        if self.role in (MEMBER, JOINING):
             self._send(out, K.PONG, src, {}, now)
 
     # catalogs --------------------------------------------------------------
@@ -458,7 +463,7 @@ class Node:
             del self.wanted[key]
             out.append(Note("wanted-dead", {"key": key}))
         else:
-            out.append(StartTimer(self.p.wanted_repeat, (self._t_wanted, key)))
+            self._after(out, self.p.wanted_repeat, self._t_wanted, key)
 
     def _check_wanted(self, now, added_metas, out):
         for key in sorted(self.wanted):
@@ -503,7 +508,7 @@ class Node:
         target = self.device if self.role == ROOT else self.home_root
         self._send(out, K.DOWNLOAD_REQUEST, target,
                    {"file_id": file_id.digest, "session_id": sid, "user": True}, now)
-        out.append(StartTimer(self.p.session_timeout, (self._t_session_timeout, sid)))
+        self._after(out, self.p.session_timeout, self._t_session_timeout, sid)
         return out
 
     def _eligible_couriers(self, now, gateway, exclude=()):
@@ -540,7 +545,7 @@ class Node:
             mission.since = self.subnets.neighbors[mission.target].mirror.version
         self.outstanding[mid] = mission
         self._send(out, K.COURIER_ORDER, courier, mission.order(), now)
-        out.append(StartTimer(self.p.mission_timeout, (self._t_mission_deadline, mid)))
+        self._after(out, self.p.mission_timeout, self._t_mission_deadline, mid)
         out.append(Note("courier-assign", {"courier": courier, "target": mission.target,
                                            "mission": mission.kind,
                                            "session": mission.session_id}))
@@ -638,8 +643,7 @@ class Node:
         if payload["mode"] == "pull":
             sess.begin_pull(meta, payload["sources"], block_range, now)
             self._session_pump(now, sess, out)
-            out.append(StartTimer(self.p.block_timeout,
-                                  (self._t_block_timeout, sess.session_id)))
+            self._after(out, self.p.block_timeout, self._t_block_timeout, sess.session_id)
         else:
             sess.begin_push(meta, block_range)
 
@@ -671,23 +675,29 @@ class Node:
         if sess is None or sess.phase not in (transfer.PHASE_PULL, transfer.PHASE_PUSH):
             return
         if not payload.get("ok"):
-            self._session_drop_source(now, sess, src, out)
+            # a dropped source's later refusals are for blocks already moved
+            if sess.phase == transfer.PHASE_PULL and src in sess.sources:
+                self._session_lose(now, sess, [src], "sources-exhausted", out)
             return
         sess.on_block(payload["index"], payload.get("data", b""))
         if sess.complete():
             self._session_complete(now, sess, out)
 
-    def _session_drop_source(self, now, sess, src, out):
-        # a dropped source's later refusals are for blocks already moved
-        if sess.phase != transfer.PHASE_PULL or src not in sess.sources:
-            return
-        sess.drop_source(src)
-        if sess.reassign_used or not sess.sources:
-            self._session_fail(now, sess, "sources-exhausted", out)
+    def _session_lose(self, now, sess, lost, reason, out):
+        """Move the blocks of the `lost` sources to the others, once. A
+        second loss fails the pull with `reason`; a first that leaves no
+        source fails it as `sources-exhausted`."""
+        if sess.reassign_used:
+            self._session_fail(now, sess, reason, out)
             return
         sess.reassign_used = True
-        out.append(Note("reassign", {"session": sess.session_id, "dropped": src}))
-        self._session_pump(now, sess, out)
+        for src in lost:
+            sess.drop_source(src)
+        out.append(Note("reassign", {"session": sess.session_id, "dropped": lost[0]}))
+        if sess.sources:
+            self._session_pump(now, sess, out)
+        else:
+            self._session_fail(now, sess, "sources-exhausted", out)
 
     def _session_complete(self, now, sess, out):
         partial = len(sess.wanted) != (sess.meta.block_count if sess.meta else 0)
@@ -705,7 +715,7 @@ class Node:
             if sess.file_id not in self.files:
                 name = sorted(sess.meta.names)[0] if sess.meta.names else sess.file_id.short
                 meta = self.store_file(name, content)
-                if self.role == MEMBER and self.home_root is not None:
+                if self.role == MEMBER:
                     self._send(out, K.FILE_LIST, self.home_root,
                                {"files": [self._meta_payload(meta)], "removed": []}, now)
                 elif self.role == ROOT:
@@ -746,7 +756,7 @@ class Node:
     def _leave_target(self, now, out):
         m = self.mission
         self._send(out, K.LEAVE_NOTICE, parse_ssid(m.target).root_id, {}, now)
-        out.append(StartTimer(2 * self.p.link_latency, (self._t_mission_home, m.mission_id)))
+        self._after(out, 2 * self.p.link_latency, self._t_mission_home, m.mission_id)
 
     def _head_home(self, m, out, reason=None):
         if reason is not None:
@@ -817,11 +827,9 @@ class Node:
     # physical hop callbacks ------------------------------------------------
 
     def on_hop_complete(self, now: float, target: str) -> list:
+        """A hop lands in the term that began it, so its mission is still on."""
         out = []
         m = self.mission
-        if m is None:
-            self._to_scanning(now, out, "stray-hop")
-            return out
         if m.phase == transfer.M_OUTBOUND and target == m.target:
             # a rejected courier asks its target once more, a hop's time later
             self._request_join(now, out, target, (target, self.p.hop_latency))
@@ -832,9 +840,6 @@ class Node:
     def on_hop_failed(self, now: float, target: str) -> list:
         out = []
         m = self.mission
-        if m is None:
-            self._to_scanning(now, out, "hop-failed")
-            return out
         if self.attached is not None:
             # validated before leaving: still home, report and stand down
             self._report(now, out, m.home_root, m.mission_id, "failed", "hop-failed")
@@ -847,55 +852,52 @@ class Node:
         return out
 
     # timers ----------------------------------------------------------------
-    # A timer's tag is (handler, *args); it fires as handler(now, out, *args).
+    # A timer's tag is (term, handler, *args), armed by `_after`; it fires as
+    # handler(now, out, *args) only in the term that armed it.
 
     def on_timer(self, now: float, tag: tuple) -> list:
         out = []
-        tag[0](now, out, *tag[1:])
+        if tag[0] == self.term:
+            tag[1](now, out, *tag[2:])
         return out
 
     def _t_ping(self, now, out):
-        if self.role == ROOT:
-            out.append(StartTimer(self.p.ping_interval, (self._t_ping,)))
-            self._ping_cycle(now, out)
+        self._after(out, self.p.ping_interval, self._t_ping)
+        self._ping_cycle(now, out)
 
     def _t_courier(self, now, out):
-        if self.role == ROOT:
-            out.append(StartTimer(self.p.courier_period, (self._t_courier,)))
-            self._courier_cycle(now, out)
+        self._after(out, self.p.courier_period, self._t_courier)
+        self._courier_cycle(now, out)
 
     def _t_scan_report(self, now, out):
-        if self.role == MEMBER:
-            out.append(StartTimer(self.p.scan_period, (self._t_scan_report,)))
-            if self.mission is None:
-                out.append(RequestScan(0.0))
+        self._after(out, self.p.scan_period, self._t_scan_report)
+        if self.mission is None:
+            out.append(RequestScan(0.0))
 
     def _t_root_check(self, now, out):
-        if self.role == MEMBER:
-            out.append(StartTimer(self.p.ping_interval, (self._t_root_check,)))
-            if self.mission is None and now - self.last_root_seen >= self.p.silent_timeout:
-                self._to_scanning(now, out, "root-silent")
+        self._after(out, self.p.ping_interval, self._t_root_check)
+        if self.mission is None and now - self.last_root_seen >= self.p.silent_timeout:
+            self._to_scanning(now, out, "root-silent")
 
     def _t_leave_countdown(self, now, out, peer, since):
         """Purge `peer` only if the leave that started this countdown is
         still its current one: a rejoin and a second leave restart it."""
-        rec = self.members.get(peer) if self.role == ROOT else None
+        rec = self.members.get(peer)
         if rec is not None and rec.leaving_since == since:
             self._purge_member(now, peer, "leave", out)
 
     def _t_snapshot(self, now, out, peer, since):
-        if self.role == ROOT and peer in self.members \
-                and self.members[peer].leaving_since is None:
+        if peer in self.members and self.members[peer].leaving_since is None:
             self._send(out, K.CATALOG_SNAPSHOT, peer,
                        {"snapshot": self.catalog.snapshot(self.ssid, since),
                         "via": self.ssid, "mission_id": ""}, now)
 
     def _t_wanted(self, now, out, key):
-        if self.role == ROOT and key in self.wanted:
+        if key in self.wanted:
             self._emit_wanted(now, key, out)
 
     def _t_mission_deadline(self, now, out, mid):
-        if self.role == ROOT and mid in self.outstanding:
+        if mid in self.outstanding:
             order = self.outstanding[mid]
             out.append(Note("mission-timeout", {"mission": mid}))
             self._h_courier_report(now, order.courier,
@@ -912,19 +914,9 @@ class Node:
             return
         overdue = sess.overdue_sources(now, self.p.block_timeout)
         if overdue:
-            if sess.reassign_used:
-                self._session_fail(now, sess, "sources-timeout", out)
-            else:
-                sess.reassign_used = True
-                for srcdev in overdue:
-                    sess.drop_source(srcdev)
-                out.append(Note("reassign", {"session": sid, "dropped": overdue[0]}))
-                if not sess.sources:
-                    self._session_fail(now, sess, "sources-exhausted", out)
-                else:
-                    self._session_pump(now, sess, out)
+            self._session_lose(now, sess, overdue, "sources-timeout", out)
         if sess.phase == transfer.PHASE_PULL:
-            out.append(StartTimer(self.p.block_timeout, (self._t_block_timeout, sid)))
+            self._after(out, self.p.block_timeout, self._t_block_timeout, sid)
 
     def _mission_in(self, mid, phase):
         """The current mission if it is `mid` and in `phase`, else None."""

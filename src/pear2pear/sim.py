@@ -124,9 +124,7 @@ class World:
             self.schedule(self.clock + delay, "deactivate", device=device)
 
         elif kind == "deactivate":
-            node = self.nodes[data["device"]]
-            node.active = False
-            node.attached = None
+            self.nodes[data["device"]].active = False
 
         elif kind == "scan":
             device = data["device"]
@@ -146,8 +144,8 @@ class World:
         elif kind == "hopdone":
             device = data["device"]
             node = self.nodes[device]
-            if not node.active:
-                return
+            if not node.active or data["term"] != node.term:
+                return   # the device left since the hop began
             target = data["target"]
             root = self.find_root(target)
             if root is not None and root in self.vis.get(device, ()):
@@ -230,7 +228,7 @@ class World:
                     self._note(device, "hop-start", details)
                     node.detach()
                     self.schedule(self.clock + self.p.hop_latency, "hopdone",
-                                  device=device, target=act.target)
+                                  device=device, target=act.target, term=node.term)
                 else:
                     self._note(device, "hop-failed", {"target": act.target,
                                                       "at": "departure"})

@@ -1,0 +1,116 @@
+"""One life per arrival: what a role starts ends with it. A member that
+moves to another hotspot, a root or member that leaves and comes back, a
+courier that leaves mid-mission or mid-hop, and a requester that leaves
+mid-download each carry nothing of the earlier role into the next."""
+
+import pytest
+
+from pear2pear.frames import FrameKind
+from pear2pear.node import MEMBER
+
+from helpers import (
+    courier_reports, make_world, members_of, only_download, random_content, record_frames,
+    star, trace_events,
+)
+
+
+def _sends(w, device, kind, dst=None):
+    """Send times of `kind` frames from `device`, to `dst` if given."""
+    return [r.time for r in trace_events(w, "send", device=device)
+            if r.details["frame"] == kind.name and dst in (None, r.details["dst"])]
+
+
+def test_a_member_that_changes_hotspot_reports_once_per_period():
+    # root 1 leaves silently; member 2 finds it silent and joins root 3,
+    # which it also sees. The first membership's report chain must end.
+    w = make_world()
+    star(w, 1, [2])
+    star(w, 3, [4])
+    w.add_edge(2, 3)
+    w.schedule(5.0, "depart", device=1, silent=True)
+    w.run_until(75.0)
+    (lost,) = trace_events(w, "root-lost", device=2)
+    assert lost.details["reason"] == "root-silent"
+    assert lost.time == pytest.approx(30.02)
+    assert w.nodes[2].attached == w.nodes[3].ssid
+    reports = [t for t in _sends(w, 2, FrameKind.SCAN_REPORT) if t > lost.time]
+    assert reports == pytest.approx([30.04, 40.04, 50.04, 60.04, 70.04])
+
+
+def test_a_root_that_comes_back_within_a_ping_interval_pings_once_per_period():
+    # root 1 leaves at 2 and hosts again at 3; member 2 finds the old SSID
+    # silent at 30.02 and joins the new one
+    w = make_world()
+    star(w, 1, [2])
+    w.schedule(2.0, "depart", device=1, silent=True)
+    w.schedule(3.0, "arrive", device=1)
+    w.run_until(60.0)
+    assert w.nodes[2].attached == w.nodes[1].ssid
+    assert _sends(w, 1, FrameKind.PING, dst=2) == pytest.approx([33.0, 43.0, 53.0])
+
+
+def test_a_member_that_comes_back_reports_once_per_period():
+    w = make_world()
+    star(w, 1, [2])
+    w.schedule(12.0, "depart", device=2, silent=False)
+    w.schedule(13.0, "arrive", device=2)
+    w.run_until(60.0)
+    reports = [t for t in _sends(w, 2, FrameKind.SCAN_REPORT) if t > 12.0]
+    assert reports == pytest.approx([13.02, 23.02, 33.02, 43.02, 53.02])
+
+
+def _courier_world():
+    """Root 1 with courier 2, which also sees root 10 with member 11. Root 1
+    orders its first catalog mission at 20 s; courier 2 lands at 22.01 s."""
+    w = make_world()
+    star(w, 1, [2])
+    star(w, 10, [11])
+    w.add_edge(2, 10)
+    return w
+
+
+def test_a_courier_that_comes_back_flies_again():
+    # courier 2 leaves silently during its first hop and comes back at 30:
+    # it drops the mission it left with, reports scans, and takes the next
+    # orders once root 1's deadline for the first one has lapsed
+    w = _courier_world()
+    frames = record_frames(w)
+    w.schedule(21.0, "depart", device=2, silent=True)
+    w.schedule(30.0, "arrive", device=2)
+    w.run_until(200.0)
+    node = w.nodes[2]
+    assert node.role == MEMBER and node.attached == w.nodes[1].ssid
+    assert node.mission is None
+    assert [t for t in _sends(w, 2, FrameKind.SCAN_REPORT) if t > 30.0]
+    assert not [f for f in courier_reports(frames) if f.payload["status"] == "refused"]
+    hops = [r.time for r in trace_events(w, "hop-start", device=2)
+            if r.details["label"] == "forward"]
+    assert hops[0] < 21.0
+    assert hops[1:] == pytest.approx([80.01, 100.01, 120.01, 140.01, 160.01, 180.01])
+
+
+def test_a_hop_begun_before_a_departure_never_lands():
+    w = _courier_world()
+    w.schedule(20.5, "depart", device=2, silent=True)
+    w.schedule(21.0, "arrive", device=2)
+    w.run_until(30.0)
+    assert not [r for r in trace_events(w, "hop-complete", device=2) if r.time > 21.0]
+    node = w.nodes[2]
+    assert node.role == MEMBER and node.attached == w.nodes[1].ssid
+    assert 2 in members_of(w, w.nodes[1].ssid)
+
+
+def test_a_requester_that_leaves_fails_its_download_at_once():
+    content = random_content(64, 64 * 1024)
+    w = make_world(block_size=1024)
+    star(w, 1, [2, 3], files={3: [("f.bin", content)]})
+    fid = next(iter(w.nodes[3].files))
+    w.schedule(5.0, "download", device=2, file_id=fid)
+    w.schedule(5.03, "depart", device=2, silent=True)
+    w.schedule(6.0, "arrive", device=2)
+    w.run_until(20.0)
+    (failed,) = trace_events(w, "download-failed", device=2)
+    assert failed.details["reason"] == "departed"
+    assert failed.time == pytest.approx(5.03)
+    assert only_download(w)["success"] is False
+    assert w.nodes[2].sessions == {}

@@ -207,3 +207,29 @@ def test_a_done_report_keeps_its_target_listed():
     assert only_download(w)["success"]
     info = w.nodes[1].subnets.neighbors.get(w.nodes[10].ssid)
     assert info is not None and 25.0 < info.last_seen < 30.0
+
+
+def test_a_courier_whose_nested_courier_is_lost_times_out_at_the_target():
+    # three chained subnets, 100 -> 200 -> 300, through gateways 103 and 203.
+    # Courier 103 joins 200 at 107.04 and waits on a nested push that never
+    # comes: 203 leaves while hopping to 300. 103's own work timeout, counted
+    # from its admission, fires before 200's deadline for 203's order.
+    w = make_world()
+    star(w, 100, [101, 102, 103])
+    star(w, 200, [201, 202, 203])
+    star(w, 300, [301], files={301: [("far.txt", b"far away" * 100)]})
+    w.add_edge(103, 200)
+    w.add_edge(203, 300)
+    fid = next(iter(w.nodes[301].files))
+    frames = record_frames(w)
+    w.schedule(105.0, "download", device=101, file_id=fid)
+    w.schedule(108.0, "depart", device=203, silent=True)
+    w.run_until(175.0)
+    hops = [h for h in trace_events(w, "hop-start", device=103)
+            if h.details.get("session") == "101-1"]
+    assert [h.details["label"] for h in hops] == ["forward", "return"]
+    assert hops[1].time == pytest.approx(107.04 + w.p.mission_timeout + 2 * w.p.link_latency)
+    (report,) = courier_reports(frames)
+    assert report.src == 103 and report.payload["reason"] == "work-timeout"
+    assert only_download(w)["success"] is False
+    assert w.nodes[103].mission is None

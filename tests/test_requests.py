@@ -1,6 +1,8 @@
 """A device's own requests inside its subnet: a root that searches and
-downloads for itself, a holder that refuses its blocks, and a holder that
-serves corrupt bytes."""
+downloads for itself, a holder that refuses its blocks, a holder that
+serves corrupt bytes, and a search by id for a file that appears later."""
+
+import pytest
 
 from pear2pear.core import make_meta
 
@@ -59,3 +61,45 @@ def test_corrupt_blocks_are_retried_once_then_fail_the_pull():
     assert failed.details["reason"] == "hash-mismatch"
     assert failed.time > retry.time
     assert fid not in w.nodes[4].files and w.nodes[4].sessions == {}
+
+
+def test_a_lone_holder_that_refuses_is_reassigned_then_exhausted():
+    # a refusal takes the same path as a block timeout: the lost source's
+    # blocks go to the others, here none, so the pull fails
+    w, fid, _ = _pull_world(holders=[2], requester=3)
+    w.run_until(1.0)
+    del w.nodes[2].files[fid]
+    w.schedule(2.0, "download", device=3, file_id=fid)
+    w.run_until(20.0)
+    (reassign,) = trace_events(w, "reassign", device=3)
+    assert reassign.details["dropped"] == 2
+    (failed,) = trace_events(w, "download-failed", device=3)
+    assert failed.details["reason"] == "sources-exhausted"
+    assert failed.time == reassign.time
+
+
+def test_a_search_by_id_waits_for_the_file_to_appear():
+    # device 2 looks an absent file up by id and asks for it: both miss,
+    # and root 1 keeps one wanted entry for the id. Holder 3 arrives at 15;
+    # its FILE_LIST resolves the entry and answers 2's search.
+    content = b"late content" * 40
+    w = make_world()
+    star(w, 1, [2])
+    w.add_device(3, [("late.txt", content)])
+    w.add_edge(3, 1)
+    fid = make_meta("late.txt", content, w.p.block_size).file_id
+    w.schedule(5.0, "search", device=2, query=fid.hex, by="id")
+    w.schedule(6.0, "download", device=2, file_id=fid)
+    w.schedule(15.0, "arrive", device=3)
+    w.schedule(20.0, "search", device=2, query=fid.hex, by="id")
+    w.run_until(25.0)
+    results = trace_events(w, "search-result", device=2)
+    assert [r.details["ok"] for r in results] == [False, True, True]
+    assert results[0].time == pytest.approx(5.02)
+    assert results[1].time == pytest.approx(15.04)
+    (failed,) = trace_events(w, "download-failed", device=2)
+    assert failed.details["reason"] == "notfound"
+    assert len(trace_events(w, "wanted-emit", device=1)) == 1
+    (resolved,) = trace_events(w, "wanted-resolved", device=1)
+    assert resolved.details["key"] == f"id:{fid.hex}"
+    assert resolved.time == pytest.approx(15.03)
