@@ -827,7 +827,7 @@ class Node:
     # physical hop callbacks ------------------------------------------------
 
     def on_hop_complete(self, now: float, target: str) -> list:
-        """A hop lands in the term that began it, so its mission is still on."""
+        """A hop lands only in the term that began it, with its mission."""
         out = []
         m = self.mission
         if m.phase == transfer.M_OUTBOUND and target == m.target:
