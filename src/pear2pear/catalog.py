@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from .core import FileId, FileMeta
 
 
-@dataclass
+@dataclass(slots=True)
 class RemoteRecord:
     subnet: str          # rendered SSID of the subnet holding copies
     hops: int            # inter-subnet distance from here (>= 1)
@@ -43,7 +43,7 @@ class RemoteRecord:
     last_refresh: float
 
 
-@dataclass
+@dataclass(slots=True)
 class CatalogEntry:
     meta: FileMeta
     holders: set = field(default_factory=set)            # local member DeviceIds

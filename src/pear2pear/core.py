@@ -18,7 +18,7 @@ DEVICE_ID_LIMIT = 1 << 64
 _SSID_RE = re.compile(r"^P2P-([0-9A-F]{16})-([0-9A-F]{8})$")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class FileId:
     """Content hash of a file; identity is independent of any filename."""
 
@@ -63,7 +63,7 @@ def block_payload(content: bytes, index: int, block_size: int) -> bytes:
     return content[index * block_size:(index + 1) * block_size]
 
 
-@dataclass
+@dataclass(slots=True)
 class FileMeta:
     file_id: FileId
     names: set = field(default_factory=set)

@@ -7,7 +7,7 @@ insertion order, so a (scenario, seed) pair fully determines the trace.
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .actions import HopTo, Note, RequestScan, Send, StartTimer
 from .core import parse_ssid
@@ -17,23 +17,12 @@ from .node import Node, ROOT
 from .params import Params
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One trace note, as `World.trace` hands it out."""
     time: float
     device: int
     kind: str
-    details: dict = field(default_factory=dict)
-
-    def render(self) -> str:
-        parts = [f"{self.time:.6f}", f"dev={self.device}", self.kind]
-        for key in sorted(self.details):
-            value = self.details[key]
-            if isinstance(value, float):
-                value = f"{value:.6f}"
-            elif isinstance(value, bool):
-                value = "true" if value else "false"
-            parts.append(f"{key}={value}")
-        return " ".join(parts)
+    details: dict
 
 
 class World:
@@ -45,7 +34,13 @@ class World:
         self.nodes: dict[int, Node] = {}
         self.vis: dict[int, set] = {}
         self.queue: list = []
-        self.trace: list[TraceRecord] = []
+        # One flat tuple per note, (clock, device, kind, key_no, *values),
+        # where `key_no` numbers the note's key tuple in `_keys`. A tuple of
+        # scalars is untracked by the cyclic collector at its first
+        # collection, so full collections do not walk the trace; one holding
+        # the key tuple itself could stay tracked a collection longer.
+        self._log: list[tuple] = []
+        self._keys: dict[tuple, int] = {}   # key tuple -> its number
         self.metrics = MetricsCollector()
 
     # ----------------------------------------------------------- construction
@@ -104,7 +99,8 @@ class World:
         self.clock = max(self.clock, t_end)
 
     def _note(self, device: int, kind: str, details: dict) -> None:
-        self.trace.append(TraceRecord(self.clock, device, kind, dict(details)))
+        key_no = self._keys.setdefault(tuple(details), len(self._keys))
+        self._log.append((self.clock, device, kind, key_no, *details.values()))
         self.metrics.observe(self.clock, device, kind, details)
 
     def _dispatch(self, kind: str, data: dict) -> None:
@@ -249,5 +245,28 @@ class World:
 
     # ------------------------------------------------------------------ trace
 
+    @property
+    def trace(self) -> list:
+        """Every note so far as a `TraceRecord`, built afresh on each read."""
+        keys = list(self._keys)
+        return [TraceRecord(time, device, kind, dict(zip(keys[key_no], values)))
+                for time, device, kind, key_no, *values in self._log]
+
     def trace_lines(self) -> list:
-        return [rec.render() for rec in self.trace]
+        """The trace as `pear2pear run --trace` writes it: per note, the time,
+        `dev=<device>`, the kind, then `key=value` for each detail in key
+        order, with floats to six places and bools as true/false."""
+        # per key number, its (key, index in the note) pairs in key order
+        plans = [sorted((key, i) for i, key in enumerate(keys, 4)) for keys in self._keys]
+        lines = []
+        for rec in self._log:
+            parts = [f"{rec[0]:.6f}", f"dev={rec[1]}", rec[2]]
+            for key, i in plans[rec[3]]:
+                value = rec[i]
+                if isinstance(value, float):
+                    value = f"{value:.6f}"
+                elif isinstance(value, bool):
+                    value = "true" if value else "false"
+                parts.append(f"{key}={value}")
+            lines.append(" ".join(parts))
+        return lines

@@ -1,13 +1,19 @@
-"""Simulator environment: visibility, frame locality, event determinism."""
+"""Simulator environment: visibility, frame locality, event determinism, the
+retained trace."""
+
+import gc
 
 import pytest
 
+from pear2pear.actions import Note
 from pear2pear.core import Ssid, render_ssid
 from pear2pear.frames import Frame, FrameKind
 from pear2pear.node import MEMBER, ROOT
+from pear2pear.scenario import build_world, parse_scenario
 from pear2pear.sim import World
 
 from helpers import arrive, make_world, star, trace_events
+from test_golden_generated import SEED, TINY, workloads
 
 
 def test_scan_lists_only_visible_active_roots():
@@ -111,6 +117,46 @@ def test_different_seed_still_runs():
     w = _busy_world(8)
     assert w.trace_lines()
     assert w.metrics.all_succeeded()
+
+
+# --- the retained trace ----------------------------------------------------
+
+def test_a_note_renders_its_details_in_key_order():
+    # No shipped scenario or workload notes a float detail.
+    w = make_world()
+    w.add_device(3)
+    details = {"d": "x", "c": 0.25, "e": False, "b": True, "a": 1}
+    w.nodes[3].on_arrive = lambda now: [Note("probe", details)]
+    w.schedule(12.5, "arrive", device=3)
+    w.run_until(20.0)
+    line = "12.500000 dev=3 probe a=1 b=true c=0.250000 d=x e=false"
+    assert w.trace_lines() == [line]
+    rec = w.trace[-1]
+    assert (rec.time, rec.device, rec.kind, rec.details) == (12.5, 3, "probe", details)
+    # The trace keeps what was noted, whatever the caller does with its dict.
+    noted = dict(details)
+    details["a"] = 2
+    details["f"] = "y"
+    assert w.trace_lines() == [line]
+    assert w.trace[-1].details == noted
+
+
+def _tiny_workload(name):
+    sc = parse_scenario(workloads.WORKLOADS[name](SEED, **TINY[name]))
+    w = build_world(sc)
+    w.run_until(sc.until)
+    return w
+
+
+@pytest.mark.parametrize("name", ["busy"] + sorted(TINY))
+def test_the_retained_trace_is_not_tracked_by_the_collector(name):
+    # A note holds only scalars, so its first collection untracks it and full
+    # collections skip the trace. A note that puts a list or a dict into its
+    # details would stay tracked.
+    w = _busy_world(7) if name == "busy" else _tiny_workload(name)
+    gc.collect()
+    assert w._log
+    assert [r for r in w._log if gc.is_tracked(r)] == []
 
 
 # --- root lookup from the SSID ----------------------------------------------
