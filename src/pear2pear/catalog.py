@@ -13,7 +13,7 @@ invariants:
 - Every change to a field the snapshot shows (names, holder count, a remote
   record added or removed, a record's hops or holder_count), and the
   entry's creation, goes through `_changed`: it clears that entry's cached
-  snapshot dict, `entry.wire`, and stamps `entry.version` with a new
+  snapshot entry, `entry.wire`, and stamps `entry.version` with a new
   catalog version. A record's gateway and last_refresh are not in the
   snapshot and keep both.
 - A dropped entry leaves a tombstone, its digest stamped with the version
@@ -22,8 +22,11 @@ invariants:
   rises to the version of the last one gone.
 - `_oldest` is never above any remote record's `last_refresh`, so
   `expire_remote` can skip its sweep while no record can be old enough.
-- Snapshot entry dicts are shared between snapshots, and so between frames:
-  they are read-only.
+- A snapshot entry is the list `[file_id, names, size, block_count,
+  holders, remote]`, each remote record the list `[subnet, hops, holders]`
+  (lists: no keys on the wire, and unlike tuples they decode back equal).
+  Entries are shared between snapshots, and so between frames: they are
+  read-only.
 - `_by_digest` holds the same entries as `entries`, keyed by digest bytes,
   so a merge finds an entry without building a `FileId`.
 """
@@ -48,7 +51,7 @@ class CatalogEntry:
     meta: FileMeta
     holders: set = field(default_factory=set)            # local member DeviceIds
     remote: dict = field(default_factory=dict)           # subnet ssid -> RemoteRecord
-    wire: dict | None = field(default=None, compare=False, repr=False)  # snapshot dict
+    wire: list | None = field(default=None, compare=False, repr=False)  # snapshot entry
     version: int = field(default=0, compare=False, repr=False)  # of the last change
 
 
@@ -156,7 +159,7 @@ class NetworkFileCatalog:
         `removed` after it, the catalog's `version` now and the `base` the
         delta was cut against. A `since` of 0, or one this catalog cannot
         answer (below `_floor` or above its version), gets a full dump with
-        `base` 0 and nothing `removed`. Entry dicts are cached and shared
+        `base` 0 and nothing `removed`. Entries are cached and shared
         between snapshots: read-only."""
         if since is None:
             return {"subnet": home_ssid, "entries": self._wire(sorted(self._by_digest))}
@@ -168,22 +171,14 @@ class NetworkFileCatalog:
                 "version": self._version, "base": since}
 
     def _wire(self, digests) -> list:
-        """The snapshot dicts of the entries with these digests, in order."""
+        """The snapshot entries with these digests, in order."""
         out = []
         for digest in digests:
             e = self._by_digest[digest]
             if e.wire is None:
-                e.wire = {
-                    "file_id": digest,
-                    "names": sorted(e.meta.names),
-                    "size": e.meta.size,
-                    "block_count": e.meta.block_count,
-                    "holders": len(e.holders),
-                    "remote": [
-                        {"subnet": s, "hops": r.hops, "holders": r.holder_count}
-                        for s, r in sorted(e.remote.items())
-                    ],
-                }
+                e.wire = [digest, sorted(e.meta.names), e.meta.size, e.meta.block_count,
+                          len(e.holders),
+                          [[s, r.hops, r.holder_count] for s, r in sorted(e.remote.items())]]
             out.append(e.wire)
         return out
 
@@ -194,19 +189,17 @@ class NetworkFileCatalog:
         origin = snap["subnet"]
         from_home = origin == home_ssid
         self._oldest = min(self._oldest, now)
-        for raw in snap["entries"]:
-            holders = raw["holders"]
+        for digest, names, size, block_count, holders, records in snap["entries"]:
             candidates = [(origin, 1, holders)] if holders > 0 and not from_home else []
-            candidates += [(rec["subnet"], rec["hops"] + 1, rec["holders"])
-                           for rec in raw["remote"] if rec["subnet"] != home_ssid]
+            candidates += [(subnet, hops + 1, count)
+                           for subnet, hops, count in records if subnet != home_ssid]
             if not candidates:
                 continue
-            entry = self._by_digest.get(raw["file_id"])
+            entry = self._by_digest.get(digest)
             if entry is None:
-                entry = self._entry(FileMeta(FileId(raw["file_id"]), set(raw["names"]),
-                                             raw["size"], raw["block_count"]))
+                entry = self._entry(FileMeta(FileId(digest), set(names), size, block_count))
             else:
-                self._add_names(entry, raw["names"])
+                self._add_names(entry, names)
             remote = entry.remote
             for subnet, hops, count in candidates:
                 existing = remote.get(subnet)
@@ -229,7 +222,7 @@ class NetworkFileCatalog:
 @dataclass
 class Mirror:
     """A neighbour root's catalog as this root last merged it: the version
-    it was cut at and its snapshot entries in digest order (shared dicts,
+    it was cut at and its snapshot entries in digest order (shared lists,
     read-only)."""
     version: int = 0
     entries: list = field(default_factory=list)
@@ -244,11 +237,11 @@ class Mirror:
         elif base != self.version:
             return False
         elif delta["entries"] or delta["removed"]:
-            by_digest = {e["file_id"]: e for e in self.entries}
+            by_digest = {e[0]: e for e in self.entries}
             for digest in delta["removed"]:  # some were added after the base
                 by_digest.pop(digest, None)
             for e in delta["entries"]:
-                by_digest[e["file_id"]] = e
+                by_digest[e[0]] = e
             self.entries = [by_digest[d] for d in sorted(by_digest)]
         self.version = delta["version"]
         return True

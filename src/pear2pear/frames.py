@@ -1,17 +1,25 @@
-"""Protocol frames and their canonical wire encoding.
+"""Protocol frames and their canonical wire encoding (version 2).
 
-The encoding is deterministic: fixed-width big-endian integers, length-prefixed
-byte strings, dict keys sorted. Two frames with equal contents always encode to
-identical bytes, which golden-trace comparisons depend on. The decoder accepts
-only that encoding (bools are 0 or 1, dict keys strictly ascending), so every
-input it accepts re-encodes to the same bytes.
+A frame is its version byte and kind byte, then `src` and `dst` as unsigned
+varints, then the payload dict as one tagged value. A varint is base 128,
+least significant group first, with the high bit set on every byte but the
+last. In the payload an int is a zigzag varint (0, -1, 1, -2, ... travel as
+0, 1, 2, 3, ...), the length of a list, dict, str or bytes is an unsigned
+varint, a float is 8 bytes big-endian, a str is UTF-8 and dict keys are
+sorted. Payload ints must fit in a signed 64-bit int and `src` and `dst` in
+an unsigned one; the encoder raises WireError for anything else.
+
+The encoding is canonical: two frames with equal contents always encode to
+identical bytes. The decoder accepts only that encoding (every varint in its
+shortest form and below 2**64, bools 0 or 1, dict keys strictly ascending),
+so every input it accepts re-encodes to the same bytes.
 """
 
 import enum
 import struct
 from dataclasses import dataclass, field
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 
 class WireError(Exception):
@@ -61,6 +69,38 @@ _T_DICT = 0x05
 _T_BOOL = 0x06
 _T_FLOAT = 0x07
 
+_U64 = 1 << 64
+_I64 = 1 << 63
+
+
+def _put_uvarint(n: int, out: bytearray):
+    while n > 0x7F:
+        out.append(n & 0x7F | 0x80)
+        n >>= 7
+    out.append(n)
+
+
+def _get_uvarint(data: bytes, pos: int):
+    """The varint at `pos` and the position after it. Only the shortest form
+    of a value below 2**64 is accepted."""
+    value = shift = 0
+    while True:
+        if pos >= len(data):
+            raise WireError("truncated varint")
+        byte = data[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            break
+        shift += 7
+        if shift > 63:
+            raise WireError("over-long varint")
+    if byte == 0 and shift:
+        raise WireError("non-minimal varint")
+    if value >= _U64:
+        raise WireError("over-long varint")
+    return value, pos
+
 
 def _encode_value(value, out: bytearray):
     if value is None:
@@ -69,28 +109,30 @@ def _encode_value(value, out: bytearray):
         out.append(_T_BOOL)
         out.append(1 if value else 0)
     elif isinstance(value, int):
+        if not -_I64 <= value < _I64:
+            raise WireError(f"int {value} does not fit in 64 bits")
         out.append(_T_INT)
-        out += struct.pack(">q", value)
+        _put_uvarint(value << 1 if value >= 0 else ~value << 1 | 1, out)
     elif isinstance(value, float):
         out.append(_T_FLOAT)
         out += struct.pack(">d", value)
     elif isinstance(value, bytes):
         out.append(_T_BYTES)
-        out += struct.pack(">I", len(value))
+        _put_uvarint(len(value), out)
         out += value
     elif isinstance(value, str):
         raw = value.encode("utf-8")
         out.append(_T_STR)
-        out += struct.pack(">I", len(raw))
+        _put_uvarint(len(raw), out)
         out += raw
     elif isinstance(value, (list, tuple)):
         out.append(_T_LIST)
-        out += struct.pack(">I", len(value))
+        _put_uvarint(len(value), out)
         for item in value:
             _encode_value(item, out)
     elif isinstance(value, dict):
         out.append(_T_DICT)
-        out += struct.pack(">I", len(value))
+        _put_uvarint(len(value), out)
         for key in sorted(value):
             if not isinstance(key, str):
                 raise WireError(f"dict keys must be strings, got {key!r}")
@@ -114,12 +156,14 @@ def _decode_value(data: bytes, pos: int):
             raise WireError(f"bool byte must be 0 or 1, got {data[pos]}")
         return data[pos] == 1, pos + 1
     if tag == _T_INT:
-        return struct.unpack_from(">q", data, pos)[0], pos + 8
+        z, pos = _get_uvarint(data, pos)
+        return (~(z >> 1) if z & 1 else z >> 1), pos
     if tag == _T_FLOAT:
+        if pos + 8 > len(data):
+            raise WireError("truncated float")
         return struct.unpack_from(">d", data, pos)[0], pos + 8
     if tag in (_T_BYTES, _T_STR):
-        (n,) = struct.unpack_from(">I", data, pos)
-        pos += 4
+        n, pos = _get_uvarint(data, pos)
         raw = data[pos:pos + n]
         if len(raw) != n:
             raise WireError("truncated string")
@@ -130,16 +174,14 @@ def _decode_value(data: bytes, pos: int):
         except UnicodeDecodeError:
             raise WireError("string is not valid UTF-8")
     if tag == _T_LIST:
-        (n,) = struct.unpack_from(">I", data, pos)
-        pos += 4
+        n, pos = _get_uvarint(data, pos)
         items = []
         for _ in range(n):
             item, pos = _decode_value(data, pos)
             items.append(item)
         return items, pos
     if tag == _T_DICT:
-        (n,) = struct.unpack_from(">I", data, pos)
-        pos += 4
+        n, pos = _get_uvarint(data, pos)
         out = {}
         prev = None
         for _ in range(n):
@@ -159,13 +201,16 @@ def encode_frame(frame: Frame) -> bytes:
     out = bytearray()
     out.append(frame.version)
     out.append(int(frame.kind))
-    out += struct.pack(">QQ", frame.src, frame.dst)
+    for end in (frame.src, frame.dst):
+        if not 0 <= end < _U64:
+            raise WireError(f"device id {end} does not fit in 64 bits")
+        _put_uvarint(end, out)
     _encode_value(frame.payload, out)
     return bytes(out)
 
 
 def decode_frame(data: bytes) -> Frame:
-    if len(data) < 18:
+    if len(data) < 2:
         raise WireError("frame too short")
     version = data[0]
     if version != PROTOCOL_VERSION:
@@ -174,11 +219,10 @@ def decode_frame(data: bytes) -> Frame:
         kind = FrameKind(data[1])
     except ValueError:
         raise WireError(f"unknown frame kind {data[1]}")
-    src, dst = struct.unpack_from(">QQ", data, 2)
+    src, pos = _get_uvarint(data, 2)
+    dst, pos = _get_uvarint(data, pos)
     try:
-        payload, pos = _decode_value(data, 18)
-    except struct.error:
-        raise WireError("truncated frame")
+        payload, pos = _decode_value(data, pos)
     except RecursionError:
         raise WireError("payload nested too deeply")
     if pos != len(data):

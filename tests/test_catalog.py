@@ -81,10 +81,9 @@ def test_merge_adds_one_hop_per_jump():
 def test_merge_keeps_minimum_hops():
     fid = make_meta("song", b"tune", BS).file_id
     a = NetworkFileCatalog()
-    far = {"subnet": "NET-X", "entries": [{
-        "file_id": fid.digest, "names": ["song"], "size": 4, "block_count": 1,
-        "holders": 0, "remote": [{"subnet": "NET-C", "hops": 3, "holders": 1}],
-    }]}
+    far = {"subnet": "NET-X", "entries": [
+        [fid.digest, ["song"], 4, 1, 0, [["NET-C", 3, 1]]],
+    ]}
     a.merge_snapshot(far, via_gateway="NET-X", home_ssid="NET-A", now=0.0)
     assert a.entries[fid].remote["NET-C"].hops == 4
     a.merge_snapshot(_cat_with(("song", b"tune"), root=5).snapshot("NET-C"),
@@ -102,10 +101,9 @@ def test_merge_skips_records_about_home():
     fid = make_meta("song", b"tune", BS).file_id
     # neighbor knows our copy at hops 1; merging must not create a remote
     # record pointing back at ourselves
-    snap = {"subnet": "NET-B", "entries": [{
-        "file_id": fid.digest, "names": ["song"], "size": 4, "block_count": 1,
-        "holders": 0, "remote": [{"subnet": "NET-A", "hops": 1, "holders": 1}],
-    }]}
+    snap = {"subnet": "NET-B", "entries": [
+        [fid.digest, ["song"], 4, 1, 0, [["NET-A", 1, 1]]],
+    ]}
     a.merge_snapshot(snap, via_gateway="NET-B", home_ssid="NET-A", now=0.0)
     assert a.entries[fid].remote == {}
 
@@ -148,7 +146,7 @@ def test_drop_via_gateways():
 def test_snapshot_deterministic_and_sorted():
     cat = _cat_with(("z.txt", b"zz"), ("a.txt", b"aa"), ("m.txt", b"mm"))
     snap = cat.snapshot("NET-A")
-    ids = [e["file_id"] for e in snap["entries"]]
+    ids = [e[0] for e in snap["entries"]]
     assert ids == sorted(ids)
     assert snap == cat.snapshot("NET-A")
 
@@ -179,9 +177,8 @@ def test_delta_carries_a_holder_count_refresh():
     meta = make_meta("song", b"tune", BS)
 
     def far(holders):
-        return {"subnet": "NET-C", "entries": [{
-            "file_id": meta.file_id.digest, "names": ["song"], "size": meta.size,
-            "block_count": meta.block_count, "holders": holders, "remote": []}]}
+        return {"subnet": "NET-C", "entries": [
+            [meta.file_id.digest, ["song"], meta.size, meta.block_count, holders, []]]}
 
     a = NetworkFileCatalog()
     a.merge_snapshot(far(1), via_gateway="NET-C", home_ssid="NET-A", now=0.0)
@@ -189,7 +186,8 @@ def test_delta_carries_a_holder_count_refresh():
     assert held.apply(a.snapshot("NET-A", 0))
     a.merge_snapshot(far(2), via_gateway="NET-C", home_ssid="NET-A", now=1.0)
     delta = a.snapshot("NET-A", held.version)
-    assert [e["remote"][0]["holders"] for e in delta["entries"]] == [2]
+    # an entry's remote records are its last field, a record's holders its last
+    assert [e[-1][0][-1] for e in delta["entries"]] == [2]
     assert held.apply(delta)
     assert held.entries == a.snapshot("NET-A")["entries"]
 

@@ -32,17 +32,14 @@ def render(cat, home):
     entries = []
     for file_id in sorted(cat.entries):
         e = cat.entries[file_id]
-        entries.append({
-            "file_id": file_id.digest,
-            "names": sorted(e.meta.names),
-            "size": e.meta.size,
-            "block_count": e.meta.block_count,
-            "holders": len(e.holders),
-            "remote": [
-                {"subnet": s, "hops": r.hops, "holders": r.holder_count}
-                for s, r in sorted(e.remote.items())
-            ],
-        })
+        entries.append([
+            file_id.digest,
+            sorted(e.meta.names),
+            e.meta.size,
+            e.meta.block_count,
+            len(e.holders),
+            [[s, r.hops, r.holder_count] for s, r in sorted(e.remote.items())],
+        ])
     return {"subnet": home, "entries": entries}
 
 
@@ -72,18 +69,15 @@ peers = st.integers(1, 3)
 def raw_entries(draw):
     f = draw(files)
     meta = METAS[f][0]
-    return {
-        "file_id": meta.file_id.digest,
-        "names": sorted(draw(st.sets(st.sampled_from(NAMES[f]), min_size=1))),
-        "size": meta.size,
-        "block_count": meta.block_count,
-        "holders": draw(st.integers(0, 2)),
-        "remote": draw(st.lists(st.fixed_dictionaries({
-            "subnet": st.sampled_from(SUBNETS),
-            "hops": st.integers(1, 2),
-            "holders": st.integers(0, 2),
-        }), max_size=3)),
-    }
+    return [
+        meta.file_id.digest,
+        sorted(draw(st.sets(st.sampled_from(NAMES[f]), min_size=1))),
+        meta.size,
+        meta.block_count,
+        draw(st.integers(0, 2)),
+        draw(st.lists(st.tuples(st.sampled_from(SUBNETS), st.integers(1, 2),
+                                st.integers(0, 2)).map(list), max_size=3)),
+    ]
 
 
 steps = st.sampled_from(STEPS)
@@ -104,7 +98,7 @@ operations = st.one_of(
 def check_deltas(cat, snap, replicas, data):
     """`replicas` holds (version, snapshot) pairs of every earlier state."""
     assert len(cat._tombstones) <= len(cat.entries)
-    live = {e["file_id"] for e in snap["entries"]}
+    live = {e[0] for e in snap["entries"]}
     for since, then in replicas:
         delta = cat.snapshot(HOME, since)
         assert delta["version"] == cat._version

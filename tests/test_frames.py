@@ -6,6 +6,8 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
+from pear2pear.catalog import NetworkFileCatalog
+from pear2pear.core import make_meta
 from pear2pear.frames import (
     Frame, FrameKind, WireError, decode_frame, encode_frame,
 )
@@ -79,14 +81,107 @@ def test_round_trip_property(payload, src, dst):
     assert encode_frame(back) == encode_frame(frame)
 
 
+# --- pinned bytes -----------------------------------------------------------
+
+D = b"\xd1\x9e"  # stands in for a 32-byte digest
+
+# One small frame of each kind, src 300 and dst 1, with its exact encoding:
+# version 02, kind, src ac 02, dst 01, then the payload.
+PINNED = [
+    (FrameKind.JOIN_REQUEST, {"ssid": "N", "wants_catalog": True, "since": 3},
+     "0201ac02010503030573696e6365010603047373696403014e"
+     "030d77616e74735f636174616c6f670601"),
+    (FrameKind.JOIN_ACCEPT, {"ssid": "N", "root": 300},
+     "0202ac020105020304726f6f7401d80403047373696403014e"),
+    (FrameKind.JOIN_REJECT, {"ssid": "N"},
+     "0203ac0201050103047373696403014e"),
+    (FrameKind.FILE_LIST,
+     {"files": [{"file_id": D, "names": ["a"], "size": 5, "block_count": 1}], "removed": []},
+     "0204ac02010502030566696c657304010504030b626c6f636b5f636f756e740102030766696c655f69640202"
+     "d19e03056e616d65730401030161030473697a65010a030772656d6f7665640400"),
+    (FrameKind.SCAN_REPORT, {"visible": ["M"]},
+     "0205ac02010501030776697369626c65040103014d"),
+    (FrameKind.LEAVE_NOTICE, {}, "0206ac02010500"),
+    (FrameKind.PING, {}, "0207ac02010500"),
+    (FrameKind.PONG, {}, "0208ac02010500"),
+    (FrameKind.SEARCH_REQUEST, {"query": "a", "by": "name"},
+     "0209ac020105020302627903046e616d6503057175657279030161"),
+    (FrameKind.SEARCH_RESPONSE, {"ok": False, "results": [], "query": "a", "by": "name"},
+     "020aac020105040302627903046e616d6503026f6b0600030571756572790301610307726573756c74730400"),
+    (FrameKind.DOWNLOAD_REQUEST,
+     {"file_id": D, "session_id": "1-1", "origin": "1-1", "ttl": 2, "user": True},
+     "020bac02010505030766696c655f69640202d19e03066f726967696e0303312d31030a73657373696f6e5f"
+     "69640303312d31030374746c01040304757365720601"),
+    (FrameKind.SOURCE_LIST, {"ok": False, "session_id": "1-1", "reason": "notfound"},
+     "020cac0201050303026f6b06000306726561736f6e03086e6f74666f756e64030a73657373696f6e5f6964"
+     "0303312d31"),
+    (FrameKind.BLOCK_REQUEST, {"file_id": D, "index": 0, "session_id": "1-1"},
+     "020dac02010503030766696c655f69640202d19e0305696e6465780100030a73657373696f6e5f69640303"
+     "312d31"),
+    (FrameKind.BLOCK_RESPONSE,
+     {"ok": True, "file_id": D, "index": 1, "data": b"xy", "session_id": "1-1"},
+     "020eac0201050503046461746102027879030766696c655f69640202d19e0305696e646578010203026f6b"
+     "0601030a73657373696f6e5f69640303312d31"),
+    (FrameKind.CATALOG_SNAPSHOT,
+     {"snapshot": {"subnet": "N", "entries": [[D, ["a"], 5, 1, 1, [["M", 1, 2]]]],
+                   "removed": [], "version": 4, "base": 0},
+      "via": "N", "mission_id": ""},
+     "020fac02010503030a6d697373696f6e5f696403000308736e617073686f740505030462617365010003"
+     "07656e7472696573040104060202d19e0401030161010a010201020401040303014d0102010403077265"
+     "6d6f766564040003067375626e657403014e030776657273696f6e0108030376696103014e"),
+    (FrameKind.COURIER_ORDER, {"status": "failed", "mission_id": "1-2", "reason": "ttl"},
+     "0210ac02010503030a6d697373696f6e5f69640303312d320306726561736f6e030374746c03067374"
+     "6174757303066661696c6564"),
+    (FrameKind.WANTED_FILE, {"query": "a", "by": "name"},
+     "0211ac020105020302627903046e616d6503057175657279030161"),
+]
+
+
+def test_pinned_bytes_of_every_kind():
+    assert [kind for kind, _, _ in PINNED] == list(FrameKind)
+    for kind, payload, wire in PINNED:
+        frame = Frame(kind=kind, src=300, dst=1, payload=payload)
+        assert encode_frame(frame).hex() == wire, kind.name
+        assert decode_frame(bytes.fromhex(wire)) == frame
+
+
+# Each value as the one item of a payload {"v": value}: zigzag ints, varint
+# lengths, big-endian floats.
+PINNED_VALUES = [
+    (None, "00"), (True, "0601"), (False, "0600"),
+    (0, "0100"), (-1, "0101"), (1, "0102"), (63, "017e"), (-64, "017f"),
+    (64, "018001"), (-65, "018101"), (300, "01d804"),
+    (2**63 - 1, "01feffffffffffffffff01"), (-2**63, "01ffffffffffffffffff01"),
+    (1.5, "073ff8000000000000"),
+    (b"", "0200"), (b"\x00\xff", "020200ff"), ("é", "0302c3a9"), ("x" * 200, "03c801" + "78" * 200),
+    ([], "0400"), ([1, [2]], "0402010204010104"), ({}, "0500"),
+]
+
+
+@pytest.mark.parametrize("value, wire", PINNED_VALUES)
+def test_pinned_value_encodings(value, wire):
+    raw = encode_frame(Frame(kind=FrameKind.PING, src=1, dst=2, payload={"v": value}))
+    assert raw.hex() == "02070102" + "0501030176" + wire
+    assert decode_frame(raw).payload == {"v": value}
+
+
 # --- malformed input --------------------------------------------------------
 
-HEADER = encode_frame(Frame(kind=FrameKind.PING, src=1, dst=2))[:18]
+HEADER = bytes([2, FrameKind.PING, 1, 2])  # version, kind, src 1, dst 2
+
+
+def _str(s: bytes) -> bytes:
+    assert len(s) < 0x80  # a one-byte length
+    return b"\x03" + bytes([len(s)]) + s
 
 
 def _dict_of(key: bytes, value: bytes) -> bytes:
     """A frame whose payload is a one-item dict, from pre-encoded parts."""
-    return HEADER + b"\x05" + struct.pack(">I", 1) + key + value
+    return HEADER + b"\x05\x01" + key + value
+
+
+def test_header_layout():
+    assert encode_frame(Frame(kind=FrameKind.PING, src=1, dst=2)) == HEADER + b"\x05\x00"
 
 
 def test_truncated_bool_rejected():
@@ -102,7 +197,7 @@ def test_bad_utf8_rejected():
 
 
 def test_unhashable_dict_key_rejected():
-    empty_list = b"\x04" + struct.pack(">I", 0)
+    empty_list = b"\x04\x00"
     with pytest.raises(WireError):
         decode_frame(_dict_of(empty_list, b"\x00"))
 
@@ -110,8 +205,8 @@ def test_unhashable_dict_key_rejected():
 def test_non_string_dict_key_rejected():
     with pytest.raises(WireError):
         encode_frame(Frame(kind=FrameKind.PING, src=1, dst=2, payload={5: None}))
-    int_key = b"\x01" + struct.pack(">q", 5)
-    with pytest.raises(WireError):
+    int_key = b"\x01\x0a"  # 5, zigzagged
+    with pytest.raises(WireError, match="dict keys"):
         decode_frame(_dict_of(int_key, b"\x00"))
 
 
@@ -123,13 +218,9 @@ def test_bool_byte_other_than_0_or_1_rejected():
         decode_frame(bytes(raw))
 
 
-def _str(s: bytes) -> bytes:
-    return b"\x03" + struct.pack(">I", len(s)) + s
-
-
 def _dict_of_keys(*keys: bytes) -> bytes:
     """A frame whose payload maps each key, in the given order, to None."""
-    return (HEADER + b"\x05" + struct.pack(">I", len(keys))
+    return (HEADER + b"\x05" + bytes([len(keys)])
             + b"".join(_str(k) + b"\x00" for k in keys))
 
 
@@ -141,17 +232,62 @@ def test_dict_keys_out_of_order_or_repeated_rejected():
 
 
 def test_deep_nesting_rejected():
-    key = b"\x03" + struct.pack(">I", 1) + b"a"
-    nested = (b"\x04" + struct.pack(">I", 1)) * 5000 + b"\x00"
+    nested = b"\x04\x01" * 5000 + b"\x00"
     with pytest.raises(WireError):
-        decode_frame(_dict_of(key, nested))
+        decode_frame(_dict_of(_str(b"a"), nested))
 
 
-def _real_frames():
-    """The first frame of each kind emitted while running the shipped chain
-    and swarm scenarios, encoded."""
+def test_non_minimal_varint_rejected():
+    # 1 as src, as an int and as a dict length, each padded with a zero group
+    for raw in (b"\x02\x07\x81\x00\x02\x05\x00",
+                _dict_of(_str(b"a"), b"\x01\x82\x00"),
+                HEADER + b"\x05\x80\x00"):
+        with pytest.raises(WireError, match="non-minimal"):
+            decode_frame(raw)
+    assert decode_frame(_dict_of(_str(b"a"), b"\x01\x80\x01")).payload == {"a": 64}
+
+
+def test_over_long_varint_rejected():
+    eleven_bytes = b"\xff" * 10 + b"\x01"
+    two_to_the_64 = b"\x80" * 9 + b"\x02"
+    for varint in (eleven_bytes, two_to_the_64):
+        with pytest.raises(WireError, match="over-long"):
+            decode_frame(b"\x02\x07" + varint + b"\x02\x05\x00")
+        with pytest.raises(WireError, match="over-long"):
+            decode_frame(_dict_of(_str(b"a"), b"\x01" + varint))
+    largest = b"\xff" * 9 + b"\x01"
+    assert decode_frame(b"\x02\x07" + largest + b"\x02\x05\x00").src == 2**64 - 1
+
+
+def test_truncated_varint_rejected():
+    for raw in (b"\x02\x07\xac", b"\x02\x07\x01\xff\xff",
+                _dict_of(_str(b"a"), b"\x01\x80"), HEADER + b"\x05\x80"):
+        with pytest.raises(WireError, match="truncated varint"):
+            decode_frame(raw)
+
+
+def test_version_1_frame_rejected():
+    v1_ping = b"\x01\x07" + struct.pack(">QQ", 1, 2) + b"\x05" + struct.pack(">I", 0)
+    with pytest.raises(WireError, match="unsupported protocol version 1"):
+        decode_frame(v1_ping)
+
+
+def test_ints_beyond_64_bits_are_refused_by_the_encoder():
+    for payload in ({"n": 2**63}, {"n": -2**63 - 1}, {"n": [2**70]}):
+        with pytest.raises(WireError, match="64 bits"):
+            encode_frame(Frame(kind=FrameKind.PING, src=1, dst=2, payload=payload))
+    for src, dst in ((2**64, 1), (1, 2**64), (-1, 1)):
+        with pytest.raises(WireError, match="64 bits"):
+            encode_frame(Frame(kind=FrameKind.PING, src=src, dst=dst))
+
+
+# --- real frames ------------------------------------------------------------
+
+def _scenario_frames():
+    """The first frame of each kind emitted while running the shipped chain,
+    swarm and intra-subnet scenarios, encoded."""
     frames = {}
-    for name in ("chain.json", "swarm.json"):
+    for name in ("chain.json", "swarm.json", "intra_subnet.json"):
         sc = load_scenario(str(SCENARIOS / name))
         world = build_world(sc)
         world.metrics.on_frame_emit = lambda f: frames.setdefault(f.kind, encode_frame(f))
@@ -159,7 +295,27 @@ def _real_frames():
     return [frames[k] for k in sorted(frames)]
 
 
-REAL_FRAMES = _real_frames()
+def _built_frames():
+    """The kinds the scenarios do not emit, and a catalog snapshot whose
+    entries carry local holders and a remote record, built by hand."""
+    near = NetworkFileCatalog.init_from(1, [make_meta("a.txt", b"aaa", 16)])
+    far = NetworkFileCatalog.init_from(5, [make_meta("a.txt", b"aaa", 16),
+                                           make_meta("song", b"tune", 16)])
+    near.merge_snapshot(far.snapshot("NET-C"), via_gateway="NET-C", home_ssid="NET-A", now=0.0)
+    snapshot = {"snapshot": near.snapshot("NET-A", 0), "via": "NET-A", "mission_id": "1-7"}
+    assert [len(e[-1]) for e in snapshot["snapshot"]["entries"]] == [1, 1]
+    return [encode_frame(f) for f in (
+        Frame(FrameKind.JOIN_REJECT, 2**64 - 1, 300, {"ssid": "P2P-FFFFFFFFFFFFFFFF-0000002A"}),
+        Frame(FrameKind.WANTED_FILE, 1, 4, {"query": "album.ogg", "by": "name"}),
+        Frame(FrameKind.CATALOG_SNAPSHOT, 1, 2**40, snapshot),
+    )]
+
+
+REAL_FRAMES = _scenario_frames() + _built_frames()
+
+
+def test_real_frames_cover_every_kind():
+    assert {decode_frame(raw).kind for raw in REAL_FRAMES} == set(FrameKind)
 
 
 def _decodes_or_wire_error(data):
@@ -170,6 +326,19 @@ def _decodes_or_wire_error(data):
     except WireError:
         return
     assert encode_frame(frame) == data
+
+
+def test_every_truncation_and_flip_of_real_frames():
+    # 0x80 flips a varint's continuation bit
+    for raw in REAL_FRAMES:
+        for cut in range(len(raw)):
+            with pytest.raises(WireError):
+                decode_frame(raw[:cut])
+        for pos in range(len(raw)):
+            for mask in (0x01, 0x7F, 0x80, 0xFF):
+                flipped = bytearray(raw)
+                flipped[pos] ^= mask
+                _decodes_or_wire_error(bytes(flipped))
 
 
 @given(st.sampled_from(REAL_FRAMES), st.integers(min_value=0))
