@@ -29,21 +29,71 @@ invariants:
   read-only.
 - `_by_digest` holds the same entries as `entries`, keyed by digest bytes,
   so a merge finds an entry without building a `FileId`.
+
+The merge gives the result of walking the gateway's whole mirror, entry by
+entry in digest order: a record not known or offered at fewer hops is
+replaced, one offered at equal hops takes the offered holder count and the
+merging gateway, and every record so touched is refreshed. It reads only
+the entries that walk could change:
+
+- Each gateway has one `Stamp`, its latest merge: the catalog's merge count
+  then and the time. A record's `offers` holds the stamps of the gateways
+  whose mirror offers it at exactly its hops and holder count, and `left`
+  the latest touch from a gateway that since stopped offering it. Its
+  `gateway` and `last_refresh` are those of the latest of these, so a merge
+  refreshes every record its gateway offers by moving one stamp.
+- A merge re-reads the entries of the delta, the digests it removed and
+  the digests flagged for its gateway, in digest order, so that every
+  `_changed` comes in the order of the walk. A digest is flagged for every
+  gateway when one of its records is dropped (the walk would bring the
+  record back), and for the offering gateways whose holder count another
+  merge replaced (the walk would put theirs back).
+- A gateway's snapshot lists each subnet once per entry, and its mirror
+  changes only by the deltas merged through it. `drop_via_gateways` forgets
+  what the dropped gateways offered, with their mirrors.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 
 from .core import FileId, FileMeta
+
+
+@dataclass(slots=True, eq=False)
+class Stamp:
+    """A merge through `gateway`: the catalog's merge count then, and its time."""
+    gateway: str
+    seq: int
+    time: float
+
+
+_seq = attrgetter("seq")
 
 
 @dataclass(slots=True)
 class RemoteRecord:
     subnet: str          # rendered SSID of the subnet holding copies
     hops: int            # inter-subnet distance from here (>= 1)
-    gateway: str         # adjacent subnet on the shortest known path
     holder_count: int
-    last_refresh: float
+    offers: tuple = ()   # live stamps of the gateways offering exactly this
+    left: Stamp | None = None  # latest touch from a gateway no longer offering it
+
+    def _latest(self) -> Stamp:
+        if self.left is None:
+            return max(self.offers, key=_seq)
+        return max(self.offers + (self.left,), key=_seq)
+
+    @property
+    def gateway(self) -> str:
+        """Adjacent subnet on the shortest known path: the gateway of the
+        latest merge that touched this record."""
+        return self._latest().gateway
+
+    @property
+    def last_refresh(self) -> float:
+        return self._latest().time
 
 
 @dataclass(slots=True)
@@ -63,6 +113,10 @@ class NetworkFileCatalog:
         self._version = 0  # bumped by every change a snapshot shows
         self._tombstones: dict[bytes, int] = {}  # dropped digest -> version, oldest first
         self._floor = 0  # the version of the newest tombstone pruned
+        self._merges = 0  # orders the stamps
+        self._stamps: dict[str, Stamp] = {}  # gateway -> its latest merge
+        self._flags: dict[str, set] = {}  # gateway -> digests its next merge re-reads
+        self._shared: dict[tuple, tuple] = {}  # each record's offers, kept once
 
     @classmethod
     def init_from(cls, root_id: int, metas) -> "NetworkFileCatalog":
@@ -127,25 +181,37 @@ class NetworkFileCatalog:
         for entry in list(self.entries.values()):
             self._drop_holder_from(entry, peer)
 
-    def _drop_records(self, stale) -> None:
-        """Delete the remote records for which `stale(record)` holds, and
-        entries left with neither holders nor records."""
-        for entry in list(self.entries.values()):
-            gone = [s for s, r in entry.remote.items() if stale(r)]
-            if gone:
-                for subnet in gone:
-                    del entry.remote[subnet]
-                self._changed(entry)
-                self._drop_if_empty(entry)
+    def _drop_records(self, entry: CatalogEntry, subnets) -> None:
+        """Delete these remote records of `entry`, and the entry if that
+        leaves it with neither holders nor records."""
+        for subnet in subnets:
+            del entry.remote[subnet]
+        for flags in self._flags.values():  # each gateway's walk would bring them back
+            flags.add(entry.meta.file_id.digest)
+        self._changed(entry)
+        self._drop_if_empty(entry)
 
     def expire_remote(self, now: float, ttl: float) -> None:
         # `now - t` falls as t rises, so no record is stale unless the
         # oldest possible one is.
         if now - self._oldest < ttl:
             return
-        self._drop_records(lambda r: now - r.last_refresh >= ttl)
-        self._oldest = min((r.last_refresh for e in self.entries.values()
-                            for r in e.remote.values()), default=math.inf)
+        oldest = math.inf
+        refreshed = {}  # (offers, left) -> last_refresh: records share both
+        for entry in list(self.entries.values()):
+            stale = []
+            for subnet, r in entry.remote.items():
+                key = r.offers, r.left
+                t = refreshed.get(key)
+                if t is None:
+                    t = refreshed[key] = r.last_refresh
+                if now - t >= ttl:
+                    stale.append(subnet)
+                elif t < oldest:
+                    oldest = t
+            if stale:
+                self._drop_records(entry, stale)
+        self._oldest = oldest
 
     def lookup_name(self, name: str) -> list:
         return sorted(fid for fid, e in self.entries.items() if name in e.meta.names)
@@ -182,69 +248,142 @@ class NetworkFileCatalog:
             out.append(e.wire)
         return out
 
-    def merge_snapshot(self, snap: dict, via_gateway: str, home_ssid: str, now: float) -> None:
-        """Fold a courier-fetched snapshot in, adding one hop per jump and
-        keeping the minimum-hop record per (file, subnet). Local holders are
-        never touched."""
-        origin = snap["subnet"]
-        from_home = origin == home_ssid
+    def merge_snapshot(self, changes: dict, via_gateway: str, home_ssid: str, now: float,
+                       offered: list) -> None:
+        """Fold in a courier-fetched catalog, adding one hop per jump and
+        keeping the minimum-hop record per (file, subnet). `changes` is what
+        `Mirror.apply` returned for the mirror of `via_gateway`, and `offered`
+        that mirror's entries now. Local holders are never touched."""
         self._oldest = min(self._oldest, now)
-        for digest, names, size, block_count, holders, records in snap["entries"]:
-            candidates = [(origin, 1, holders)] if holders > 0 and not from_home else []
+        stamp = self._stamps.get(via_gateway)
+        if stamp is None:
+            stamp = self._stamps[via_gateway] = Stamp(via_gateway, 0, now)
+            self._flags[via_gateway] = set()
+        before = Stamp(via_gateway, stamp.seq, stamp.time)
+        self._merges += 1
+        stamp.seq, stamp.time = self._merges, now
+        todo = {e[0]: e for e in changes["entries"]}
+        todo.update(dict.fromkeys(changes["removed"]))
+        for digest in self._flags[via_gateway]:
+            if digest not in todo:
+                i, found = _find(offered, digest)
+                todo[digest] = offered[i] if found else None
+        self._flags[via_gateway] = set()
+        for digest in sorted(todo):
+            self._offer(digest, todo[digest], changes["subnet"], stamp, before, home_ssid)
+
+    def _share(self, offers: tuple) -> tuple:
+        """Records offered by the same gateways share one tuple."""
+        return self._shared.setdefault(offers, offers)
+
+    def _offer(self, digest, raw, origin, stamp, before, home_ssid) -> None:
+        """Walk one entry of the catalog merged through `stamp`'s gateway, or
+        its absence (`raw` None). `before` is that gateway's previous merge."""
+        candidates = []
+        if raw is not None:
+            _, names, size, block_count, holders, records = raw
+            if holders > 0 and origin != home_ssid:
+                candidates.append((origin, 1, holders))
             candidates += [(subnet, hops + 1, count)
                            for subnet, hops, count in records if subnet != home_ssid]
-            if not candidates:
-                continue
-            entry = self._by_digest.get(digest)
-            if entry is None:
-                entry = self._entry(FileMeta(FileId(digest), set(names), size, block_count))
-            else:
-                self._add_names(entry, names)
-            remote = entry.remote
-            for subnet, hops, count in candidates:
-                existing = remote.get(subnet)
-                if existing is None or hops < existing.hops:
-                    remote[subnet] = RemoteRecord(subnet, hops, via_gateway, count, now)
+        entry = self._by_digest.get(digest)
+        if entry is not None:
+            for subnet, r in entry.remote.items():  # what it no longer offers as is
+                if stamp in r.offers and (subnet, r.hops, r.holder_count) not in candidates:
+                    r.offers = self._share(tuple(s for s in r.offers if s is not stamp))
+                    if r.left is None or r.left.seq < before.seq:
+                        r.left = before
+        if not candidates:
+            return
+        if entry is None:
+            entry = self._entry(FileMeta(FileId(digest), set(names), size, block_count))
+        else:
+            self._add_names(entry, names)
+        remote = entry.remote
+        for subnet, hops, count in candidates:
+            existing = remote.get(subnet)
+            if existing is None or hops < existing.hops:
+                remote[subnet] = RemoteRecord(subnet, hops, count, self._share((stamp,)))
+                self._changed(entry)
+            elif hops == existing.hops:
+                if existing.holder_count != count:
+                    existing.holder_count = count
                     self._changed(entry)
-                elif hops == existing.hops:
-                    if existing.holder_count != count:
-                        existing.holder_count = count
-                        self._changed(entry)
-                    existing.gateway = via_gateway
-                    existing.last_refresh = now
-                # hops > existing.hops: minimum retained, not refreshed
+                    for other in existing.offers:
+                        if other is not stamp:  # its merge puts its count back
+                            self._flags[other.gateway].add(digest)
+                    existing.offers = self._share((stamp,))
+                elif stamp not in existing.offers:
+                    existing.offers = self._share(existing.offers + (stamp,))
+            # hops > existing.hops: minimum retained, not refreshed
 
     def drop_via_gateways(self, gateways: set) -> None:
-        """Remove remote records routed through now-unreachable gateways."""
-        self._drop_records(lambda r: r.gateway in gateways)
+        """Remove remote records routed through now-unreachable gateways, and
+        forget what those gateways offered: their mirrors went with them."""
+        gone = {self._stamps.pop(g) for g in gateways if g in self._stamps}
+        for g in gateways:
+            self._flags.pop(g, None)
+        self._shared = {t: t for t in self._shared if gone.isdisjoint(t)}
+        for entry in list(self.entries.values()):
+            dropped = [s for s, r in entry.remote.items() if r.gateway in gateways]
+            if dropped:
+                self._drop_records(entry, dropped)
+            for r in entry.remote.values():
+                if not gone.isdisjoint(r.offers):
+                    r.offers = self._share(tuple(s for s in r.offers if s not in gone))
+
+
+_digest = itemgetter(0)
+
+
+def _find(entries: list, digest: bytes) -> tuple:
+    """Where `digest` is, or would go, in a digest-sorted entry list, and
+    whether it is there."""
+    i = bisect_left(entries, digest, key=_digest)
+    return i, i < len(entries) and entries[i][0] == digest
 
 
 @dataclass
 class Mirror:
     """A neighbour root's catalog as this root last merged it: the version
-    it was cut at and its snapshot entries in digest order (shared lists,
-    read-only)."""
+    it was cut at (0 asks for a full dump) and its snapshot entries in
+    digest order (shared lists, read-only; the list itself is the mirror's)."""
     version: int = 0
     entries: list = field(default_factory=list)
 
-    def apply(self, delta: dict) -> bool:
-        """Bring the mirror to the version of `delta`, a `snapshot(..., since)`.
-        Returns False, changing nothing, when the delta was cut against a
-        version other than this mirror's and is not a full dump."""
-        base = delta["base"]
+    def apply(self, delta: dict) -> dict | None:
+        """Bring the mirror to the version of `delta`, a `snapshot(..., since)`,
+        and return what changed: the `subnet`, the `entries` that are new or
+        differ, and the digests `removed`. Returns None, changing nothing,
+        when the delta was cut against a version other than this mirror's
+        and is not a full dump. A full dump is compared with the entries
+        held, which a refused delta leaves in place."""
+        base, entries = delta["base"], self.entries
         if base == 0:
-            self.entries = delta["entries"]
+            held = {e[0]: e for e in entries}
+            self.entries = list(delta["entries"])
+            changed = [e for e in self.entries if held.pop(e[0], None) != e]
+            removed = list(held)
         elif base != self.version:
-            return False
-        elif delta["entries"] or delta["removed"]:
-            by_digest = {e[0]: e for e in self.entries}
+            return None
+        else:
+            changed, removed = [], []
             for digest in delta["removed"]:  # some were added after the base
-                by_digest.pop(digest, None)
+                i, found = _find(entries, digest)
+                if found:
+                    del entries[i]
+                    removed.append(digest)
             for e in delta["entries"]:
-                by_digest[e[0]] = e
-            self.entries = [by_digest[d] for d in sorted(by_digest)]
+                i, found = _find(entries, e[0])
+                if not found:
+                    entries.insert(i, e)
+                elif entries[i] == e:
+                    continue
+                else:
+                    entries[i] = e
+                changed.append(e)
         self.version = delta["version"]
-        return True
+        return {"subnet": delta["subnet"], "entries": changed, "removed": removed}
 
 
 @dataclass

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from . import core, routing, transfer
 from .actions import HopTo, Note, RequestScan, Send, StartTimer
-from .catalog import Mirror, NetworkFileCatalog, SubnetCatalog
+from .catalog import NetworkFileCatalog, SubnetCatalog
 from .core import FileId, FileMeta, parse_ssid, render_ssid
 from .frames import PROTOCOL_VERSION, Frame, FrameKind as K
 from .params import Params
@@ -381,13 +381,13 @@ class Node:
                 # its records would route through a gateway this root no
                 # longer lists, and its mirror went with the neighbour
                 return
-            if not info.mirror.apply(payload["snapshot"]):
+            changes = info.mirror.apply(payload["snapshot"])
+            if changes is None:
                 # cut against a version this root no longer holds: the next
-                # order asks for a full dump
-                info.mirror = Mirror()
+                # order asks for a full dump, compared with the entries held
+                info.mirror.version = 0
                 return
-            self.catalog.merge_snapshot({"subnet": order.target, "entries": info.mirror.entries},
-                                        payload["via"], self.ssid, now)
+            self.catalog.merge_snapshot(changes, payload["via"], self.ssid, now, info.mirror.entries)
             out.append(Note("catalog-merge", {"via": payload["via"]}))
 
     # search and wanted -----------------------------------------------------

@@ -9,6 +9,7 @@ touches the merge logic.
 import random
 from collections import deque
 
+from pear2pear.catalog import Mirror
 from pear2pear.frames import FrameKind
 from pear2pear.node import MEMBER, ROOT
 from pear2pear.params import Params
@@ -141,3 +142,12 @@ def courier_reports(frames):
 
 def random_content(seed, size):
     return random.Random(seed).randbytes(size)
+
+
+def merge_whole(cat, snap, via_gateway, home_ssid, now, mirror=None):
+    """Merge a whole snapshot of a neighbour's catalog into `cat` as a root
+    does: as a full dump into `mirror`, the root's mirror of `via_gateway`,
+    or into a new one for the gateway's first merge."""
+    mirror = Mirror() if mirror is None else mirror
+    changes = mirror.apply({**snap, "base": 0, "version": mirror.version + 1})
+    cat.merge_snapshot(changes, via_gateway, home_ssid, now, mirror.entries)

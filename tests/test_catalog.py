@@ -3,6 +3,8 @@
 from pear2pear.catalog import Mirror, NetworkFileCatalog, SubnetCatalog
 from pear2pear.core import make_meta
 
+from helpers import merge_whole
+
 BS = 16
 
 
@@ -58,7 +60,7 @@ def test_drop_holder_keeps_entries_with_remote_copies():
     cat = _cat_with(("a.txt", b"x"))
     fid = make_meta("a.txt", b"x", BS).file_id
     snap = _cat_with(("a.txt", b"x"), root=9).snapshot("NET-B")
-    cat.merge_snapshot(snap, via_gateway="NET-B", home_ssid="NET-A", now=0.0)
+    merge_whole(cat, snap, via_gateway="NET-B", home_ssid="NET-A", now=0.0)
     cat.drop_holder(1)
     assert fid in cat.entries
     assert not cat.entries[fid].holders
@@ -68,10 +70,10 @@ def test_drop_holder_keeps_entries_with_remote_copies():
 def test_merge_adds_one_hop_per_jump():
     # C holds the file; B merged C's snapshot; A merges B's.
     b = NetworkFileCatalog()
-    b.merge_snapshot(_cat_with(("song", b"tune"), root=5).snapshot("NET-C"),
-                     via_gateway="NET-C", home_ssid="NET-B", now=0.0)
+    merge_whole(b, _cat_with(("song", b"tune"), root=5).snapshot("NET-C"),
+                via_gateway="NET-C", home_ssid="NET-B", now=0.0)
     a = NetworkFileCatalog()
-    a.merge_snapshot(b.snapshot("NET-B"), via_gateway="NET-B", home_ssid="NET-A", now=0.0)
+    merge_whole(a, b.snapshot("NET-B"), via_gateway="NET-B", home_ssid="NET-A", now=0.0)
     fid = make_meta("song", b"tune", BS).file_id
     rec = a.entries[fid].remote["NET-C"]
     assert rec.hops == 2
@@ -84,13 +86,14 @@ def test_merge_keeps_minimum_hops():
     far = {"subnet": "NET-X", "entries": [
         [fid.digest, ["song"], 4, 1, 0, [["NET-C", 3, 1]]],
     ]}
-    a.merge_snapshot(far, via_gateway="NET-X", home_ssid="NET-A", now=0.0)
+    x = Mirror()
+    merge_whole(a, far, via_gateway="NET-X", home_ssid="NET-A", now=0.0, mirror=x)
     assert a.entries[fid].remote["NET-C"].hops == 4
-    a.merge_snapshot(_cat_with(("song", b"tune"), root=5).snapshot("NET-C"),
-                     via_gateway="NET-C", home_ssid="NET-A", now=1.0)
+    merge_whole(a, _cat_with(("song", b"tune"), root=5).snapshot("NET-C"),
+                via_gateway="NET-C", home_ssid="NET-A", now=1.0)
     assert a.entries[fid].remote["NET-C"].hops == 1
     # a longer path later must not displace the shorter one
-    a.merge_snapshot(far, via_gateway="NET-X", home_ssid="NET-A", now=2.0)
+    merge_whole(a, far, via_gateway="NET-X", home_ssid="NET-A", now=2.0, mirror=x)
     rec = a.entries[fid].remote["NET-C"]
     assert rec.hops == 1
     assert rec.last_refresh == 1.0
@@ -104,15 +107,15 @@ def test_merge_skips_records_about_home():
     snap = {"subnet": "NET-B", "entries": [
         [fid.digest, ["song"], 4, 1, 0, [["NET-A", 1, 1]]],
     ]}
-    a.merge_snapshot(snap, via_gateway="NET-B", home_ssid="NET-A", now=0.0)
+    merge_whole(a, snap, via_gateway="NET-B", home_ssid="NET-A", now=0.0)
     assert a.entries[fid].remote == {}
 
 
 def test_remote_ttl_expiry():
     a = NetworkFileCatalog()
     fid = make_meta("song", b"tune", BS).file_id
-    a.merge_snapshot(_cat_with(("song", b"tune"), root=5).snapshot("NET-C"),
-                     via_gateway="NET-C", home_ssid="NET-A", now=10.0)
+    merge_whole(a, _cat_with(("song", b"tune"), root=5).snapshot("NET-C"),
+                via_gateway="NET-C", home_ssid="NET-A", now=10.0)
     a.expire_remote(now=69.0, ttl=60.0)
     assert fid in a.entries
     a.expire_remote(now=70.0, ttl=60.0)
@@ -122,11 +125,11 @@ def test_remote_ttl_expiry():
 def test_expiry_after_a_partial_sweep():
     # records refreshed at 0, 10 and 30; the sweep at 60 removes only the
     # first, and the one from 10 must still expire at 70
-    a = NetworkFileCatalog()
+    a, c = NetworkFileCatalog(), Mirror()
     fids = []
     for t, content in ((0.0, b"zero"), (10.0, b"ten"), (30.0, b"thirty")):
-        a.merge_snapshot(_cat_with(("f", content), root=5).snapshot("NET-C"),
-                         via_gateway="NET-C", home_ssid="NET-A", now=t)
+        merge_whole(a, _cat_with(("f", content), root=5).snapshot("NET-C"),
+                    via_gateway="NET-C", home_ssid="NET-A", now=t, mirror=c)
         fids.append(make_meta("f", content, BS).file_id)
     a.expire_remote(now=60.0, ttl=60.0)
     assert set(a.entries) == set(fids[1:])
@@ -137,8 +140,8 @@ def test_expiry_after_a_partial_sweep():
 def test_drop_via_gateways():
     a = NetworkFileCatalog()
     fid = make_meta("song", b"tune", BS).file_id
-    a.merge_snapshot(_cat_with(("song", b"tune"), root=5).snapshot("NET-C"),
-                     via_gateway="NET-B", home_ssid="NET-A", now=0.0)
+    merge_whole(a, _cat_with(("song", b"tune"), root=5).snapshot("NET-C"),
+                via_gateway="NET-B", home_ssid="NET-A", now=0.0)
     a.drop_via_gateways({"NET-B"})
     assert fid not in a.entries
 
@@ -180,11 +183,11 @@ def test_delta_carries_a_holder_count_refresh():
         return {"subnet": "NET-C", "entries": [
             [meta.file_id.digest, ["song"], meta.size, meta.block_count, holders, []]]}
 
-    a = NetworkFileCatalog()
-    a.merge_snapshot(far(1), via_gateway="NET-C", home_ssid="NET-A", now=0.0)
+    a, c = NetworkFileCatalog(), Mirror()
+    merge_whole(a, far(1), via_gateway="NET-C", home_ssid="NET-A", now=0.0, mirror=c)
     held = Mirror()
     assert held.apply(a.snapshot("NET-A", 0))
-    a.merge_snapshot(far(2), via_gateway="NET-C", home_ssid="NET-A", now=1.0)
+    merge_whole(a, far(2), via_gateway="NET-C", home_ssid="NET-A", now=1.0, mirror=c)
     delta = a.snapshot("NET-A", held.version)
     # an entry's remote records are its last field, a record's holders its last
     assert [e[-1][0][-1] for e in delta["entries"]] == [2]

@@ -1,10 +1,11 @@
 """Versioned catalog deltas in the simulator.
 
 A catalog courier carries only the entries its target root changed since
-the version the courier's home root last merged, and the home root rebuilds
-the target's whole catalog from its mirror before merging. On the tiny
-generated workloads, every merge must see exactly the snapshot the target
-would have sent whole when the delta was cut.
+the version the courier's home root last merged, and the home root merges
+only what changed in its mirror of the target. On the tiny generated
+workloads, every mirror must hold exactly the snapshot the target would have
+sent whole when the delta was cut, and every merge must leave the home
+catalog as a full walk of that snapshot would.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from pear2pear.catalog import Mirror, NetworkFileCatalog
 from pear2pear.scenario import build_world, parse_scenario
 
 from helpers import make_world, star, trace_events
+from reference_catalog import shadow, state
 from test_golden_generated import SEED, TINY, workloads
 
 
@@ -21,7 +23,7 @@ def test_merges_see_the_full_snapshot_of_the_cut(name, monkeypatch):
     full_at = {}   # (subnet, version) -> the full snapshot entries then
     deltas = []
     applied = []   # (subnet, version) of each mirror brought up to date
-    merged = []
+    merged = []    # entries each merge read as changed
     snapshot, apply, merge = (NetworkFileCatalog.snapshot, Mirror.apply,
                               NetworkFileCatalog.merge_snapshot)
 
@@ -33,15 +35,20 @@ def test_merges_see_the_full_snapshot_of_the_cut(name, monkeypatch):
         return out
 
     def checked_apply(self, delta):
-        ok = apply(self, delta)
-        assert ok, "delta cut against a version the home root does not hold"
+        changes = apply(self, delta)
+        assert changes is not None, "delta cut against a version the home root does not hold"
         applied.append((delta["subnet"], delta["version"]))
-        return ok
+        return changes
 
-    def checked_merge(self, snap, via_gateway, home_ssid, now):
-        assert snap["entries"] == full_at[applied[-1]]
-        merged.append(len(snap["entries"]))
-        return merge(self, snap, via_gateway, home_ssid, now)
+    def checked_merge(self, changes, via_gateway, home_ssid, now, offered):
+        assert offered == full_at[applied[-1]]
+        walked = shadow(self)
+        walked.merge_snapshot({"subnet": changes["subnet"], "entries": offered},
+                              via_gateway, home_ssid, now)
+        merge(self, changes, via_gateway, home_ssid, now, offered)
+        assert state(self) == state(walked)
+        assert snapshot(self, home_ssid) == snapshot(walked, home_ssid)
+        merged.append(len(changes["entries"]))
 
     monkeypatch.setattr(NetworkFileCatalog, "snapshot", cut)
     monkeypatch.setattr(Mirror, "apply", checked_apply)
@@ -58,7 +65,7 @@ def test_merges_see_the_full_snapshot_of_the_cut(name, monkeypatch):
         assert d["entries"] == [] and d["removed"] == []
     shipped = sum(len(d["entries"]) for _, d in deltas)
     whole = sum(len(full_at[d["subnet"], d["version"]]) for _, d in deltas)
-    assert shipped < whole
+    assert sum(merged) <= shipped < whole
 
 
 def test_a_mirror_goes_with_its_neighbour():

@@ -13,6 +13,8 @@ from pear2pear.frames import (
 )
 from pear2pear.scenario import build_world, load_scenario
 
+from helpers import merge_whole
+
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
@@ -301,7 +303,7 @@ def _built_frames():
     near = NetworkFileCatalog.init_from(1, [make_meta("a.txt", b"aaa", 16)])
     far = NetworkFileCatalog.init_from(5, [make_meta("a.txt", b"aaa", 16),
                                            make_meta("song", b"tune", 16)])
-    near.merge_snapshot(far.snapshot("NET-C"), via_gateway="NET-C", home_ssid="NET-A", now=0.0)
+    merge_whole(near, far.snapshot("NET-C"), via_gateway="NET-C", home_ssid="NET-A", now=0.0)
     snapshot = {"snapshot": near.snapshot("NET-A", 0), "via": "NET-A", "mission_id": "1-7"}
     assert [len(e[-1]) for e in snapshot["snapshot"]["entries"]] == [1, 1]
     return [encode_frame(f) for f in (
