@@ -6,7 +6,7 @@ simulation time and return a list of actions (frames to send, hops, timers,
 trace notes) for the host to execute; nodes never touch the world directly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import core, routing, transfer
 from .actions import HopTo, Note, RequestScan, Send, StartTimer
@@ -23,8 +23,11 @@ ROOT = "root"
 
 @dataclass
 class MembershipRecord:
+    """A member as its root knows it. `away` is the order it is out on; an
+    away member is never purged, so no order vanishes with its record."""
     last_seen: float
     leaving_since: float | None = None
+    away: transfer.CourierMission | None = None
 
 
 @dataclass
@@ -37,11 +40,11 @@ class WantedEntry:
 
 @dataclass
 class FileRequest:
-    """One file request at its root: the file orders still out for it, one
-    for a single courier or one per block range for a swarm. A swarm may
-    replace one lost courier; a single courier is not replaced."""
+    """One file request at its root, served by a single courier or by a
+    swarm of one per block range: its orders are those its members are away
+    on with its session id. A swarm may replace one lost courier; a single
+    courier is not replaced."""
     requester: int
-    pending: set = field(default_factory=set)   # mission ids
     reassigned: bool = False
 
 
@@ -89,7 +92,6 @@ class Node:
         self.members: dict[int, MembershipRecord] = {}
         self.catalog: NetworkFileCatalog | None = None
         self.subnets: SubnetCatalog | None = None
-        self.outstanding: dict[str, transfer.CourierMission] = {}
         self.wanted: dict[str, WantedEntry] = {}
         self.requests: dict[str, FileRequest] = {}  # by the request's session id
         self._courier_cycle_n = 0
@@ -228,8 +230,10 @@ class Node:
 
     # kernel: membership ----------------------------------------------------
 
-    def _active_members(self):
-        return [p for p, r in sorted(self.members.items()) if r.leaving_since is None]
+    def _here(self, peer):
+        """This root, or a member neither leaving nor away on an order."""
+        rec = self.members.get(peer)
+        return peer == self.device or rec and rec.leaving_since is None and rec.away is None
 
     def _h_join_request(self, now, src, payload, out):
         if self.role != ROOT or payload.get("ssid") != self.ssid:
@@ -238,8 +242,7 @@ class Node:
         rec = self.members.get(src)
         if rec is not None:
             rec.leaving_since = None
-            rec.last_seen = now
-        elif len(self._active_members()) < self.p.max_members:
+        elif sum(r.leaving_since is None for r in self.members.values()) < self.p.max_members:
             self.members[src] = MembershipRecord(now)
             out.append(Note("admit", {"peer": src}))
         else:
@@ -336,6 +339,7 @@ class Node:
         rec = self.members.get(src)
         if rec is None or rec.leaving_since is not None:
             return
+        self._lose_order(now, src, out)
         rec.leaving_since = now
         self.subnets.drop_peer(src)
         self._after(out, self.p.leave_countdown, self._t_leave_countdown, src, now)
@@ -356,17 +360,16 @@ class Node:
     def _h_file_list(self, now, src, payload, out):
         if self.role != ROOT or src not in self.members:
             return
+        # an away member lists files only for a new membership (a courier back reports first)
+        self._lose_order(now, src, out)
         added = [self._meta_from_payload(raw) for raw in payload.get("files", [])]
         removed = [FileId(d) for d in payload.get("removed", [])]
         self.catalog.apply_file_change(src, added, removed)
         self._check_wanted(now, added, out)
 
     def _h_scan_report(self, now, src, payload, out):
-        if self.role != ROOT or src not in self.members:
-            return
-        if self.members[src].leaving_since is not None:
-            return
-        self.subnets.report_scan(src, payload.get("visible", []), now)
+        if self.role == ROOT and self._here(src):
+            self.subnets.report_scan(src, payload.get("visible", []), now)
 
     def _h_catalog_snapshot(self, now, src, payload, out):
         m = self.mission
@@ -375,7 +378,7 @@ class Node:
             self._leave_target(now, out)
             return
         if self.role == ROOT:
-            order = self.outstanding.pop(payload.get("mission_id", ""), None)
+            order = self._end_order(src, payload.get("mission_id", ""))
             info = order and self.subnets.neighbors.get(order.target)
             if info is None:
                 # its records would route through a gateway this root no
@@ -456,7 +459,7 @@ class Node:
             return
         entry.emitted += 1
         out.append(Note("wanted-emit", {"key": key, "n": entry.emitted}))
-        for peer in self._active_members():
+        for peer in filter(self._here, sorted(self.members)):
             self._send(out, K.WANTED_FILE, peer,
                        {"query": entry.query, "by": entry.by}, now)
         if entry.emitted >= self.p.wanted_max + 1:
@@ -512,28 +515,19 @@ class Node:
         return out
 
     def _eligible_couriers(self, now, gateway, exclude=()):
-        """Members that can fly to `gateway` now. A member unheard for
+        """Members here that can fly to `gateway` now. A member unheard for
         `silent_timeout` may have left silently: ordering it again would
-        keep it exempt from the silent purge."""
-        busy = {o.courier for o in self.outstanding.values()}
+        keep it away, and so from the silent purge."""
         info = self.subnets.neighbors.get(gateway)
         if info is None:
             return set()
-        ok = set()
-        for peer in info.reachable_by:
-            rec = self.members.get(peer)
-            if rec is None or rec.leaving_since is not None \
-                    or now - rec.last_seen >= self.p.silent_timeout:
-                continue
-            if peer in busy or peer in exclude:
-                continue
-            ok.add(peer)
-        return ok
+        return {p for p in info.reachable_by if self._here(p) and p not in exclude
+                and now - self.members[p].last_seen < self.p.silent_timeout}
 
     def _order(self, now, out, mission, exclude=()):
-        """Hand `mission` to the next eligible courier for its target and
-        hold it in `outstanding` until the courier reports or the deadline
-        lapses. Returns None, drawing no mission id, when nobody can go."""
+        """Hand `mission` to the next eligible courier for its target, which
+        is away on it until it reports or the deadline lapses. Returns None,
+        drawing no mission id, when nobody can go."""
         courier = routing.designate_courier(
             self.subnets, mission.target,
             eligible=self._eligible_couriers(now, mission.target, exclude))
@@ -543,9 +537,9 @@ class Node:
         mission.mission_id = mid = self._new_id()
         if mission.kind == "catalog":
             mission.since = self.subnets.neighbors[mission.target].mirror.version
-        self.outstanding[mid] = mission
+        self.members[courier].away = mission
         self._send(out, K.COURIER_ORDER, courier, mission.order(), now)
-        self._after(out, self.p.mission_timeout, self._t_mission_deadline, mid)
+        self._after(out, self.p.mission_timeout, self._t_mission_deadline, courier, mid)
         out.append(Note("courier-assign", {"courier": courier, "target": mission.target,
                                            "mission": mission.kind,
                                            "session": mission.session_id}))
@@ -569,13 +563,14 @@ class Node:
 
         if isinstance(sel, routing.Local):
             holders = [h for h in sel.holders if h != src]
+            here = list(filter(self._here, holders))
             meta = self.catalog.entries[file_id].meta
-            if not holders:
-                self._refuse(now, out, src, sid, "no-source")
+            if not here:
+                self._refuse(now, out, src, sid, "holder-away" if holders else "no-source")
                 return
             self._send(out, K.SOURCE_LIST, src,
                        {"ok": True, "mode": "pull", "session_id": sid,
-                        "file_id": file_id.digest, "sources": holders, "hops": 0,
+                        "file_id": file_id.digest, "sources": here, "hops": 0,
                         "meta": self._meta_payload(meta)}, now)
             return
 
@@ -590,18 +585,14 @@ class Node:
                     and len(eligible) >= 2:
                 ranges = routing.partition_blocks(
                     meta.block_count, min(len(eligible), self.p.max_swarm))
-            request = FileRequest(requester=src, reassigned=len(ranges) == 1)
-            for rng in ranges:
-                order = self._order(now, out, transfer.CourierMission(
-                    "", "file", sel.gateway, ttl=req_ttl, file_id=file_id,
-                    block_range=rng, requester=src, session_id=sid, origin=origin),
-                    exclude={src})
-                if order is not None:
-                    request.pending.add(order.mission_id)
-            if not request.pending:
+            orders = [self._order(now, out, transfer.CourierMission(
+                "", "file", sel.gateway, ttl=req_ttl, file_id=file_id,
+                block_range=rng, requester=src, session_id=sid, origin=origin),
+                exclude={src}) for rng in ranges]
+            if not any(orders):
                 self._refuse(now, out, src, sid, "no-courier")
                 return
-            self.requests[sid] = request
+            self.requests[sid] = FileRequest(requester=src, reassigned=len(ranges) == 1)
             self._send(out, K.SOURCE_LIST, src,
                        {"ok": True, "mode": "push", "session_id": sid,
                         "file_id": file_id.digest, "hops": sel.hops,
@@ -789,14 +780,32 @@ class Node:
             payload["reason"] = reason
         self._send(out, K.COURIER_ORDER, dst, payload, now)
 
+    def _end_order(self, peer, mid):
+        """The order `mid` if `peer` is away on it, which every order leaves
+        here: on a report, its deadline, a landing catalog or a new membership."""
+        rec = self.members.get(peer)
+        if rec is None or rec.away is None or rec.away.mission_id != mid:
+            return None
+        order, rec.away = rec.away, None
+        return order
+
+    def _lose_order(self, now, peer, out):
+        """End the order `peer` is away on, if any, as `lost`."""
+        order = self.members[peer].away
+        if order is not None:
+            self._h_courier_report(now, peer, {"status": "lost",
+                                               "mission_id": order.mission_id}, out)
+
     def _h_courier_report(self, now, src, payload, out):
         if self.role != ROOT:
             return
         mid = payload.get("mission_id", "")
-        order = self.outstanding.pop(mid, None)
+        order = self._end_order(src, mid)
         if order is None:
             return
         status = payload["status"]
+        if status == "timeout":   # the deadline's own report
+            out.append(Note("mission-timeout", {"mission": mid}))
         if status == "done":
             # the courier was just in the target, so it is still reachable,
             # though a courier flying missions sends no scan reports
@@ -808,21 +817,20 @@ class Node:
                                                "kind": order.kind}))
         # a catalog order is retried by the next courier period; a file order
         # with no request left belongs to one that has already failed
-        request = self.requests.get(order.session_id) if order.kind == "file" else None
+        sid = order.session_id
+        request = self.requests.get(sid) if order.kind == "file" else None
         if request is None:
             return
-        request.pending.discard(mid)
         if status == "done":
-            if not request.pending:
-                del self.requests[order.session_id]
+            if not any(r.away and r.away.session_id == sid for r in self.members.values()):
+                del self.requests[sid]
             return
         if not request.reassigned and self._order(
                 now, out, order, exclude={order.courier, request.requester}) is not None:
             request.reassigned = True
-            request.pending.add(order.mission_id)
             return
-        del self.requests[order.session_id]
-        self._refuse(now, out, request.requester, order.session_id, "courier-failed")
+        del self.requests[sid]
+        self._refuse(now, out, request.requester, sid, "courier-failed")
 
     # physical hop callbacks ------------------------------------------------
 
@@ -896,12 +904,8 @@ class Node:
         if key in self.wanted:
             self._emit_wanted(now, key, out)
 
-    def _t_mission_deadline(self, now, out, mid):
-        if mid in self.outstanding:
-            order = self.outstanding[mid]
-            out.append(Note("mission-timeout", {"mission": mid}))
-            self._h_courier_report(now, order.courier,
-                                   {"status": "timeout", "mission_id": mid}, out)
+    def _t_mission_deadline(self, now, out, courier, mid):
+        self._h_courier_report(now, courier, {"status": "timeout", "mission_id": mid}, out)
 
     def _t_session_timeout(self, now, out, sid):
         sess = self.sessions.get(sid)
@@ -943,19 +947,15 @@ class Node:
         gone = self.subnets.expire(now, self.p.neighbor_ttl)
         if gone:
             self.catalog.drop_via_gateways(set(gone))
-        exempt = {o.courier for o in self.outstanding.values()}
-        for peer in sorted(self.members):
-            rec = self.members[peer]
-            if rec.leaving_since is not None:
-                continue
-            if now - rec.last_seen >= self.p.silent_timeout and peer not in exempt:
+        for peer in filter(self._here, sorted(self.members)):
+            if now - self.members[peer].last_seen >= self.p.silent_timeout:
                 self._purge_member(now, peer, "silent", out)
             else:
                 self._send(out, K.PING, peer, {}, now)
 
     def _courier_cycle(self, now, out):
-        busy_targets = {o.target for o in self.outstanding.values()
-                        if o.kind == "catalog"}
+        busy_targets = {r.away.target for r in self.members.values()
+                        if r.away is not None and r.away.kind == "catalog"}
         # Rotate which neighbor gets first claim each cycle, otherwise a
         # member that is the only gateway to several subnets would always be
         # grabbed by the lexicographically first target and starve the rest.

@@ -121,9 +121,9 @@ M_HOMEBOUND = "homebound"
 
 @dataclass
 class CourierMission:
-    """One courier order. The home root holds it in `outstanding` until the
-    courier reports; the courier rebuilds it with `from_order` and flies it.
-    Only the courier side sets `home` and `home_root`."""
+    """One courier order. The home root holds it as its courier's `away`
+    until the order ends; the courier rebuilds it with `from_order` and
+    flies it. Only the courier side sets `home` and `home_root`."""
     mission_id: str
     kind: str                      # "catalog" | "file"
     target: str                    # rendered SSID to visit

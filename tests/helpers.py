@@ -75,6 +75,11 @@ def members_of(world, ssid):
     return {p for p, rec in root.members.items() if rec.leaving_since is None}
 
 
+def orders_of(root):
+    """The orders `root`'s members are away on, in member order."""
+    return [r.away for _, r in sorted(root.members.items()) if r.away is not None]
+
+
 def subnet_adjacency(world):
     """Directed adjacency between subnets: A -> B iff some member of A has a
     visibility edge to the root of B. This mirrors what scan reports can ever

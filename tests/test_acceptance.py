@@ -15,7 +15,7 @@ from pear2pear.node import MEMBER, ROOT
 from pear2pear.scenario import load_scenario, run_scenario
 
 from helpers import (
-    arrive, bfs_distances, make_world, members_of, only_download,
+    arrive, bfs_distances, make_world, members_of, only_download, orders_of,
     random_content, roots_of, star, subnet_adjacency, swarm_world, trace_events,
 )
 
@@ -319,7 +319,7 @@ def test_c10_determinism():
 def test_c11_swarm():
     w, fid, content = swarm_world(bridges=(2, 3, 4))
     w.run_until(50.05)
-    orders = [o for o in w.nodes[1].outstanding.values() if o.kind == "file"]
+    orders = [o for o in orders_of(w.nodes[1]) if o.kind == "file"]
     assert sorted(o.block_range for o in orders) == [(0, 11), (11, 22), (22, 32)]
     assert len({o.courier for o in orders}) == 3
     w.run_until(130.0)
@@ -330,7 +330,7 @@ def test_c11_swarm():
     # with a single eligible bridge the request degrades to one courier
     w, fid, content = swarm_world(bridges=(2,))
     w.run_until(50.05)
-    orders = [o for o in w.nodes[1].outstanding.values() if o.kind == "file"]
+    orders = [o for o in orders_of(w.nodes[1]) if o.kind == "file"]
     assert len(orders) == 1 and orders[0].block_range is None
     w.run_until(130.0)
     rec = only_download(w)

@@ -13,7 +13,7 @@ import pytest
 from pear2pear.catalog import Mirror, NetworkFileCatalog
 from pear2pear.scenario import build_world, parse_scenario
 
-from helpers import make_world, star, trace_events
+from helpers import make_world, orders_of, star, trace_events
 from reference_catalog import shadow, state
 from test_golden_generated import SEED, TINY, workloads
 
@@ -104,5 +104,5 @@ def test_a_fetch_that_lands_after_its_neighbour_expired_is_dropped():
     assert not [r for e in root.catalog.entries.values() for r in e.remote.values()
                 if r.gateway == target]
     w.run_until(60.05)
-    (order,) = root.outstanding.values()
+    (order,) = orders_of(root)
     assert (order.target, order.since) == (target, 0)

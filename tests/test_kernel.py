@@ -1,12 +1,18 @@
 """Kernel layer: subnet formation, membership, leave/silent cleanup."""
 
+import pathlib
+
 import pytest
 
 from pear2pear.core import parse_ssid
 from pear2pear.frames import FrameKind
 from pear2pear.node import MEMBER, ROOT, SCANNING, Node
+from pear2pear.scenario import build_world, load_scenario, parse_scenario, run_scenario
 
 from helpers import arrive, clique, make_world, members_of, roots_of, star, trace_events
+from test_golden_generated import SEED, TINY, workloads
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_every_frame_kind_has_a_handler():
@@ -222,3 +228,30 @@ def test_a_rejected_joiner_falls_back_to_the_next_hotspot():
     assert node.attached == w.nodes[2].ssid
     assert members_of(w, w.nodes[2].ssid) == {50}
     assert [r.details["role"] for r in trace_events(w, "role", device=50)] == [MEMBER]
+
+
+def _shipped(name):
+    return run_scenario(load_scenario(str(SCENARIOS / name)))
+
+
+def _generated(name):
+    sc = parse_scenario(workloads.WORKLOADS[name](SEED, **TINY[name]))
+    world = build_world(sc)
+    world.run_until(sc.until)
+    return world
+
+
+RUNS = [(_shipped, p.name) for p in sorted(SCENARIOS.glob("*.json"))] + [
+    (_generated, name) for name in sorted(TINY)]
+
+
+@pytest.mark.parametrize("run, name", RUNS, ids=[name for _, name in RUNS])
+def test_no_frame_goes_to_a_member_out_on_a_courier_order(run, name):
+    # a root pings, and sends wanted files to, only members that are here,
+    # and lists only holders that are here as sources; a member out on an
+    # order is attached to another hotspot or to none
+    kinds = {FrameKind.PING.name, FrameKind.WANTED_FILE.name, FrameKind.BLOCK_REQUEST.name}
+    lost = [r for r in run(name).trace
+            if r.kind in ("undeliverable", "drop") and r.details["frame"] in kinds
+            and r.details["reason"] == "different-hotspot"]
+    assert lost == []

@@ -72,7 +72,8 @@ def _courier_world():
 def test_a_courier_that_comes_back_flies_again():
     # courier 2 leaves silently during its first hop and comes back at 30:
     # it drops the mission it left with, reports scans, and takes the next
-    # orders once root 1's deadline for the first one has lapsed
+    # orders at once: root 1 ends the first one as lost when the new
+    # membership lists its files, not at the deadline
     w = _courier_world()
     frames = record_frames(w)
     w.schedule(21.0, "depart", device=2, silent=True)
@@ -86,7 +87,11 @@ def test_a_courier_that_comes_back_flies_again():
     hops = [r.time for r in trace_events(w, "hop-start", device=2)
             if r.details["label"] == "forward"]
     assert hops[0] < 21.0
-    assert hops[1:] == pytest.approx([80.01, 100.01, 120.01, 140.01, 160.01, 180.01])
+    assert hops[1:] == pytest.approx([40.01, 60.01, 80.01, 100.01, 120.01, 140.01, 160.01,
+                                      180.01])
+    (lost,) = trace_events(w, "mission-failed", device=1)
+    assert lost.details == {"mission": "1-1", "status": "lost", "kind": "catalog"}
+    assert lost.time == pytest.approx(30.03)
 
 
 def test_a_hop_begun_before_a_departure_never_lands():

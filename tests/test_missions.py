@@ -8,8 +8,8 @@ import pytest
 from pear2pear.frames import FrameKind
 
 from helpers import (
-    arrive, courier_reports, make_world, only_download, record_frames, star, swarm_world,
-    trace_events,
+    arrive, courier_reports, make_world, only_download, orders_of, record_frames, star,
+    swarm_world, trace_events,
 )
 
 
@@ -17,7 +17,7 @@ def test_swarm_courier_lost_mid_mission_is_replaced():
     w, fid, content = swarm_world(bridges=(2, 3))
     w.schedule(50.5, "depart", device=3, silent=True)
     w.run_until(50.05)
-    lost = next(o.mission_id for o in w.nodes[1].outstanding.values() if o.courier == 3)
+    lost = next(o.mission_id for o in orders_of(w.nodes[1]) if o.courier == 3)
     w.run_until(200.0)
     (timeout,) = [r for r in trace_events(w, "mission-timeout", device=1)
                   if r.details["mission"] == lost]
@@ -129,6 +129,23 @@ def _return_hop(w):
     hops = trace_events(w, "hop-start", device=2)
     assert [h.details["label"] for h in hops] == ["forward", "return"]
     return hops[1].time
+
+
+def test_an_order_ends_when_its_courier_leaves():
+    # courier 2 leaves politely in the instant root 1 orders its first
+    # catalog run, so its leave notice lands while it is away on the order.
+    # The notice ends the order as lost: nothing is left of it when the
+    # countdown purges the record.
+    w, _ = _catalog_run()
+    w.schedule(w.p.courier_period, "depart", device=2, silent=False)
+    w.run_until(100.0)
+    (lost,) = trace_events(w, "mission-failed", device=1)
+    assert lost.details["status"] == "lost"
+    assert lost.time == pytest.approx(w.p.courier_period + w.p.link_latency)
+    (purge,) = trace_events(w, "purge", device=1)
+    assert purge.details == {"peer": 2, "reason": "leave"}
+    assert purge.time == pytest.approx(lost.time + w.p.leave_countdown)
+    assert trace_events(w, "mission-timeout", device=1) == []
 
 
 def test_a_courier_rejected_twice_by_its_target_heads_home():

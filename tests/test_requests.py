@@ -1,12 +1,16 @@
 """A device's own requests inside its subnet: a root that searches and
 downloads for itself, a holder that refuses its blocks, a holder that
-serves corrupt bytes, and a search by id for a file that appears later."""
+serves corrupt bytes, a holder away on a courier order, and a search by id
+for a file that appears later."""
 
 import pytest
 
 from pear2pear.core import make_meta
+from pear2pear.frames import FrameKind
 
-from helpers import make_world, only_download, random_content, star, trace_events
+from helpers import (
+    make_world, only_download, random_content, record_frames, star, trace_events,
+)
 
 BLOCK = 1024
 
@@ -76,6 +80,44 @@ def test_a_lone_holder_that_refuses_is_reassigned_then_exhausted():
     (failed,) = trace_events(w, "download-failed", device=3)
     assert failed.details["reason"] == "sources-exhausted"
     assert failed.time == reassign.time
+
+
+def _away_holder_world(holders):
+    """`_pull_world` with requester 4, where holder 2 also sees root 10: root
+    1 orders it on a catalog run at 20 s, and it is away until it reports
+    home at about 24 s. Device 4 downloads the file at 21 s."""
+    w, fid, content = _pull_world(holders=holders, requester=4)
+    star(w, 10, [11])
+    w.add_edge(2, 10)
+    w.schedule(21.0, "download", device=4, file_id=fid)
+    return w, fid, content, record_frames(w)
+
+
+def _source_lists(frames):
+    return [f.payload for f in frames if f.kind == FrameKind.SOURCE_LIST]
+
+
+def test_a_holder_away_on_an_order_is_not_listed_as_a_source():
+    w, fid, content, frames = _away_holder_world(holders=[2, 3])
+    w.run_until(30.0)
+    (order,) = trace_events(w, "courier-assign", device=1)
+    assert order.time == 20.0 and order.details["courier"] == 2
+    (listed,) = _source_lists(frames)
+    assert listed["sources"] == [3]
+    assert only_download(w)["success"]
+    assert trace_events(w, "reassign", device=4) == []
+    assert w.nodes[4].files[fid] == content
+
+
+def test_a_sole_holder_away_on_an_order_is_refused():
+    w, fid, _, frames = _away_holder_world(holders=[2])
+    w.run_until(30.0)
+    (refused,) = _source_lists(frames)
+    assert refused["ok"] is False and refused["reason"] == "holder-away"
+    (failed,) = trace_events(w, "download-failed", device=4)
+    assert failed.details["reason"] == "holder-away"
+    assert failed.time == pytest.approx(21.02)
+    assert not [f for f in frames if f.kind == FrameKind.BLOCK_REQUEST]
 
 
 def test_a_search_by_id_waits_for_the_file_to_appear():
