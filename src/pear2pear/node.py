@@ -183,7 +183,8 @@ class Node:
         self.ssid = render_ssid(core.Ssid(self.device, nonce))
         self._enter(ROOT)
         self.attached = self.ssid
-        self.catalog = NetworkFileCatalog.init_from(self.device, self.metas.values())
+        self.catalog = NetworkFileCatalog(self.ssid, self.p.courier_ttl)
+        self.catalog.register_files(self.device, self.metas.values())
         self.subnets = SubnetCatalog()
         self._after(out, self.p.ping_interval, self._t_ping)
         self._after(out, self.p.courier_period, self._t_courier)
@@ -379,19 +380,12 @@ class Node:
             return
         if self.role == ROOT:
             order = self._end_order(src, payload.get("mission_id", ""))
-            info = order and self.subnets.neighbors.get(order.target)
-            if info is None:
+            if order is None or order.target not in self.subnets.neighbors:
                 # its records would route through a gateway this root no
                 # longer lists, and its mirror went with the neighbour
                 return
-            changes = info.mirror.apply(payload["snapshot"])
-            if changes is None:
-                # cut against a version this root no longer holds: the next
-                # order asks for a full dump, compared with the entries held
-                info.mirror.version = 0
-                return
-            self.catalog.merge_snapshot(changes, payload["via"], self.ssid, now, info.mirror.entries)
-            out.append(Note("catalog-merge", {"via": payload["via"]}))
+            if self.catalog.merge_snapshot(payload["snapshot"], payload["via"], now):
+                out.append(Note("catalog-merge", {"via": payload["via"]}))
 
     # search and wanted -----------------------------------------------------
 
@@ -536,7 +530,8 @@ class Node:
         mission.courier = courier
         mission.mission_id = mid = self._new_id()
         if mission.kind == "catalog":
-            mission.since = self.subnets.neighbors[mission.target].mirror.version
+            mirror = self.catalog.mirrors.get(mission.target)
+            mission.since = mirror.version if mirror else 0
         self.members[courier].away = mission
         self._send(out, K.COURIER_ORDER, courier, mission.order(), now)
         self._after(out, self.p.mission_timeout, self._t_mission_deadline, courier, mid)
@@ -897,7 +892,7 @@ class Node:
     def _t_snapshot(self, now, out, peer, since):
         if peer in self.members and self.members[peer].leaving_since is None:
             self._send(out, K.CATALOG_SNAPSHOT, peer,
-                       {"snapshot": self.catalog.snapshot(self.ssid, since),
+                       {"snapshot": self.catalog.snapshot(since),
                         "via": self.ssid, "mission_id": ""}, now)
 
     def _t_wanted(self, now, out, key):

@@ -43,12 +43,16 @@ def _content_of(raw: dict, path: str) -> bytes:
             raise ScenarioError(f"{path}.text", "text must be a string")
         return raw["text"].encode("utf-8")
     if has_hex:
+        if not isinstance(raw["hex"], str):
+            raise ScenarioError(f"{path}.hex", "hex must be a string")
         try:
             return bytes.fromhex(raw["hex"])
         except ValueError:
             raise ScenarioError(path, "invalid hex content")
     if "seed" not in raw or "size" not in raw:
         raise ScenarioError(path, "generated content needs both seed and size")
+    if not _is_int(raw["seed"]):
+        raise ScenarioError(f"{path}.seed", "seed must be an integer")
     size = raw["size"]
     if not _is_int(size) or size < 0:
         raise ScenarioError(path, "size must be a non-negative integer")
@@ -106,6 +110,8 @@ def parse_scenario(doc: dict) -> Scenario:
             fpath = f"{path}.files[{j}]"
             if not isinstance(raw, dict) or "name" not in raw:
                 raise ScenarioError(fpath, "file needs a name")
+            if not isinstance(raw["name"], str):
+                raise ScenarioError(f"{fpath}.name", "name must be a string")
             content = _content_of(raw, fpath)
             files.append((raw["name"], content))
             names.setdefault(raw["name"], set()).add(compute_file_id(content))

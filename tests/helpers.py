@@ -9,7 +9,6 @@ touches the merge logic.
 import random
 from collections import deque
 
-from pear2pear.catalog import Mirror
 from pear2pear.frames import FrameKind
 from pear2pear.node import MEMBER, ROOT
 from pear2pear.params import Params
@@ -149,10 +148,9 @@ def random_content(seed, size):
     return random.Random(seed).randbytes(size)
 
 
-def merge_whole(cat, snap, via_gateway, home_ssid, now, mirror=None):
+def merge_whole(cat, snap, via_gateway, now):
     """Merge a whole snapshot of a neighbour's catalog into `cat` as a root
-    does: as a full dump into `mirror`, the root's mirror of `via_gateway`,
-    or into a new one for the gateway's first merge."""
-    mirror = Mirror() if mirror is None else mirror
-    changes = mirror.apply({**snap, "base": 0, "version": mirror.version + 1})
-    cat.merge_snapshot(changes, via_gateway, home_ssid, now, mirror.entries)
+    does, as a full dump into its mirror of `via_gateway`."""
+    mirror = cat.mirrors.get(via_gateway)
+    version = mirror.version + 1 if mirror else 1
+    assert cat.merge_snapshot({**snap, "base": 0, "version": version}, via_gateway, now)

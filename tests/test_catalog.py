@@ -6,11 +6,18 @@ from pear2pear.core import make_meta
 from helpers import merge_whole
 
 BS = 16
+CAP = 8  # the hop cap, as courier_ttl's default
 
 
-def _cat_with(*files, root=1):
+def _cat(ssid="NET-A"):
+    return NetworkFileCatalog(ssid, CAP)
+
+
+def _cat_with(*files, root=1, ssid="NET-A"):
     """files are (name, content) pairs registered to `root`."""
-    return NetworkFileCatalog.init_from(root, [make_meta(n, c, BS) for n, c in files])
+    cat = _cat(ssid)
+    cat.register_files(root, [make_meta(n, c, BS) for n, c in files])
+    return cat
 
 
 def test_init_registers_root_holdings():
@@ -31,10 +38,11 @@ def test_register_same_content_merges_names():
 
 def test_register_is_idempotent():
     meta = make_meta("a.txt", b"x", BS)
-    cat = NetworkFileCatalog.init_from(1, [meta])
-    before = cat.snapshot("S")
+    cat = _cat()
     cat.register_files(1, [meta])
-    assert cat.snapshot("S") == before
+    before = cat.snapshot()
+    cat.register_files(1, [meta])
+    assert cat.snapshot() == before
 
 
 def test_lookup_by_any_name():
@@ -59,140 +67,187 @@ def test_file_change_removes_and_collapses():
 def test_drop_holder_keeps_entries_with_remote_copies():
     cat = _cat_with(("a.txt", b"x"))
     fid = make_meta("a.txt", b"x", BS).file_id
-    snap = _cat_with(("a.txt", b"x"), root=9).snapshot("NET-B")
-    merge_whole(cat, snap, via_gateway="NET-B", home_ssid="NET-A", now=0.0)
+    snap = _cat_with(("a.txt", b"x"), root=9, ssid="NET-B").snapshot()
+    merge_whole(cat, snap, "NET-B", now=0.0)
     cat.drop_holder(1)
     assert fid in cat.entries
     assert not cat.entries[fid].holders
     assert "NET-B" in cat.entries[fid].remote
 
 
+def _far(ssid, holders, *records):
+    """A catalog of subnet `ssid` holding the song on `holders` members and
+    knowing these (subnet, hops, holder_count) records of it."""
+    meta = make_meta("song", b"tune", BS)
+    return {"subnet": ssid, "entries": [
+        [meta.file_id.digest, ["song"], meta.size, meta.block_count, holders,
+         [list(r) for r in sorted(records)]]]}
+
+
+SONG = make_meta("song", b"tune", BS).file_id
+
+
 def test_merge_adds_one_hop_per_jump():
     # C holds the file; B merged C's snapshot; A merges B's.
-    b = NetworkFileCatalog()
-    merge_whole(b, _cat_with(("song", b"tune"), root=5).snapshot("NET-C"),
-                via_gateway="NET-C", home_ssid="NET-B", now=0.0)
-    a = NetworkFileCatalog()
-    merge_whole(a, b.snapshot("NET-B"), via_gateway="NET-B", home_ssid="NET-A", now=0.0)
-    fid = make_meta("song", b"tune", BS).file_id
-    rec = a.entries[fid].remote["NET-C"]
+    b = _cat("NET-B")
+    merge_whole(b, _cat_with(("song", b"tune"), root=5, ssid="NET-C").snapshot(), "NET-C", now=0.0)
+    a = _cat()
+    merge_whole(a, b.snapshot(), "NET-B", now=0.0)
+    rec = a.entries[SONG].remote["NET-C"]
     assert rec.hops == 2
     assert rec.gateway == "NET-B"
 
 
 def test_merge_keeps_minimum_hops():
-    fid = make_meta("song", b"tune", BS).file_id
-    a = NetworkFileCatalog()
-    far = {"subnet": "NET-X", "entries": [
-        [fid.digest, ["song"], 4, 1, 0, [["NET-C", 3, 1]]],
-    ]}
-    x = Mirror()
-    merge_whole(a, far, via_gateway="NET-X", home_ssid="NET-A", now=0.0, mirror=x)
-    assert a.entries[fid].remote["NET-C"].hops == 4
-    merge_whole(a, _cat_with(("song", b"tune"), root=5).snapshot("NET-C"),
-                via_gateway="NET-C", home_ssid="NET-A", now=1.0)
-    assert a.entries[fid].remote["NET-C"].hops == 1
+    a = _cat()
+    far = _far("NET-X", 0, ("NET-C", 3, 1))
+    merge_whole(a, far, "NET-X", now=0.0)
+    assert a.entries[SONG].remote["NET-C"].hops == 4
+    merge_whole(a, _cat_with(("song", b"tune"), root=5, ssid="NET-C").snapshot(), "NET-C", now=1.0)
+    assert a.entries[SONG].remote["NET-C"].hops == 1
     # a longer path later must not displace the shorter one
-    merge_whole(a, far, via_gateway="NET-X", home_ssid="NET-A", now=2.0, mirror=x)
-    rec = a.entries[fid].remote["NET-C"]
-    assert rec.hops == 1
-    assert rec.last_refresh == 1.0
+    merge_whole(a, far, "NET-X", now=2.0)
+    rec = a.entries[SONG].remote["NET-C"]
+    assert (rec.hops, rec.gateway) == (1, "NET-C")
 
 
 def test_merge_skips_records_about_home():
     a = _cat_with(("song", b"tune"))
-    fid = make_meta("song", b"tune", BS).file_id
     # neighbor knows our copy at hops 1; merging must not create a remote
     # record pointing back at ourselves
-    snap = {"subnet": "NET-B", "entries": [
-        [fid.digest, ["song"], 4, 1, 0, [["NET-A", 1, 1]]],
-    ]}
-    merge_whole(a, snap, via_gateway="NET-B", home_ssid="NET-A", now=0.0)
-    assert a.entries[fid].remote == {}
+    merge_whole(a, _far("NET-B", 0, ("NET-A", 1, 1)), "NET-B", now=0.0)
+    assert a.entries[SONG].remote == {}
+
+
+def test_equal_hop_offers_give_one_record_whatever_the_merge_order():
+    # B and D both offer C's song at two hops, with different holder counts:
+    # the record is B's, the gateway first in SSID order, in either order
+    offers = [("NET-B", _far("NET-B", 0, ("NET-C", 1, 2))),
+              ("NET-D", _far("NET-D", 0, ("NET-C", 1, 5)))]
+    for order in (offers, offers[::-1]):
+        a = _cat()
+        for t, (gateway, snap) in enumerate(order):
+            merge_whole(a, snap, gateway, now=float(t))
+        rec = a.entries[SONG].remote["NET-C"]
+        assert (rec.hops, rec.holder_count, rec.gateway) == (2, 2, "NET-B")
+        assert a.snapshot()["entries"][0][-1] == [["NET-C", 2, 2]]
+
+
+def test_a_withdrawn_record_falls_back_to_a_longer_offer():
+    a = _cat()
+    merge_whole(a, _far("NET-B", 0, ("NET-C", 1, 2)), "NET-B", now=0.0)
+    merge_whole(a, _far("NET-D", 0, ("NET-C", 2, 3)), "NET-D", now=0.0)
+    assert a.entries[SONG].remote["NET-C"].gateway == "NET-B"
+    # B's next delta removes the song: D's three-hop offer takes over at once
+    b = a.mirrors["NET-B"]
+    delta = {"subnet": "NET-B", "entries": [], "removed": [SONG.digest],
+             "version": b.version + 1, "base": b.version}
+    assert a.merge_snapshot(delta, "NET-B", now=1.0)
+    rec = a.entries[SONG].remote["NET-C"]
+    assert (rec.hops, rec.holder_count, rec.gateway) == (3, 3, "NET-D")
 
 
 def test_remote_ttl_expiry():
-    a = NetworkFileCatalog()
-    fid = make_meta("song", b"tune", BS).file_id
-    merge_whole(a, _cat_with(("song", b"tune"), root=5).snapshot("NET-C"),
-                via_gateway="NET-C", home_ssid="NET-A", now=10.0)
+    a = _cat()
+    merge_whole(a, _cat_with(("song", b"tune"), root=5, ssid="NET-C").snapshot(), "NET-C", now=10.0)
     a.expire_remote(now=69.0, ttl=60.0)
-    assert fid in a.entries
+    assert SONG in a.entries
     a.expire_remote(now=70.0, ttl=60.0)
-    assert fid not in a.entries
+    assert SONG not in a.entries
+    assert a.mirrors == {}
 
 
-def test_expiry_after_a_partial_sweep():
-    # records refreshed at 0, 10 and 30; the sweep at 60 removes only the
-    # first, and the one from 10 must still expire at 70
-    a, c = NetworkFileCatalog(), Mirror()
-    fids = []
-    for t, content in ((0.0, b"zero"), (10.0, b"ten"), (30.0, b"thirty")):
-        merge_whole(a, _cat_with(("f", content), root=5).snapshot("NET-C"),
-                    via_gateway="NET-C", home_ssid="NET-A", now=t, mirror=c)
-        fids.append(make_meta("f", content, BS).file_id)
+def test_an_expired_mirror_takes_only_what_it_alone_offered():
+    # B (merged at 0) offers the song and file f; D (merged at 30) offers
+    # the song one hop further. B's expiry at 60 leaves the song to D.
+    f = make_meta("f", b"only-b", BS)
+    b = _far("NET-B", 0, ("NET-C", 1, 1))
+    b["entries"] = sorted(b["entries"] + [[f.file_id.digest, ["f"], f.size, f.block_count, 1, []]])
+    a = _cat()
+    merge_whole(a, b, "NET-B", now=0.0)
+    merge_whole(a, _far("NET-D", 0, ("NET-C", 2, 4)), "NET-D", now=30.0)
+    a.expire_remote(now=59.9, ttl=60.0)
+    assert set(a.mirrors) == {"NET-B", "NET-D"}
     a.expire_remote(now=60.0, ttl=60.0)
-    assert set(a.entries) == set(fids[1:])
-    a.expire_remote(now=70.0, ttl=60.0)
-    assert set(a.entries) == {fids[2]}
+    assert set(a.mirrors) == {"NET-D"}
+    assert f.file_id not in a.entries
+    rec = a.entries[SONG].remote["NET-C"]
+    assert (rec.hops, rec.holder_count, rec.gateway) == (3, 4, "NET-D")
+    a.expire_remote(now=90.0, ttl=60.0)
+    assert a.entries == {}
 
 
 def test_drop_via_gateways():
-    a = NetworkFileCatalog()
-    fid = make_meta("song", b"tune", BS).file_id
-    merge_whole(a, _cat_with(("song", b"tune"), root=5).snapshot("NET-C"),
-                via_gateway="NET-B", home_ssid="NET-A", now=0.0)
+    a = _cat()
+    merge_whole(a, _cat_with(("song", b"tune"), root=5, ssid="NET-B").snapshot(), "NET-B", now=0.0)
+    merge_whole(a, _far("NET-D", 0, ("NET-E", 1, 1)), "NET-D", now=0.0)
     a.drop_via_gateways({"NET-B"})
-    assert fid not in a.entries
+    assert set(a.mirrors) == {"NET-D"}
+    assert set(a.entries[SONG].remote) == {"NET-E"}
+    a.drop_via_gateways({"NET-D"})
+    assert SONG not in a.entries
+
+
+def test_no_snapshot_ships_a_record_at_the_hop_cap():
+    # a record CAP hops away is kept here but not shipped: no neighbour
+    # could hold it at more than CAP
+    a = _cat()
+    merge_whole(a, _far("NET-B", 1, ("NET-C", CAP - 2, 1), ("NET-D", CAP - 1, 1)), "NET-B", now=0.0)
+    assert {s: r.hops for s, r in a.entries[SONG].remote.items()} == \
+        {"NET-B": 1, "NET-C": CAP - 1, "NET-D": CAP}
+    assert a.snapshot()["entries"][0][-1] == [["NET-B", 1, 1], ["NET-C", CAP - 1, 1]]
 
 
 def test_snapshot_deterministic_and_sorted():
     cat = _cat_with(("z.txt", b"zz"), ("a.txt", b"aa"), ("m.txt", b"mm"))
-    snap = cat.snapshot("NET-A")
+    snap = cat.snapshot()
     ids = [e[0] for e in snap["entries"]]
     assert ids == sorted(ids)
-    assert snap == cat.snapshot("NET-A")
+    assert snap == cat.snapshot()
 
 
 def test_mirror_refuses_a_delta_cut_against_another_version():
-    cat = _cat_with(("a.txt", b"x"), root=9)
+    cat = _cat_with(("a.txt", b"x"), root=9, ssid="NET-B")
     held = Mirror()
-    assert held.apply(cat.snapshot("NET-B", 0))
+    assert held.apply(cat.snapshot(0))
     cat.register_files(3, [make_meta("b.txt", b"y", BS)])
     newer = Mirror()
-    assert newer.apply(cat.snapshot("NET-B", 0))
+    assert newer.apply(cat.snapshot(0))
     cat.apply_file_change(9, [], [make_meta("a.txt", b"x", BS).file_id])
-    delta = cat.snapshot("NET-B", newer.version)
+    delta = cat.snapshot(newer.version)
     assert delta["entries"] == []
     assert len(delta["removed"]) == 1
     before = (held.version, held.entries)
     assert not held.apply(delta)
     assert (held.version, held.entries) == before
     assert newer.apply(delta)
-    assert newer.entries == cat.snapshot("NET-B")["entries"]
+    assert newer.entries == cat.snapshot()["entries"]
     # a repeat cut of an unchanged catalog ships nothing
-    again = cat.snapshot("NET-B", newer.version)
+    again = cat.snapshot(newer.version)
     assert (again["entries"], again["removed"]) == ([], [])
+
+
+def test_a_refused_delta_asks_for_a_full_dump():
+    a = _cat()
+    merge_whole(a, _far("NET-B", 1), "NET-B", now=0.0)
+    stale = {"subnet": "NET-B", "entries": [], "removed": [SONG.digest], "version": 9, "base": 7}
+    assert not a.merge_snapshot(stale, "NET-B", now=1.0)
+    assert a.mirrors["NET-B"].version == 0
+    assert set(a.entries[SONG].remote) == {"NET-B"}
 
 
 def test_delta_carries_a_holder_count_refresh():
     # an equal-hop record whose holder count changes is a change to ship
-    meta = make_meta("song", b"tune", BS)
-
-    def far(holders):
-        return {"subnet": "NET-C", "entries": [
-            [meta.file_id.digest, ["song"], meta.size, meta.block_count, holders, []]]}
-
-    a, c = NetworkFileCatalog(), Mirror()
-    merge_whole(a, far(1), via_gateway="NET-C", home_ssid="NET-A", now=0.0, mirror=c)
+    a = _cat()
+    merge_whole(a, _far("NET-C", 1), "NET-C", now=0.0)
     held = Mirror()
-    assert held.apply(a.snapshot("NET-A", 0))
-    merge_whole(a, far(2), via_gateway="NET-C", home_ssid="NET-A", now=1.0, mirror=c)
-    delta = a.snapshot("NET-A", held.version)
+    assert held.apply(a.snapshot(0))
+    merge_whole(a, _far("NET-C", 2), "NET-C", now=1.0)
+    delta = a.snapshot(held.version)
     # an entry's remote records are its last field, a record's holders its last
     assert [e[-1][0][-1] for e in delta["entries"]] == [2]
     assert held.apply(delta)
-    assert held.entries == a.snapshot("NET-A")["entries"]
+    assert held.entries == a.snapshot()["entries"]
 
 
 # --- SubnetCatalog --------------------------------------------------------

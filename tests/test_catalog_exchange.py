@@ -4,17 +4,19 @@ A catalog courier carries only the entries its target root changed since
 the version the courier's home root last merged, and the home root merges
 only what changed in its mirror of the target. On the tiny generated
 workloads, every mirror must hold exactly the snapshot the target would have
-sent whole when the delta was cut, and every merge must leave the home
-catalog as a full walk of that snapshot would.
+sent whole when the delta was cut, and after every merge, expiry and gateway
+drop the home catalog's records must be those derived from scratch over its
+mirrors, none further than the hop cap.
 """
 
 import pytest
 
 from pear2pear.catalog import Mirror, NetworkFileCatalog
+from pear2pear.core import make_meta
 from pear2pear.scenario import build_world, parse_scenario
 
-from helpers import make_world, orders_of, star, trace_events
-from reference_catalog import shadow, state
+from helpers import arrive, make_world, orders_of, random_content, star, trace_events
+from reference_catalog import check
 from test_golden_generated import SEED, TINY, workloads
 
 
@@ -22,41 +24,43 @@ from test_golden_generated import SEED, TINY, workloads
 def test_merges_see_the_full_snapshot_of_the_cut(name, monkeypatch):
     full_at = {}   # (subnet, version) -> the full snapshot entries then
     deltas = []
-    applied = []   # (subnet, version) of each mirror brought up to date
-    merged = []    # entries each merge read as changed
-    snapshot, apply, merge = (NetworkFileCatalog.snapshot, Mirror.apply,
-                              NetworkFileCatalog.merge_snapshot)
+    merged = []    # entries each merge found changed in its mirror
+    checked = []   # catalogs checked against the derivation
+    snapshot, apply = NetworkFileCatalog.snapshot, Mirror.apply
 
-    def cut(self, home_ssid, since=None):
-        out = snapshot(self, home_ssid, since)
+    def cut(self, since=None):
+        out = snapshot(self, since)
         if since is not None:
-            full_at[home_ssid, out["version"]] = snapshot(self, home_ssid)["entries"]
+            full_at[self.ssid, out["version"]] = snapshot(self)["entries"]
             deltas.append((since, out))
         return out
 
     def checked_apply(self, delta):
         changes = apply(self, delta)
         assert changes is not None, "delta cut against a version the home root does not hold"
-        applied.append((delta["subnet"], delta["version"]))
+        assert self.entries == full_at[delta["subnet"], delta["version"]]
+        merged.append(len(changes["entries"]))
         return changes
 
-    def checked_merge(self, changes, via_gateway, home_ssid, now, offered):
-        assert offered == full_at[applied[-1]]
-        walked = shadow(self)
-        walked.merge_snapshot({"subnet": changes["subnet"], "entries": offered},
-                              via_gateway, home_ssid, now)
-        merge(self, changes, via_gateway, home_ssid, now, offered)
-        assert state(self) == state(walked)
-        assert snapshot(self, home_ssid) == snapshot(walked, home_ssid)
-        merged.append(len(changes["entries"]))
+    def checked_after(method):
+        def run(self, *args):
+            out = method(self, *args)
+            check(self)
+            assert all(r.hops <= self.max_hops for e in self.entries.values()
+                       for r in e.remote.values())
+            checked.append(method.__name__)
+            return out
+        return run
 
     monkeypatch.setattr(NetworkFileCatalog, "snapshot", cut)
     monkeypatch.setattr(Mirror, "apply", checked_apply)
-    monkeypatch.setattr(NetworkFileCatalog, "merge_snapshot", checked_merge)
+    for method in ("merge_snapshot", "expire_remote", "drop_via_gateways"):
+        monkeypatch.setattr(NetworkFileCatalog, method,
+                            checked_after(getattr(NetworkFileCatalog, method)))
     sc = parse_scenario(workloads.WORKLOADS[name](SEED, **TINY[name]))
     build_world(sc).run_until(sc.until)
 
-    assert len(merged) == len(applied) > 0
+    assert merged and "expire_remote" in checked
     repeats = [d for since, d in deltas if since and d["base"] == since]
     assert repeats, "no repeat visit was cut as a delta"
     unchanged = [d for d in repeats if d["version"] == d["base"]]
@@ -75,12 +79,13 @@ def test_a_mirror_goes_with_its_neighbour():
     w.add_edge(2, 10)
     w.run_until(w.p.courier_period + 5.0)
     target = w.nodes[10].ssid
-    assert len(w.nodes[1].subnets.neighbors[target].mirror.entries) == 1
+    assert len(w.nodes[1].catalog.mirrors[target].entries) == 1
     gone = w.clock
     w.schedule(gone, "depart", device=10, silent=True)
     w.run_until(gone + w.p.neighbor_ttl + w.p.scan_period + w.p.ping_interval)
-    # the mirror lives in the neighbour's record and went with it
+    # the mirror went with the neighbour
     assert target not in w.nodes[1].subnets.neighbors
+    assert target not in w.nodes[1].catalog.mirrors
 
 
 def test_a_fetch_that_lands_after_its_neighbour_expired_is_dropped():
@@ -95,7 +100,8 @@ def test_a_fetch_that_lands_after_its_neighbour_expired_is_dropped():
     w.add_edge(2, 10)
     w.run_until(43.0)
     root, target = w.nodes[1], w.nodes[10].ssid
-    assert target not in root.subnets.neighbors   # and its mirror with it
+    assert target not in root.subnets.neighbors
+    assert target not in root.catalog.mirrors
     w.run_until(50.0)
     fetches = [r.time for r in trace_events(w, "courier-assign", device=1)]
     merges = [r.time for r in trace_events(w, "catalog-merge", device=1)]
@@ -106,3 +112,26 @@ def test_a_fetch_that_lands_after_its_neighbour_expired_is_dropped():
     w.run_until(60.05)
     (order,) = orders_of(root)
     assert (order.target, order.since) == (target, 0)
+
+
+def test_a_file_whose_last_holder_left_is_forgotten():
+    # Subnets A (root 100), B (200) and C (300) on a two-way line. C's only
+    # holder leaves for good; A and B must not keep offering the file to
+    # each other, one hop further each time, as a record that never expires.
+    w = make_world(block_size=4096)
+    star(w, 200, [201, 202, 203, 204])
+    content = random_content(7, 3000)
+    star(w, 300, [301, 302], files={302: [("f.bin", content)]})
+    for d in (100, 101, 102, 103):
+        w.add_device(d)
+    for d in (101, 102, 103):
+        w.add_edge(d, 100)
+    arrive(w, [100, 101, 102, 103], t=5.0)
+    for a, b in ((103, 200), (201, 100), (204, 300), (301, 200)):
+        w.add_edge(a, b)
+    fid = make_meta("f.bin", content, 4096).file_id
+    w.schedule(100.0, "depart", device=302, silent=False)
+    w.run_until(99.0)
+    assert all(fid in w.nodes[r].catalog.entries for r in (100, 200))
+    w.run_until(300.0)
+    assert all(fid not in w.nodes[r].catalog.entries for r in (100, 200))

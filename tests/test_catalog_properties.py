@@ -2,15 +2,16 @@
 
 Random sequences of catalog operations run on one catalog. After every step
 its snapshot must equal a full rendering of its entries, every snapshot it
-returned earlier must be unchanged, and `expire_remote` must leave exactly
-what an unconditional sweep of every record would. A delta cut against
-every earlier version must bring a replica of that version to the
-snapshot, and a `since` the catalog cannot answer must get a full dump.
+returned earlier must be unchanged, and its remote records must be those a
+from-scratch derivation over its mirrors gives (`reference_catalog.py`). A
+delta cut against every earlier version must bring a replica of that version
+to the snapshot, and a `since` the catalog cannot answer must get a full
+dump.
 
-A second test runs the merge beside the full-walk reference of
-`reference_catalog.py`, through neighbours whose catalogs change, tie and
-contest each other's holder counts, and through every kind of fetch, expiry
-and gateway drop a root makes.
+A second test exchanges catalogs with neighbours whose catalogs change, tie
+and contest each other's holder counts, through every kind of fetch, expiry
+and gateway drop a root makes, and checks the same after every step, with
+the hop cap small enough to bite.
 """
 
 import copy
@@ -21,7 +22,7 @@ from pear2pear.catalog import Mirror, NetworkFileCatalog
 from pear2pear.core import make_meta
 
 from helpers import merge_whole
-from reference_catalog import ReferenceCatalog, state as full_state
+from reference_catalog import check
 
 BS = 16
 HOME = "NET-H"
@@ -35,7 +36,7 @@ TTL = 60.0
 STEPS = [0.0, 0.1, 0.2, 10.0, 29.9, 30.0, 59.9, 60.0]
 
 
-def render(cat, home):
+def render(cat):
     """The whole snapshot, rendered from scratch as before caching."""
     entries = []
     for file_id in sorted(cat.entries):
@@ -46,26 +47,10 @@ def render(cat, home):
             e.meta.size,
             e.meta.block_count,
             len(e.holders),
-            [[s, r.hops, r.holder_count] for s, r in sorted(e.remote.items())],
+            [[s, r.hops, r.holder_count] for s, r in sorted(e.remote.items())
+             if r.hops < cat.max_hops],
         ])
-    return {"subnet": home, "entries": entries}
-
-
-def state(cat):
-    return {fid: (set(e.holders), set(e.meta.names),
-                  {s: (r.hops, r.gateway, r.holder_count, r.last_refresh)
-                   for s, r in e.remote.items()})
-            for fid, e in cat.entries.items()}
-
-
-def swept(cat, now, ttl):
-    """The state an unconditional sweep of every record leaves."""
-    out = {}
-    for fid, (holders, names, remote) in state(cat).items():
-        remote = {s: r for s, r in remote.items() if not now - r[3] >= ttl}
-        if holders or remote:
-            out[fid] = (holders, names, remote)
-    return out
+    return {"subnet": cat.ssid, "entries": entries}
 
 
 files = st.integers(0, len(CONTENTS) - 1)
@@ -106,21 +91,25 @@ operations = st.one_of(
 )
 
 
-def check_deltas(cat, snap, replicas, data):
+def check_replicas(cat, snap, replicas):
     """`replicas` holds (version, snapshot) pairs of every earlier state."""
     assert len(cat._tombstones) <= len(cat.entries)
     live = {e[0] for e in snap["entries"]}
     for since, then in replicas:
-        delta = cat.snapshot(HOME, since)
+        delta = cat.snapshot(since)
         assert delta["version"] == cat._version
         assert delta["base"] == (since if since >= cat._floor else 0)
         assert live.isdisjoint(delta["removed"])
         replica = Mirror(since, list(then["entries"]))
         assert replica.apply(delta)
         assert replica.entries == snap["entries"]
+
+
+def check_deltas(cat, snap, replicas, data):
+    check_replicas(cat, snap, replicas)
     future = cat._version + data.draw(st.integers(1, 3), label="ahead")
     for since in {0, -1, cat._floor - 1, future}:
-        dump = cat.snapshot(HOME, since)
+        dump = cat.snapshot(since)
         assert (dump["base"], dump["removed"]) == (0, [])
         assert dump["entries"] == snap["entries"]
 
@@ -128,10 +117,9 @@ def check_deltas(cat, snap, replicas, data):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(operations, max_size=40), st.data())
 def test_incremental_catalog_matches_full_rendering(ops, data):
-    cat = NetworkFileCatalog()
-    mirrors = {}
+    cat = NetworkFileCatalog(HOME, 8)
     earlier = []
-    replicas = [(0, cat.snapshot(HOME))]
+    replicas = [(0, cat.snapshot())]
     now = 0.0
     for op in ops:
         kind = op[0]
@@ -143,19 +131,18 @@ def test_incremental_catalog_matches_full_rendering(ops, data):
             cat.drop_holder(op[1])
         elif kind == "merge":
             now += op[3]
-            merge_whole(cat, {"subnet": op[1], "entries": op[2]}, op[1], HOME, now,
-                        mirrors.setdefault(op[1], Mirror()))
+            merge_whole(cat, {"subnet": op[1], "entries": op[2]}, op[1], now)
         elif kind == "expire":
             now += op[1]
-            expected = swept(cat, now, TTL)
+            kept = {g for g, m in cat.mirrors.items() if now - m.merged < TTL}
             cat.expire_remote(now, TTL)
-            assert state(cat) == expected
+            assert set(cat.mirrors) == kept
         else:
             cat.drop_via_gateways(op[1])
-            for gateway in op[1]:  # the mirrors go with the neighbours
-                mirrors.pop(gateway, None)
-        snap = cat.snapshot(HOME)
-        assert snap == render(cat, HOME)
+            assert cat.mirrors.keys().isdisjoint(op[1])
+        check(cat)
+        snap = cat.snapshot()
+        assert snap == render(cat)
         for old, frozen in earlier:
             assert old == frozen
         earlier.append((snap, copy.deepcopy(snap)))
@@ -163,11 +150,13 @@ def test_incremental_catalog_matches_full_rendering(ops, data):
         check_deltas(cat, snap, replicas, data)
 
 
-# --- the incremental merge against a full walk -------------------------------
+# --- exchanges with neighbours, against the derivation ------------------------
 
 GATEWAYS = ["NET-A", "NET-B", "NET-C"]
 # What a neighbour may know of beyond itself.
 FAR = ["NET-X", "NET-Y", HOME, *GATEWAYS]
+# Far records of two hops reach a neighbour at three and stop there.
+CAP = 3
 gateways = st.sampled_from(GATEWAYS)
 fetches = st.tuples(st.just("fetch"), st.lists(gateways, min_size=1, max_size=4),
                     st.sampled_from(["delta", "delta", "dump", "stale"]), steps)
@@ -181,7 +170,7 @@ exchanges = st.one_of(
               raw_entries(FAR)),
     st.tuples(st.just("forget"), gateways, st.sets(st.sampled_from(FAR), min_size=1)),
     # home fetches neighbours' catalogs one after another at one time: the
-    # delta each mirror asks for, a full dump, or a delta cut against
+    # delta its mirror asks for, a full dump, or a delta cut against
     # another version
     fetches, fetches,
     st.tuples(st.just("expire"), steps),
@@ -200,8 +189,8 @@ A, B = GATEWAYS[:2]
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(exchanges, min_size=12, max_size=40))
-# An equal-hop tie merged twice at one time; the tied gateway that is not the
-# winner dropped and back with a full dump; a holder count contested both ways.
+# An equal-hop tie fetched twice at one time; the tie's winner dropped, and
+# back with a full dump; a holder count contested both ways.
 @example([("learn", {A, B}, "NET-X", [far_entry(0, 1)]),
           ("fetch", [A], "delta", 0.0), ("fetch", [B], "delta", 0.0),
           ("drop_via", {A}), ("learn", {B}, "NET-X", [far_entry(0, 2)]),
@@ -215,25 +204,24 @@ A, B = GATEWAYS[:2]
           ("fetch", [A], "delta", 10.0), ("files", A, 1, [], [0]), ("fetch", [A], "delta", 10.0),
           ("files", A, 2, [METAS[0][1]], []), ("fetch", [A], "delta", 29.9),
           ("expire", 0.1), ("expire", 10.0), ("expire", 30.0)])
-# Two files that leave a neighbour at different times: each record keeps
-# the time its gateway last offered it, and they expire apart.
+# Two files that leave a neighbour at different times: each goes with the
+# delta that removes it.
 @example([("files", A, 1, [METAS[0][0], METAS[1][0]], []), ("fetch", [A], "delta", 0.0),
           ("files", A, 1, [], [0]), ("fetch", [A], "delta", 10.0),
           ("files", A, 1, [], [1]), ("fetch", [A], "delta", 10.0),
           ("expire", 30.0), ("expire", 10.0), ("expire", 10.0)])
-# Two tied gateways stop offering a record one after the other: it keeps the
-# gateway that touched it last.
+# Two tied gateways stop offering a record one after the other: it falls
+# back to the other at once, then goes.
 @example([("learn", {A, B}, "NET-X", [far_entry(0, 1)]), ("fetch", [A, B], "delta", 0.0),
-          ("forget", B, {"NET-X"}), ("fetch", [B], "delta", 10.0),
-          ("forget", A, {"NET-X"}), ("fetch", [A], "delta", 10.0), ("expire", 40.0)])
+          ("forget", A, {"NET-X"}), ("fetch", [A], "delta", 10.0),
+          ("forget", B, {"NET-X"}), ("fetch", [B], "delta", 10.0), ("expire", 40.0)])
 def test_the_merge_leaves_what_a_full_walk_leaves(ops):
-    """Home merges each fetch's changes; a reference catalog merges the
-    whole mirror by the full walk. Both must agree after every step, down
-    to every record's gateway and refresh time and every delta they cut."""
-    cat, ref = NetworkFileCatalog(), ReferenceCatalog()
-    neighbours = {g: ReferenceCatalog() for g in GATEWAYS}
-    mirrors = {g: Mirror() for g in GATEWAYS}
-    versions = {0}
+    """Home merges each fetch's delta. After every step its records must be
+    what the derivation over its mirrors gives, none further than the cap,
+    and every delta it cuts must bring an earlier replica to its snapshot."""
+    cat = NetworkFileCatalog(HOME, CAP)
+    neighbours = {g: NetworkFileCatalog(g, CAP) for g in GATEWAYS}
+    replicas = [(0, cat.snapshot())]
     now = 0.0
     for op in ops:
         kind = op[0]
@@ -241,36 +229,34 @@ def test_the_merge_leaves_what_a_full_walk_leaves(ops):
             neighbours[op[1]].apply_file_change(op[2], op[3], [METAS[f][0].file_id for f in op[4]])
         elif kind == "learn":
             for gateway in op[1]:
-                neighbours[gateway].merge_snapshot({"subnet": op[2], "entries": op[3]},
-                                                   op[2], gateway, now)
+                merge_whole(neighbours[gateway], {"subnet": op[2], "entries": op[3]}, op[2], now)
         elif kind == "forget":
             neighbours[op[1]].drop_via_gateways(op[2])
         elif kind == "fetch":
             now += op[3]
             for gateway in op[1]:
-                mirror = mirrors[gateway]
-                since = {"delta": mirror.version, "dump": 0,
-                         "stale": mirror.version - 1 if mirror.version > 1 else mirror.version + 1}
-                changes = mirror.apply(neighbours[gateway].snapshot(gateway, since[op[2]]))
-                if changes is None:
-                    mirror.version = 0  # as a root does: the next fetch asks for a dump
-                    continue
-                cat.merge_snapshot(changes, gateway, HOME, now, mirror.entries)
-                ref.merge_snapshot({"subnet": gateway, "entries": list(mirror.entries)},
-                                   gateway, HOME, now)
+                mirror = cat.mirrors.get(gateway)
+                version = mirror.version if mirror else 0
+                since = {"delta": version, "dump": 0,
+                         "stale": version - 1 if version > 1 else version + 1}[op[2]]
+                delta = neighbours[gateway].snapshot(since)
+                if not cat.merge_snapshot(delta, gateway, now):
+                    # cut against a version the mirror does not hold: the
+                    # next fetch asks for a full dump
+                    assert delta["base"] not in (0, version)
+                    assert gateway not in cat.mirrors or cat.mirrors[gateway].version == 0
         elif kind == "expire":
             now += op[1]
+            kept = {g for g, m in cat.mirrors.items() if now - m.merged < TTL}
             cat.expire_remote(now, TTL)
-            ref.expire_remote(now, TTL)
+            assert set(cat.mirrors) == kept
         elif kind == "drop_via":
             cat.drop_via_gateways(op[1])
-            ref.drop_via_gateways(op[1])
-            for gateway in op[1]:  # the mirrors go with the neighbours
-                mirrors[gateway] = Mirror()
         else:
-            for c in (cat, ref):
-                c.apply_file_change(op[1], op[2], [METAS[f][0].file_id for f in op[3]])
-        assert full_state(cat) == full_state(ref)
-        versions.add(cat._version)
-        for since in sorted(versions) + [None]:
-            assert cat.snapshot(HOME, since) == ref.snapshot(HOME, since)
+            cat.apply_file_change(op[1], op[2], [METAS[f][0].file_id for f in op[3]])
+        check(cat)
+        assert all(r.hops <= CAP for e in cat.entries.values() for r in e.remote.values())
+        snap = cat.snapshot()
+        assert snap == render(cat)
+        replicas.append((cat._version, snap))
+        check_replicas(cat, snap, replicas)

@@ -300,11 +300,11 @@ def _scenario_frames():
 def _built_frames():
     """The kinds the scenarios do not emit, and a catalog snapshot whose
     entries carry local holders and a remote record, built by hand."""
-    near = NetworkFileCatalog.init_from(1, [make_meta("a.txt", b"aaa", 16)])
-    far = NetworkFileCatalog.init_from(5, [make_meta("a.txt", b"aaa", 16),
-                                           make_meta("song", b"tune", 16)])
-    merge_whole(near, far.snapshot("NET-C"), via_gateway="NET-C", home_ssid="NET-A", now=0.0)
-    snapshot = {"snapshot": near.snapshot("NET-A", 0), "via": "NET-A", "mission_id": "1-7"}
+    near, far = NetworkFileCatalog("NET-A", 8), NetworkFileCatalog("NET-C", 8)
+    near.register_files(1, [make_meta("a.txt", b"aaa", 16)])
+    far.register_files(5, [make_meta("a.txt", b"aaa", 16), make_meta("song", b"tune", 16)])
+    merge_whole(near, far.snapshot(), "NET-C", now=0.0)
+    snapshot = {"snapshot": near.snapshot(0), "via": "NET-A", "mission_id": "1-7"}
     assert [len(e[-1]) for e in snapshot["snapshot"]["entries"]] == [1, 1]
     return [encode_frame(f) for f in (
         Frame(FrameKind.JOIN_REJECT, 2**64 - 1, 300, {"ssid": "P2P-FFFFFFFFFFFFFFFF-0000002A"}),

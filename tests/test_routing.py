@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from pear2pear.catalog import NetworkFileCatalog, RemoteRecord, Stamp, SubnetCatalog
+from pear2pear.catalog import NetworkFileCatalog, RemoteRecord, SubnetCatalog
 from pear2pear.core import make_meta
 from pear2pear.routing import (
     Local, Remote, assign_block_source, designate_courier, partition_blocks,
@@ -75,11 +75,11 @@ def test_per_target_cursors_are_independent():
 def _cat_with_remotes(records):
     """Catalog with one file known only remotely, via the given
     (subnet, hops, holder_count) records."""
-    cat = NetworkFileCatalog()
+    cat = NetworkFileCatalog("NET-A", 8)
     meta = make_meta("song", b"tune", 16)
     entry = cat._entry(meta)
     for subnet, hops, holders in records:
-        entry.remote[subnet] = RemoteRecord(subnet, hops, holders, left=Stamp(subnet, 0, 0.0))
+        entry.remote[subnet] = RemoteRecord(subnet, hops, holders, subnet)
     return cat, meta.file_id
 
 
@@ -101,7 +101,7 @@ def test_remote_orderings_exhaustive():
 
 
 def test_unknown_file_has_no_source():
-    cat = NetworkFileCatalog()
+    cat = NetworkFileCatalog("NET-A", 8)
     assert select_source(cat, make_meta("x", b"y", 16).file_id) is None
 
 

@@ -108,8 +108,15 @@ def _generated(size):
     (lambda d: d["script"].append({"time": 1, "action": "search", "device": True,
                                    "query": "x"}), "$.script[0]"),
     (lambda d: d["devices"][1]["files"].append(_generated(True)), "$.devices[1].files[1]"),
+    (lambda d: d["devices"][1]["files"].append({"name": "h.bin", "hex": 255}),
+     "$.devices[1].files[1].hex"),
+    (lambda d: d["devices"][1]["files"].append({"name": "g.bin", "seed": [1], "size": 4}),
+     "$.devices[1].files[1].seed"),
+    (lambda d: d["devices"][1]["files"].append({"name": ["b.txt"], "text": "x"}),
+     "$.devices[1].files[1].name"),
 ], ids=["devices-not-list", "visibility-not-list", "script-not-list", "files-not-list",
-        "bool-device-id", "bool-edge-endpoint", "bool-script-device", "bool-size"])
+        "bool-device-id", "bool-edge-endpoint", "bool-script-device", "bool-size",
+        "non-string-hex", "non-integer-seed", "non-string-name"])
 def test_malformed_shapes_rejected(mutate, path):
     doc = _minimal()
     mutate(doc)
