@@ -49,7 +49,8 @@ class FileRequest:
 
 
 def _ignore_frame(node, now, src, payload, out):
-    """PONG: the dispatch preamble already refreshed the sender's last_seen."""
+    """PONG, which only a courier visiting a target root sends: the dispatch
+    preamble already refreshed the sender's last_seen."""
 
 
 class Node:
@@ -353,7 +354,7 @@ class Node:
         out.append(Note("purge", {"peer": peer, "reason": reason}))
 
     def _h_ping(self, now, src, payload, out):
-        if self.role in (MEMBER, JOINING):
+        if self.mission is not None:   # an idle member's scan reports prove it alive
             self._send(out, K.PONG, src, {}, now)
 
     # catalogs --------------------------------------------------------------

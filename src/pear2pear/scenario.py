@@ -81,6 +81,21 @@ def _time(value, path: str) -> float:
     return float(value)
 
 
+def _check_liveness(params: Params) -> None:
+    """The periods that keep members listed are finite and positive, and an
+    idle member, which proves it is alive only by its scan reports, sends
+    one within every silent_timeout."""
+    for name in ("ping_interval", "scan_period", "silent_timeout"):
+        value = getattr(params, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ScenarioError(f"$.params.{name}",
+                                f"{name} must be finite and positive, got {value!r}")
+    if params.scan_period >= params.silent_timeout:
+        raise ScenarioError("$.params.scan_period",
+                            f"scan_period {params.scan_period!r} must be below "
+                            f"silent_timeout {params.silent_timeout!r}")
+
+
 def parse_scenario(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("$", "scenario must be a JSON object")
@@ -92,6 +107,7 @@ def parse_scenario(doc: dict) -> Scenario:
         sc.params = Params().override(**doc.get("params", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError("$.params", str(exc))
+    _check_liveness(sc.params)
 
     ids = set()
     names: dict[str, set] = {}

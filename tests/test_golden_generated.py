@@ -31,6 +31,10 @@ TINY = {
     "catalog_mesh": {"rows": 2, "cols": 3, "files_per_member": 2, "until": 160.0},
 }
 # workload -> (events, trace SHA-256, metrics report SHA-256)
+# All three traces were re-pinned when idle members no longer answer PING:
+# each lost only lines naming PONG (838, 478 and 928), and its events
+# (chain_large 3532 -> 3113, bulk_blocks 2353 -> 2114, catalog_mesh
+# 4716 -> 4252). No metrics report changed.
 GOLDEN = {
     # All three were re-pinned when roots stopped sending PING, WANTED_FILE
     # and BLOCK_REQUEST to members out on their courier orders, each of which
@@ -39,8 +43,8 @@ GOLDEN = {
     # instead of after a block timeout, so three downloads fail as
     # courier-failed 5.0 s sooner.
     "chain_large": (
-        3532,
-        "6d33279af480208c759e0fd81d76c89712b06d7bf22eab130f3b078405a76768",
+        3113,
+        "256d7772b6ebccde42c49d4698a12a3b3526699eeb0c7260d6fa8e7ef5086a47",
         "8e04ddbce9ba501ea8749ef2f9cf3cf5ee8ee38378cdb5a2fe0d13e72c35d080"),
     # Re-pinned when the block timeout began comparing `now >= sent +
     # timeout`: `now - sent >= timeout` rounded below the timeout for a
@@ -48,8 +52,8 @@ GOLDEN = {
     # after the holder loss waited a second period. The pull now takes
     # 5.04 sim s instead of 10.04, with one event fewer.
     "bulk_blocks": (
-        2353,
-        "fedc2cdc269b7ba959de691a7ee2bb1ed40b4af49478d00e57b1eafb20d3cc40",
+        2114,
+        "efdf1827fecb8e625b78c6208a9640a1861eb0fd39ae8cadef3cf580070a54a0",
         "e886df4d16bfeee3539d06812cf8dad293a97b9b69f9a228cb0960602e8df4cd"),
     # Re-pinned when remote records became a view over the neighbour
     # mirrors: an equal-hop tie now goes to the gateway first in SSID order,
@@ -58,8 +62,8 @@ GOLDEN = {
     # it; the report differs only in those two couriers' order counts.
     # Same event count.
     "catalog_mesh": (
-        4716,
-        "5b9bbb578af608f0be0e41f9e082890dd5dec9da6fccbcb6d632ffc00448bf49",
+        4252,
+        "a19d4e312e3817c2a0215be7604ffdffb1520b8df5cd35f16b0477dff3e908dc",
         "55dda8538b445e49dc1d17733fb243279c2cc4a083c5c32ac514e5c6d87c2db1"),
 }
 

@@ -21,18 +21,21 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 # chain.json and swarm.json were re-pinned when roots stopped pinging members
 # out on their courier orders: each trace lost only those PING send/drop and
 # undeliverable lines (40 and 12), and no metrics report changed.
+# All four traces were re-pinned when idle members no longer answer PING:
+# each lost only lines naming PONG (98, 30, 20 and 108), and no metrics
+# report changed.
 GOLDEN = {
     "chain.json": (
-        "6719b0106d80cc60cb6542a257e45d61187cac006af00a781f23bd175e6d9fc7",
+        "0b113fdf10ff72a3d00851ec3cd8fc895d953b6ff168648cca023720735b5bcb",
         "fcd6faadc8328d887d22a20b51221bc372c5e3e7460dde89189899967d5c89a7"),
     "intra_subnet.json": (
-        "8e011d89078f41676b75e13cfe2230d88fcf1eb251a078ce9c709c68487e1f6b",
+        "cca32e827528f9c331f06cd08cf479f7994b7778b20afb4b30f8f477ce5f35d6",
         "6840d7701cd87e62ec08f089d94c7a47e772b40a49b6489675081cdc997305ca"),
     "multi_source.json": (
-        "9fdcc6344b9d16915b39e52d3c179a33847d576708b641b67fb0bf82e294f8a3",
+        "33107394b0bccea330b9887ff86fb2dfb7906fe099ee861dea39326f0b3c699d",
         "38007262784af1a67ea4220ab18a1d68136f9c9b6f968a46aeb9c27eeb7af3a8"),
     "swarm.json": (
-        "8c97f2a4391e00da065db8b56076a4b8acd9f2cf69ae0b555f9dc5359e9679a0",
+        "9018696db43ca7ba623995b1e2bb78a43d59e62d6df9820a071b91e1f28ee839",
         "7783e839c7205f7cebf4871f85b0b2b899a3df4084278517b61fd3cb6c36319a"),
 }
 

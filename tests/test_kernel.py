@@ -9,7 +9,9 @@ from pear2pear.frames import FrameKind
 from pear2pear.node import MEMBER, ROOT, SCANNING, Node
 from pear2pear.scenario import build_world, load_scenario, parse_scenario, run_scenario
 
-from helpers import arrive, clique, make_world, members_of, roots_of, star, trace_events
+from helpers import (
+    arrive, clique, make_world, members_of, record_frames, roots_of, star, trace_events,
+)
 from test_golden_generated import SEED, TINY, workloads
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -173,9 +175,14 @@ def test_silent_member_purged_within_bound():
 
 
 def test_member_outlives_silent_timeout_while_responsive():
+    # an idle member answers no PING: its scan reports keep it listed
     w = make_world()
     star(w, 1, [2])
+    frames = record_frames(w)
     w.run_until(2 * w.p.silent_timeout)
+    assert any(f.kind == FrameKind.PING and f.dst == 2 for f in frames)
+    sent = {f.kind for f in frames if f.src == 2}
+    assert FrameKind.SCAN_REPORT in sent and FrameKind.PONG not in sent
     assert 2 in w.nodes[1].members
     assert w.nodes[2].role == MEMBER
 

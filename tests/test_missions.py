@@ -230,7 +230,8 @@ def test_a_courier_whose_nested_courier_is_lost_times_out_at_the_target():
     # three chained subnets, 100 -> 200 -> 300, through gateways 103 and 203.
     # Courier 103 joins 200 at 107.04 and waits on a nested push that never
     # comes: 203 leaves while hopping to 300. 103's own work timeout, counted
-    # from its admission, fires before 200's deadline for 203's order.
+    # from its admission, fires before 200's deadline for 203's order. While
+    # it waits at 200 it sends no scan reports: its PONGs keep it listed.
     w = make_world()
     star(w, 100, [101, 102, 103])
     star(w, 200, [201, 202, 203])
@@ -250,3 +251,6 @@ def test_a_courier_whose_nested_courier_is_lost_times_out_at_the_target():
     assert report.src == 103 and report.payload["reason"] == "work-timeout"
     assert only_download(w)["success"] is False
     assert w.nodes[103].mission is None
+    assert all(p.details["peer"] != 103 for p in trace_events(w, "purge", device=200))
+    leave = trace_events(w, "leaving", device=200)[-1]
+    assert leave.details["peer"] == 103 and leave.time == pytest.approx(167.05)

@@ -114,9 +114,15 @@ def _generated(size):
      "$.devices[1].files[1].seed"),
     (lambda d: d["devices"][1]["files"].append({"name": ["b.txt"], "text": "x"}),
      "$.devices[1].files[1].name"),
+    # a zero ping_interval re-arms the ping timer at the same instant forever
+    (lambda d: d.update(params={"ping_interval": 0}), "$.params.ping_interval"),
+    # idle members prove liveness only by scan reports, one per scan_period
+    (lambda d: d.update(params={"scan_period": 30}), "$.params.scan_period"),
+    (lambda d: d.update(params={"silent_timeout": "nan"}), "$.params.silent_timeout"),
 ], ids=["devices-not-list", "visibility-not-list", "script-not-list", "files-not-list",
         "bool-device-id", "bool-edge-endpoint", "bool-script-device", "bool-size",
-        "non-string-hex", "non-integer-seed", "non-string-name"])
+        "non-string-hex", "non-integer-seed", "non-string-name", "zero-ping-interval",
+        "scan-period-not-below-silent-timeout", "nan-silent-timeout"])
 def test_malformed_shapes_rejected(mutate, path):
     doc = _minimal()
     mutate(doc)
