@@ -4,7 +4,7 @@ import argparse
 import json
 import sys
 
-from .scenario import ScenarioError, load_scenario, run_scenario
+from .scenario import ScenarioError, check_params, load_scenario, run_scenario
 
 
 def _summary(report: dict) -> str:
@@ -77,7 +77,8 @@ def main(argv=None) -> int:
         overrides = _parse_set(args.set)
         if overrides:
             sc.params = sc.params.override(**overrides)
-    except (KeyError, ValueError) as exc:
+            check_params(sc.params)
+    except (KeyError, ValueError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ DIGEST_LEN = 32
 # Device ids travel as u64 in frames and as 16 hex digits in an SSID.
 DEVICE_ID_LIMIT = 1 << 64
 
-_SSID_RE = re.compile(r"^P2P-([0-9A-F]{16})-([0-9A-F]{8})$")
+_SSID_RE = re.compile(r"P2P-([0-9A-F]{16})-([0-9A-F]{8})")
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -93,8 +93,10 @@ def render_ssid(ssid: Ssid) -> str:
 
 
 def parse_ssid(s: str):
-    """Parse a rendered SSID; returns None for non-protocol networks."""
-    m = _SSID_RE.match(s)
+    """Parse a rendered SSID; returns None for non-protocol networks. Only an
+    exact rendering parses, so render_ssid(parse_ssid(s)) == s whenever the
+    result is not None."""
+    m = _SSID_RE.fullmatch(s)
     if m is None:
         return None
     return Ssid(root_id=int(m.group(1), 16), nonce=int(m.group(2), 16))

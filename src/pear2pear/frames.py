@@ -1,4 +1,4 @@
-"""Protocol frames and their canonical wire encoding (version 2).
+"""Protocol frames and their canonical wire encoding (version 3).
 
 A frame is its version byte and kind byte, then `src` and `dst` as unsigned
 varints, then the payload dict as one tagged value. A varint is base 128,
@@ -9,17 +9,27 @@ varint, a float is 8 bytes big-endian, a str is UTF-8 and dict keys are
 sorted. Payload ints must fit in a signed 64-bit int and `src` and `dst` in
 an unsigned one; the encoder raises WireError for anything else.
 
+A str that is an exact SSID rendering (`core.parse_ssid` accepts it) names a
+subnet, and travels as its `(root_id, nonce)` pair: the root id as an
+unsigned varint, then the nonce as 4 bytes big-endian. With its tag that is
+7 bytes for a root id below 2**14, against 31 for the 29-character string.
+It decodes back to the rendered str, so the program above the codec only
+ever sees SSID strings.
+
 The encoding is canonical: two frames with equal contents always encode to
 identical bytes. The decoder accepts only that encoding (every varint in its
-shortest form and below 2**64, bools 0 or 1, dict keys strictly ascending),
-so every input it accepts re-encodes to the same bytes.
+shortest form and below 2**64, bools 0 or 1, dict keys strictly ascending,
+no SSID rendering sent as a plain str), so every input it accepts re-encodes
+to the same bytes.
 """
 
 import enum
 import struct
 from dataclasses import dataclass, field
 
-PROTOCOL_VERSION = 2
+from .core import SSID_PREFIX, Ssid, parse_ssid, render_ssid
+
+PROTOCOL_VERSION = 3
 
 
 class WireError(Exception):
@@ -68,6 +78,7 @@ _T_LIST = 0x04
 _T_DICT = 0x05
 _T_BOOL = 0x06
 _T_FLOAT = 0x07
+_T_SSID = 0x08
 
 _U64 = 1 << 64
 _I64 = 1 << 63
@@ -121,10 +132,16 @@ def _encode_value(value, out: bytearray):
         _put_uvarint(len(value), out)
         out += value
     elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out.append(_T_STR)
-        _put_uvarint(len(raw), out)
-        out += raw
+        ssid = parse_ssid(value) if value.startswith(SSID_PREFIX) else None
+        if ssid is not None:
+            out.append(_T_SSID)
+            _put_uvarint(ssid.root_id, out)
+            out += ssid.nonce.to_bytes(4, "big")
+        else:
+            raw = value.encode("utf-8")
+            out.append(_T_STR)
+            _put_uvarint(len(raw), out)
+            out += raw
     elif isinstance(value, (list, tuple)):
         out.append(_T_LIST)
         _put_uvarint(len(value), out)
@@ -170,9 +187,18 @@ def _decode_value(data: bytes, pos: int):
         if tag == _T_BYTES:
             return raw, pos + n
         try:
-            return raw.decode("utf-8"), pos + n
+            text = raw.decode("utf-8")
         except UnicodeDecodeError:
             raise WireError("string is not valid UTF-8")
+        if text.startswith(SSID_PREFIX) and parse_ssid(text) is not None:
+            raise WireError(f"SSID {text!r} sent as a str")
+        return text, pos + n
+    if tag == _T_SSID:
+        root_id, pos = _get_uvarint(data, pos)
+        if pos + 4 > len(data):
+            raise WireError("truncated SSID nonce")
+        nonce = int.from_bytes(data[pos:pos + 4], "big")
+        return render_ssid(Ssid(root_id, nonce)), pos + 4
     if tag == _T_LIST:
         n, pos = _get_uvarint(data, pos)
         items = []

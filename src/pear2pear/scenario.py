@@ -9,7 +9,7 @@ contents are either inline ("text"/"hex") or generator-specified
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .core import DEVICE_ID_LIMIT, FileId, compute_file_id
 from .params import Params
@@ -81,15 +81,47 @@ def _time(value, path: str) -> float:
     return float(value)
 
 
-def _check_liveness(params: Params) -> None:
-    """The periods that keep members listed are finite and positive, and an
-    idle member, which proves it is alive only by its scan reports, sends
-    one within every silent_timeout."""
-    for name in ("ping_interval", "scan_period", "silent_timeout"):
-        value = getattr(params, name)
-        if not (math.isfinite(value) and value > 0):
+# 0 has a meaning for these: no delay, always swarm, and no repeats.
+_MAY_BE_ZERO = {"link_latency", "hop_latency", "swarm_threshold", "wanted_max"}
+
+
+def _params_of(raw) -> Params:
+    """$.params: a known field each, an int field a JSON integer and a float
+    field a JSON number."""
+    if not isinstance(raw, dict):
+        raise ScenarioError("$.params", "params must be an object")
+    defaults = Params()
+    kinds = {f.name: type(getattr(defaults, f.name)) for f in fields(defaults)}
+    for key, value in raw.items():
+        name = key.lower()
+        if name not in kinds:
+            raise ScenarioError("$.params", f"unknown parameter: {key}")
+        if kinds[name] is int:
+            if not _is_int(value):
+                raise ScenarioError(f"$.params.{name}",
+                                    f"{name} must be an integer, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioError(f"$.params.{name}",
-                                f"{name} must be finite and positive, got {value!r}")
+                                f"{name} must be a number, got {value!r}")
+    return defaults.override(**raw)
+
+
+def check_params(params: Params) -> None:
+    """Every field in its domain: counts positive, periods and timeouts
+    finite and positive, latencies finite and not negative. And an idle
+    member, which proves it is alive only by its scan reports, sends one
+    within every silent_timeout."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if f.name in _MAY_BE_ZERO:
+            ok, domain = value >= 0, "not negative"
+        else:
+            ok, domain = value > 0, "positive"
+        if isinstance(value, float) and not math.isfinite(value):
+            ok, domain = False, f"finite and {domain}"
+        if not ok:
+            raise ScenarioError(f"$.params.{f.name}",
+                                f"{f.name} must be {domain}, got {value!r}")
     if params.scan_period >= params.silent_timeout:
         raise ScenarioError("$.params.scan_period",
                             f"scan_period {params.scan_period!r} must be below "
@@ -101,13 +133,10 @@ def parse_scenario(doc: dict) -> Scenario:
         raise ScenarioError("$", "scenario must be a JSON object")
     sc = Scenario()
     sc.seed = doc.get("seed", 0)
-    if not isinstance(sc.seed, int):
+    if not _is_int(sc.seed):
         raise ScenarioError("$.seed", "seed must be an integer")
-    try:
-        sc.params = Params().override(**doc.get("params", {}))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError("$.params", str(exc))
-    _check_liveness(sc.params)
+    sc.params = _params_of(doc.get("params", {}))
+    check_params(sc.params)
 
     ids = set()
     names: dict[str, set] = {}

@@ -82,6 +82,18 @@ def test_foreign_ssid_rejected():
     assert parse_ssid("P2P-xyz") is None
 
 
+@pytest.mark.parametrize("near_miss", [
+    "P2P-0000000000000001-0000ABCD\n",  # `$` alone would match before the newline
+    "P2P-0000000000000001-0000abcd",    # lowercase hex
+    "P2P-000000000000001-0000ABCD",     # 28 characters
+    "P2P-0000000000000001-0000ABCDE",   # 30 characters
+    " P2P-0000000000000001-0000ABCD",
+])
+def test_only_an_exact_rendering_parses(near_miss):
+    assert parse_ssid("P2P-0000000000000001-0000ABCD") == Ssid(1, 0xABCD)
+    assert parse_ssid(near_miss) is None
+
+
 def test_distinct_roots_distinct_ssids():
     assert render_ssid(Ssid(1, 5)) != render_ssid(Ssid(2, 5))
 

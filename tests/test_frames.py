@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pear2pear.catalog import NetworkFileCatalog
-from pear2pear.core import make_meta
+from pear2pear.core import Ssid, make_meta, render_ssid
 from pear2pear.frames import (
-    Frame, FrameKind, WireError, decode_frame, encode_frame,
+    PROTOCOL_VERSION, Frame, FrameKind, WireError, decode_frame, encode_frame,
 )
 from pear2pear.scenario import build_world, load_scenario
 
@@ -63,9 +63,16 @@ def test_truncated_frame_rejected():
         decode_frame(raw[:-1])
 
 
+ssids = st.builds(render_ssid, st.builds(Ssid, st.integers(0, 2**64 - 1),
+                                         st.integers(0, 2**32 - 1)))
+# strings one edit away from a rendering, which must stay plain strs
+near_misses = ssids.flatmap(lambda s: st.sampled_from(
+    [s + "\n", s.lower(), s[:-1], s + "0", " " + s, s.replace("-", "_", 1)]))
+
 payload_values = st.recursive(
     st.none() | st.booleans() | st.integers(min_value=-2**63, max_value=2**63 - 1)
-    | st.floats(allow_nan=False) | st.binary(max_size=64) | st.text(max_size=32),
+    | st.floats(allow_nan=False) | st.binary(max_size=64) | st.text(max_size=32)
+    | ssids | near_misses,
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=8), inner, max_size=4),
     max_leaves=12,
@@ -86,56 +93,60 @@ def test_round_trip_property(payload, src, dst):
 # --- pinned bytes -----------------------------------------------------------
 
 D = b"\xd1\x9e"  # stands in for a 32-byte digest
+N = render_ssid(Ssid(300, 0xC0FFEE))      # travels as 08 ac02 00c0ffee
+M = render_ssid(Ssid(7, 0xDEADBEEF))      # travels as 08 07 deadbeef
+VERSION = f"{PROTOCOL_VERSION:02x}"
 
-# One small frame of each kind, src 300 and dst 1, with its exact encoding:
-# version 02, kind, src ac 02, dst 01, then the payload.
+# One small frame of each kind, src 300 and dst 1, with its exact encoding
+# after the version byte: kind, src ac 02, dst 01, then the payload.
 PINNED = [
-    (FrameKind.JOIN_REQUEST, {"ssid": "N", "wants_catalog": True, "since": 3},
-     "0201ac02010503030573696e6365010603047373696403014e"
+    (FrameKind.JOIN_REQUEST, {"ssid": N, "wants_catalog": True, "since": 3},
+     "01ac02010503030573696e6365010603047373696408ac0200c0ffee"
      "030d77616e74735f636174616c6f670601"),
-    (FrameKind.JOIN_ACCEPT, {"ssid": "N", "root": 300},
-     "0202ac020105020304726f6f7401d80403047373696403014e"),
-    (FrameKind.JOIN_REJECT, {"ssid": "N"},
-     "0203ac0201050103047373696403014e"),
+    (FrameKind.JOIN_ACCEPT, {"ssid": N, "root": 300},
+     "02ac020105020304726f6f7401d80403047373696408ac0200c0ffee"),
+    (FrameKind.JOIN_REJECT, {"ssid": N},
+     "03ac0201050103047373696408ac0200c0ffee"),
     (FrameKind.FILE_LIST,
      {"files": [{"file_id": D, "names": ["a"], "size": 5, "block_count": 1}], "removed": []},
-     "0204ac02010502030566696c657304010504030b626c6f636b5f636f756e740102030766696c655f69640202"
+     "04ac02010502030566696c657304010504030b626c6f636b5f636f756e740102030766696c655f69640202"
      "d19e03056e616d65730401030161030473697a65010a030772656d6f7665640400"),
-    (FrameKind.SCAN_REPORT, {"visible": ["M"]},
-     "0205ac02010501030776697369626c65040103014d"),
-    (FrameKind.LEAVE_NOTICE, {}, "0206ac02010500"),
-    (FrameKind.PING, {}, "0207ac02010500"),
-    (FrameKind.PONG, {}, "0208ac02010500"),
+    (FrameKind.SCAN_REPORT, {"visible": [M]},
+     "05ac02010501030776697369626c6504010807deadbeef"),
+    (FrameKind.LEAVE_NOTICE, {}, "06ac02010500"),
+    (FrameKind.PING, {}, "07ac02010500"),
+    (FrameKind.PONG, {}, "08ac02010500"),
     (FrameKind.SEARCH_REQUEST, {"query": "a", "by": "name"},
-     "0209ac020105020302627903046e616d6503057175657279030161"),
+     "09ac020105020302627903046e616d6503057175657279030161"),
     (FrameKind.SEARCH_RESPONSE, {"ok": False, "results": [], "query": "a", "by": "name"},
-     "020aac020105040302627903046e616d6503026f6b0600030571756572790301610307726573756c74730400"),
+     "0aac020105040302627903046e616d6503026f6b0600030571756572790301610307726573756c74730400"),
     (FrameKind.DOWNLOAD_REQUEST,
      {"file_id": D, "session_id": "1-1", "origin": "1-1", "ttl": 2, "user": True},
-     "020bac02010505030766696c655f69640202d19e03066f726967696e0303312d31030a73657373696f6e5f"
+     "0bac02010505030766696c655f69640202d19e03066f726967696e0303312d31030a73657373696f6e5f"
      "69640303312d31030374746c01040304757365720601"),
     (FrameKind.SOURCE_LIST, {"ok": False, "session_id": "1-1", "reason": "notfound"},
-     "020cac0201050303026f6b06000306726561736f6e03086e6f74666f756e64030a73657373696f6e5f6964"
+     "0cac0201050303026f6b06000306726561736f6e03086e6f74666f756e64030a73657373696f6e5f6964"
      "0303312d31"),
     (FrameKind.BLOCK_REQUEST, {"file_id": D, "index": 0, "session_id": "1-1"},
-     "020dac02010503030766696c655f69640202d19e0305696e6465780100030a73657373696f6e5f69640303"
+     "0dac02010503030766696c655f69640202d19e0305696e6465780100030a73657373696f6e5f69640303"
      "312d31"),
     (FrameKind.BLOCK_RESPONSE,
      {"ok": True, "file_id": D, "index": 1, "data": b"xy", "session_id": "1-1"},
-     "020eac0201050503046461746102027879030766696c655f69640202d19e0305696e646578010203026f6b"
+     "0eac0201050503046461746102027879030766696c655f69640202d19e0305696e646578010203026f6b"
      "0601030a73657373696f6e5f69640303312d31"),
     (FrameKind.CATALOG_SNAPSHOT,
-     {"snapshot": {"subnet": "N", "entries": [[D, ["a"], 5, 1, 1, [["M", 1, 2]]]],
+     {"snapshot": {"subnet": N, "entries": [[D, ["a"], 5, 1, 1, [[M, 1, 2]]]],
                    "removed": [], "version": 4, "base": 0},
-      "via": "N", "mission_id": ""},
-     "020fac02010503030a6d697373696f6e5f696403000308736e617073686f740505030462617365010003"
-     "07656e7472696573040104060202d19e0401030161010a010201020401040303014d0102010403077265"
-     "6d6f766564040003067375626e657403014e030776657273696f6e0108030376696103014e"),
+      "via": N, "mission_id": ""},
+     "0fac02010503030a6d697373696f6e5f696403000308736e617073686f740505030462617365010003"
+     "07656e7472696573040104060202d19e0401030161010a01020102040104030807deadbeef0102010403"
+     "0772656d6f766564040003067375626e657408ac0200c0ffee030776657273696f6e0108030376696108"
+     "ac0200c0ffee"),
     (FrameKind.COURIER_ORDER, {"status": "failed", "mission_id": "1-2", "reason": "ttl"},
-     "0210ac02010503030a6d697373696f6e5f69640303312d320306726561736f6e030374746c03067374"
+     "10ac02010503030a6d697373696f6e5f69640303312d320306726561736f6e030374746c03067374"
      "6174757303066661696c6564"),
     (FrameKind.WANTED_FILE, {"query": "a", "by": "name"},
-     "0211ac020105020302627903046e616d6503057175657279030161"),
+     "11ac020105020302627903046e616d6503057175657279030161"),
 ]
 
 
@@ -143,12 +154,13 @@ def test_pinned_bytes_of_every_kind():
     assert [kind for kind, _, _ in PINNED] == list(FrameKind)
     for kind, payload, wire in PINNED:
         frame = Frame(kind=kind, src=300, dst=1, payload=payload)
-        assert encode_frame(frame).hex() == wire, kind.name
-        assert decode_frame(bytes.fromhex(wire)) == frame
+        assert encode_frame(frame).hex() == VERSION + wire, kind.name
+        assert decode_frame(bytes.fromhex(VERSION + wire)) == frame
 
 
 # Each value as the one item of a payload {"v": value}: zigzag ints, varint
-# lengths, big-endian floats.
+# lengths, big-endian floats, and a subnet as its root id varint and 4-byte
+# nonce.
 PINNED_VALUES = [
     (None, "00"), (True, "0601"), (False, "0600"),
     (0, "0100"), (-1, "0101"), (1, "0102"), (63, "017e"), (-64, "017f"),
@@ -157,19 +169,22 @@ PINNED_VALUES = [
     (1.5, "073ff8000000000000"),
     (b"", "0200"), (b"\x00\xff", "020200ff"), ("é", "0302c3a9"), ("x" * 200, "03c801" + "78" * 200),
     ([], "0400"), ([1, [2]], "0402010204010104"), ({}, "0500"),
+    ("P2P-0000000000000001-0000ABCD", "08010000abcd"),
+    ("P2P-FFFFFFFFFFFFFFFF-0000002A", "08ffffffffffffffffff010000002a"),
+    ("P2P-0000000000000001-0000abcd", "031d" + b"P2P-0000000000000001-0000abcd".hex()),
 ]
 
 
 @pytest.mark.parametrize("value, wire", PINNED_VALUES)
 def test_pinned_value_encodings(value, wire):
     raw = encode_frame(Frame(kind=FrameKind.PING, src=1, dst=2, payload={"v": value}))
-    assert raw.hex() == "02070102" + "0501030176" + wire
+    assert raw.hex() == VERSION + "070102" + "0501030176" + wire
     assert decode_frame(raw).payload == {"v": value}
 
 
 # --- malformed input --------------------------------------------------------
 
-HEADER = bytes([2, FrameKind.PING, 1, 2])  # version, kind, src 1, dst 2
+HEADER = bytes([PROTOCOL_VERSION, FrameKind.PING, 1, 2])  # version, kind, src 1, dst 2
 
 
 def _str(s: bytes) -> bytes:
@@ -241,7 +256,7 @@ def test_deep_nesting_rejected():
 
 def test_non_minimal_varint_rejected():
     # 1 as src, as an int and as a dict length, each padded with a zero group
-    for raw in (b"\x02\x07\x81\x00\x02\x05\x00",
+    for raw in (HEADER[:2] + b"\x81\x00\x02\x05\x00",
                 _dict_of(_str(b"a"), b"\x01\x82\x00"),
                 HEADER + b"\x05\x80\x00"):
         with pytest.raises(WireError, match="non-minimal"):
@@ -254,15 +269,15 @@ def test_over_long_varint_rejected():
     two_to_the_64 = b"\x80" * 9 + b"\x02"
     for varint in (eleven_bytes, two_to_the_64):
         with pytest.raises(WireError, match="over-long"):
-            decode_frame(b"\x02\x07" + varint + b"\x02\x05\x00")
+            decode_frame(HEADER[:2] + varint + b"\x02\x05\x00")
         with pytest.raises(WireError, match="over-long"):
             decode_frame(_dict_of(_str(b"a"), b"\x01" + varint))
     largest = b"\xff" * 9 + b"\x01"
-    assert decode_frame(b"\x02\x07" + largest + b"\x02\x05\x00").src == 2**64 - 1
+    assert decode_frame(HEADER[:2] + largest + b"\x02\x05\x00").src == 2**64 - 1
 
 
 def test_truncated_varint_rejected():
-    for raw in (b"\x02\x07\xac", b"\x02\x07\x01\xff\xff",
+    for raw in (HEADER[:2] + b"\xac", HEADER[:2] + b"\x01\xff\xff",
                 _dict_of(_str(b"a"), b"\x01\x80"), HEADER + b"\x05\x80"):
         with pytest.raises(WireError, match="truncated varint"):
             decode_frame(raw)
@@ -272,6 +287,37 @@ def test_version_1_frame_rejected():
     v1_ping = b"\x01\x07" + struct.pack(">QQ", 1, 2) + b"\x05" + struct.pack(">I", 0)
     with pytest.raises(WireError, match="unsupported protocol version 1"):
         decode_frame(v1_ping)
+
+
+def test_version_2_frame_rejected():
+    v2_ping = b"\x02" + HEADER[1:] + b"\x05\x00"
+    with pytest.raises(WireError, match="unsupported protocol version 2"):
+        decode_frame(v2_ping)
+
+
+SSID_BYTES = b"P2P-0000000000000001-0000ABCD"
+SSID_PAIR = b"\x08\x01\x00\x00\xab\xcd"  # tag, root id 1, nonce 0xABCD
+
+
+def test_subnet_travels_only_as_its_pair():
+    assert decode_frame(_dict_of(_str(b"a"), SSID_PAIR)).payload == {"a": SSID_BYTES.decode()}
+    # the same SSID as a plain str would give a second encoding of one frame
+    with pytest.raises(WireError, match="SSID"):
+        decode_frame(_dict_of(_str(b"a"), _str(SSID_BYTES)))
+    # near misses are not renderings, so they stay plain strs
+    for near in (SSID_BYTES + b"\n", SSID_BYTES.lower(), SSID_BYTES[:-1]):
+        assert decode_frame(_dict_of(_str(b"a"), _str(near))).payload == {"a": near.decode()}
+
+
+def test_truncated_ssid_nonce_rejected():
+    for cut in range(1, len(SSID_PAIR)):
+        with pytest.raises(WireError, match="truncated"):
+            decode_frame(_dict_of(_str(b"a"), SSID_PAIR[:cut]))
+
+
+def test_non_minimal_ssid_root_id_rejected():
+    with pytest.raises(WireError, match="non-minimal"):
+        decode_frame(_dict_of(_str(b"a"), b"\x08\x81\x00" + SSID_PAIR[2:]))
 
 
 def test_ints_beyond_64_bits_are_refused_by_the_encoder():
@@ -300,11 +346,12 @@ def _scenario_frames():
 def _built_frames():
     """The kinds the scenarios do not emit, and a catalog snapshot whose
     entries carry local holders and a remote record, built by hand."""
-    near, far = NetworkFileCatalog("NET-A", 8), NetworkFileCatalog("NET-C", 8)
+    net_a, net_c = render_ssid(Ssid(1, 0xA)), render_ssid(Ssid(5, 0xC))
+    near, far = NetworkFileCatalog(net_a, 8), NetworkFileCatalog(net_c, 8)
     near.register_files(1, [make_meta("a.txt", b"aaa", 16)])
     far.register_files(5, [make_meta("a.txt", b"aaa", 16), make_meta("song", b"tune", 16)])
-    merge_whole(near, far.snapshot(), "NET-C", now=0.0)
-    snapshot = {"snapshot": near.snapshot(0), "via": "NET-A", "mission_id": "1-7"}
+    merge_whole(near, far.snapshot(), net_c, now=0.0)
+    snapshot = {"snapshot": near.snapshot(0), "via": net_a, "mission_id": "1-7"}
     assert [len(e[-1]) for e in snapshot["snapshot"]["entries"]] == [1, 1]
     return [encode_frame(f) for f in (
         Frame(FrameKind.JOIN_REJECT, 2**64 - 1, 300, {"ssid": "P2P-FFFFFFFFFFFFFFFF-0000002A"}),

@@ -2,10 +2,12 @@
 
 import json
 import pathlib
+from dataclasses import fields
 
 import pytest
 
 from pear2pear.cli import main
+from pear2pear.params import Params
 from pear2pear.scenario import ScenarioError, load_scenario, parse_scenario, run_scenario
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -119,16 +121,43 @@ def _generated(size):
     # idle members prove liveness only by scan reports, one per scan_period
     (lambda d: d.update(params={"scan_period": 30}), "$.params.scan_period"),
     (lambda d: d.update(params={"silent_timeout": "nan"}), "$.params.silent_timeout"),
+    # block_size 0 divides by zero; the others ran on with nonsense
+    (lambda d: d.update(params={"block_size": 0}), "$.params.block_size"),
+    (lambda d: d.update(params={"block_size": -5}), "$.params.block_size"),
+    (lambda d: d.update(params={"hop_latency": -1}), "$.params.hop_latency"),
+    (lambda d: d.update(params={"link_latency": "nan"}), "$.params.link_latency"),
+    # an int field was coerced from a string, a fraction or a bool
+    (lambda d: d.update(params={"block_size": "4096"}), "$.params.block_size"),
+    (lambda d: d.update(params={"block_size": 4096.7}), "$.params.block_size"),
+    (lambda d: d.update(seed=True), "$.seed"),
+    # a Params method, not a field
+    (lambda d: d.update(params={"override": 1}), "$.params"),
 ], ids=["devices-not-list", "visibility-not-list", "script-not-list", "files-not-list",
         "bool-device-id", "bool-edge-endpoint", "bool-script-device", "bool-size",
         "non-string-hex", "non-integer-seed", "non-string-name", "zero-ping-interval",
-        "scan-period-not-below-silent-timeout", "nan-silent-timeout"])
+        "scan-period-not-below-silent-timeout", "nan-silent-timeout", "zero-block-size",
+        "negative-block-size", "negative-hop-latency", "nan-link-latency",
+        "string-block-size", "fractional-block-size", "bool-seed", "method-as-param"])
 def test_malformed_shapes_rejected(mutate, path):
     doc = _minimal()
     mutate(doc)
     with pytest.raises(ScenarioError) as err:
         parse_scenario(doc)
     assert err.value.path == path
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(Params)])
+def test_every_param_has_a_domain(name):
+    may_be_zero = name in ("link_latency", "hop_latency", "swarm_threshold", "wanted_max")
+    bad = [-1, True] + ([] if may_be_zero else [0])
+    if isinstance(getattr(Params(), name), float):
+        bad += [float("inf"), float("nan"), "1"]
+    else:
+        bad += [1.0, "1"]
+    for value in bad:
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(_minimal(params={name: value}))
+        assert err.value.path == f"$.params.{name}", value
 
 
 def test_script_times_must_be_nondecreasing():
@@ -243,6 +272,8 @@ def test_cli_set_overrides_params(tmp_path, capsys):
     assert code == 0
     assert main(["run", str(SCENARIOS / "intra_subnet.json"),
                  "--set", "no_such=1"]) == 2
+    assert main(["run", str(SCENARIOS / "intra_subnet.json"),
+                 "--set", "BLOCK_SIZE=0"]) == 2
 
 
 def test_cli_trace_is_deterministic(tmp_path):
