@@ -27,6 +27,16 @@ remote]`, each remote record the list `[subnet, hops, holders]` (lists: no
 keys on the wire, and unlike tuples they decode back equal). Entries are
 shared between snapshots, and so between frames and mirrors: they are
 read-only.
+
+In memory, `entry.remote` maps a subnet to the plain tuple `(hops,
+holder_count, gateway)`, and a re-derivation replaces the dict rather than
+mutate a record. `entry.meta.names` is a sorted tuple. The cyclic collector
+stops tracking an exact tuple of scalars at its first collection, and a dict
+of such tuples at a full one; an instance of a record class or a `NamedTuple`
+subclass stays tracked. An entry held only remotely shares one empty
+`frozenset` as its holders, and gets a set of its own with its first local
+holder. A root keeps tens of thousands of remote records, and every
+collection of its generation would otherwise walk them all.
 """
 
 from bisect import bisect_left
@@ -36,19 +46,16 @@ from operator import itemgetter
 from .core import FileId, FileMeta
 
 
-@dataclass(slots=True)
-class RemoteRecord:
-    subnet: str          # rendered SSID of the subnet holding copies
-    hops: int            # inter-subnet distance from here (>= 1)
-    holder_count: int
-    gateway: str         # adjacent subnet on the shortest known path
+_NO_HOLDERS = frozenset()
 
 
 @dataclass(slots=True)
 class CatalogEntry:
-    meta: FileMeta
-    holders: set = field(default_factory=set)            # local member DeviceIds
-    remote: dict = field(default_factory=dict)           # subnet ssid -> RemoteRecord
+    meta: FileMeta  # its names a sorted tuple
+    holders: set | frozenset = _NO_HOLDERS  # local member DeviceIds
+    # subnet ssid -> (hops from here, holder count, gateway: the adjacent
+    # subnet on the shortest known path)
+    remote: dict = field(default_factory=dict)
     wire: list | None = field(default=None, compare=False, repr=False)  # snapshot entry
     version: int = field(default=0, compare=False, repr=False)  # of the last change
 
@@ -73,15 +80,19 @@ class NetworkFileCatalog:
         entry.wire = None
 
     def _add_names(self, entry: CatalogEntry, names) -> None:
-        if not entry.meta.names.issuperset(names):
-            entry.meta.names.update(names)
-            self._changed(entry)
+        known = entry.meta.names
+        for name in names:
+            if name not in known:
+                entry.meta.names = tuple(sorted({*known, *names}))
+                self._changed(entry)
+                return
 
     def _entry(self, meta: FileMeta) -> CatalogEntry:
         digest = meta.file_id.digest
         entry = self._by_digest.get(digest)
         if entry is None:
-            entry = CatalogEntry(meta=FileMeta(meta.file_id, set(meta.names), meta.size, meta.block_count))
+            names = tuple(sorted(set(meta.names)))
+            entry = CatalogEntry(meta=FileMeta(meta.file_id, names, meta.size, meta.block_count))
             self.entries[meta.file_id] = self._by_digest[digest] = entry
             self._tombstones.pop(digest, None)
             self._changed(entry)
@@ -103,6 +114,8 @@ class NetworkFileCatalog:
     def _drop_holder_from(self, entry: CatalogEntry, peer: int) -> None:
         if peer in entry.holders:
             entry.holders.discard(peer)
+            if not entry.holders:
+                entry.holders = _NO_HOLDERS
             self._changed(entry)
             self._drop_if_empty(entry)
 
@@ -110,6 +123,8 @@ class NetworkFileCatalog:
         for meta in metas:
             entry = self._entry(meta)
             if peer not in entry.holders:
+                if not entry.holders:
+                    entry.holders = set()
                 entry.holders.add(peer)
                 self._changed(entry)
 
@@ -153,10 +168,10 @@ class NetworkFileCatalog:
         for digest in digests:
             e = self._by_digest[digest]
             if e.wire is None:
-                e.wire = [digest, sorted(e.meta.names), e.meta.size, e.meta.block_count,
+                e.wire = [digest, list(e.meta.names), e.meta.size, e.meta.block_count,
                           len(e.holders),
-                          [[s, r.hops, r.holder_count] for s, r in sorted(e.remote.items())
-                           if r.hops < self.max_hops]]
+                          [[s, hops, count] for s, (hops, count, _) in sorted(e.remote.items())
+                           if hops < self.max_hops]]
             out.append(e.wire)
         return out
 
@@ -218,24 +233,18 @@ class NetworkFileCatalog:
                 if not best:
                     continue
                 _, names, size, block_count, _, _ = raws[0]
-                entry = self._entry(FileMeta(FileId(digest), set(names), size, block_count))
+                entry = self._entry(FileMeta(FileId(digest), names, size, block_count))
             for raw in raws:
                 self._add_names(entry, raw[1])
-            remote = entry.remote
-            changed = not remote.keys() <= best.keys()
-            if changed:
-                for subnet in remote.keys() - best.keys():
-                    del remote[subnet]
-            for subnet, (hops, count, gateway) in best.items():
-                r = remote.get(subnet)
-                if r is None:
-                    remote[subnet] = RemoteRecord(subnet, hops, count, gateway)
-                    changed = True
-                else:
-                    if r.hops != hops or r.holder_count != count:
-                        r.hops, r.holder_count = hops, count
+            # a new gateway alone changes nothing a snapshot shows
+            remote, entry.remote = entry.remote, best
+            changed = remote.keys() != best.keys()
+            if not changed:
+                for subnet, (hops, count, _) in best.items():
+                    held = remote[subnet]
+                    if held[0] != hops or held[1] != count:
                         changed = True
-                    r.gateway = gateway
+                        break
             if changed:
                 self._changed(entry)
                 self._drop_if_empty(entry)

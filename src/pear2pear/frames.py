@@ -14,7 +14,9 @@ subnet, and travels as its `(root_id, nonce)` pair: the root id as an
 unsigned varint, then the nonce as 4 bytes big-endian. With its tag that is
 7 bytes for a root id below 2**14, against 31 for the 29-character string.
 It decodes back to the rendered str, so the program above the codec only
-ever sees SSID strings.
+ever sees SSID strings. A run names few subnets many times over, so the
+codec remembers the encodings of the `_SSID_MEMO` renderings last used, and
+the renderings of the last encodings decoded.
 
 The encoding is canonical: two frames with equal contents always encode to
 identical bytes. The decoder accepts only that encoding (every varint in its
@@ -24,6 +26,7 @@ to the same bytes.
 """
 
 import enum
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -83,6 +86,8 @@ _T_SSID = 0x08
 _U64 = 1 << 64
 _I64 = 1 << 63
 
+_SSID_MEMO = 1024
+
 
 def _put_uvarint(n: int, out: bytearray):
     while n > 0x7F:
@@ -94,6 +99,8 @@ def _put_uvarint(n: int, out: bytearray):
 def _get_uvarint(data: bytes, pos: int):
     """The varint at `pos` and the position after it. Only the shortest form
     of a value below 2**64 is accepted."""
+    if pos < len(data) and data[pos] < 0x80:  # most varints are one byte
+        return data[pos], pos + 1
     value = shift = 0
     while True:
         if pos >= len(data):
@@ -111,6 +118,27 @@ def _get_uvarint(data: bytes, pos: int):
     if value >= _U64:
         raise WireError("over-long varint")
     return value, pos
+
+
+@functools.lru_cache(maxsize=_SSID_MEMO)
+def _ssid_bytes(text: str):
+    """The tag and pair that `text` travels as, or None if it is not an SSID
+    rendering."""
+    ssid = parse_ssid(text)
+    if ssid is None:
+        return None
+    out = bytearray([_T_SSID])
+    _put_uvarint(ssid.root_id, out)
+    out += ssid.nonce.to_bytes(4, "big")
+    return bytes(out)
+
+
+@functools.lru_cache(maxsize=_SSID_MEMO)
+def _ssid_text(pair: bytes) -> str:
+    """The rendering of a pair the decoder has checked: a root id varint,
+    then a 4-byte nonce."""
+    root_id, pos = _get_uvarint(pair, 0)
+    return render_ssid(Ssid(root_id, int.from_bytes(pair[pos:], "big")))
 
 
 def _encode_value(value, out: bytearray):
@@ -132,11 +160,9 @@ def _encode_value(value, out: bytearray):
         _put_uvarint(len(value), out)
         out += value
     elif isinstance(value, str):
-        ssid = parse_ssid(value) if value.startswith(SSID_PREFIX) else None
-        if ssid is not None:
-            out.append(_T_SSID)
-            _put_uvarint(ssid.root_id, out)
-            out += ssid.nonce.to_bytes(4, "big")
+        wire = _ssid_bytes(value) if value.startswith(SSID_PREFIX) else None
+        if wire is not None:
+            out += wire
         else:
             raw = value.encode("utf-8")
             out.append(_T_STR)
@@ -194,11 +220,11 @@ def _decode_value(data: bytes, pos: int):
             raise WireError(f"SSID {text!r} sent as a str")
         return text, pos + n
     if tag == _T_SSID:
-        root_id, pos = _get_uvarint(data, pos)
-        if pos + 4 > len(data):
+        _, end = _get_uvarint(data, pos)
+        end += 4
+        if end > len(data):
             raise WireError("truncated SSID nonce")
-        nonce = int.from_bytes(data[pos:pos + 4], "big")
-        return render_ssid(Ssid(root_id, nonce)), pos + 4
+        return _ssid_text(bytes(data[pos:end])), end
     if tag == _T_LIST:
         n, pos = _get_uvarint(data, pos)
         items = []

@@ -414,11 +414,11 @@ class Node:
             if entry.holders:
                 locality, hops = "local", 0
             elif entry.remote:
-                hops = min(r.hops for r in entry.remote.values())
+                hops = min(r[0] for r in entry.remote.values())
                 locality = "remote"
             else:
                 continue
-            results.append({"file_id": fid.digest, "names": sorted(entry.meta.names),
+            results.append({"file_id": fid.digest, "names": list(entry.meta.names),
                             "size": entry.meta.size,
                             "block_count": entry.meta.block_count,
                             "locality": locality, "hops": hops})

@@ -49,9 +49,9 @@ def select_source(cat: NetworkFileCatalog, file_id: FileId):
     if entry.holders:
         return Local(holders=tuple(sorted(entry.holders)))
     if entry.remote:
-        best = min(entry.remote.values(), key=lambda r: (r.hops, -r.holder_count, r.subnet))
-        return Remote(subnet=best.subnet, hops=best.hops, gateway=best.gateway,
-                      holder_count=best.holder_count)
+        subnet, (hops, count, gateway) = min(
+            entry.remote.items(), key=lambda item: (item[1][0], -item[1][1], item[0]))
+        return Remote(subnet=subnet, hops=hops, gateway=gateway, holder_count=count)
     return None
 
 

@@ -9,6 +9,7 @@ contents are either inline ("text"/"hex") or generator-specified
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass, field, fields
 
 from .core import DEVICE_ID_LIMIT, FileId, compute_file_id
@@ -83,11 +84,15 @@ def _time(value, path: str) -> float:
 
 # 0 has a meaning for these: no delay, always swarm, and no repeats.
 _MAY_BE_ZERO = {"link_latency", "hop_latency", "swarm_threshold", "wanted_max"}
+# The clock is a float, and a timer re-arms at `now + period`: a shorter
+# period could leave the clock where it is, re-arming at one instant for ever.
+# 1 us moves the clock for any time below 2**34 s.
+MIN_PERIOD = 1e-6
 
 
 def _params_of(raw) -> Params:
     """$.params: a known field each, an int field a JSON integer and a float
-    field a JSON number."""
+    field a JSON number that a float can hold."""
     if not isinstance(raw, dict):
         raise ScenarioError("$.params", "params must be an object")
     defaults = Params()
@@ -100,7 +105,8 @@ def _params_of(raw) -> Params:
             if not _is_int(value):
                 raise ScenarioError(f"$.params.{name}",
                                     f"{name} must be an integer, got {value!r}")
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        elif isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or isinstance(value, int) and abs(value) > sys.float_info.max:
             raise ScenarioError(f"$.params.{name}",
                                 f"{name} must be a number, got {value!r}")
     return defaults.override(**raw)
@@ -108,13 +114,15 @@ def _params_of(raw) -> Params:
 
 def check_params(params: Params) -> None:
     """Every field in its domain: counts positive, periods and timeouts
-    finite and positive, latencies finite and not negative. And an idle
-    member, which proves it is alive only by its scan reports, sends one
-    within every silent_timeout."""
+    finite and at least MIN_PERIOD, latencies finite and not negative. And
+    an idle member, which proves it is alive only by its scan reports, sends
+    one within every silent_timeout."""
     for f in fields(params):
         value = getattr(params, f.name)
         if f.name in _MAY_BE_ZERO:
             ok, domain = value >= 0, "not negative"
+        elif isinstance(value, float):
+            ok, domain = value >= MIN_PERIOD, f"at least {MIN_PERIOD}"
         else:
             ok, domain = value > 0, "positive"
         if isinstance(value, float) and not math.isfinite(value):

@@ -32,17 +32,20 @@ def derive(cat: NetworkFileCatalog) -> dict:
 
 
 def records(cat: NetworkFileCatalog) -> dict:
-    """digest -> {subnet: (hops, holder_count, gateway)}, as `cat` holds them."""
-    return {fid.digest: {s: (r.hops, r.holder_count, r.gateway) for s, r in e.remote.items()}
-            for fid, e in cat.entries.items() if e.remote}
+    """digest -> {subnet: (hops, holder_count, gateway)}, as `cat` holds them:
+    each record a plain tuple, so that the collector can stop tracking it."""
+    assert all(type(r) is tuple for e in cat.entries.values() for r in e.remote.values())
+    return {fid.digest: dict(e.remote) for fid, e in cat.entries.items() if e.remote}
 
 
 def check(cat: NetworkFileCatalog) -> None:
     """`cat` holds the derived records, an entry only for a file held here or
-    offered, and every name an offering mirror entry gives its file."""
+    offered, its names sorted and distinct, and every name an offering mirror
+    entry gives its file."""
     assert records(cat) == derive(cat)
     assert all(e.holders or e.remote for e in cat.entries.values())
+    assert all(list(e.meta.names) == sorted(set(e.meta.names)) for e in cat.entries.values())
     for gateway, mirror in cat.mirrors.items():
         for raw in mirror.entries:
             if offers(cat, gateway, raw):
-                assert cat._by_digest[raw[0]].meta.names.issuperset(raw[1])
+                assert set(cat._by_digest[raw[0]].meta.names).issuperset(raw[1])

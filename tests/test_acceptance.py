@@ -142,11 +142,11 @@ def test_c04_hop_soundness():
             dist = bfs_distances(adj, ssid)
             cat = w.nodes[root_dev].catalog
             for entry in cat.entries.values():
-                for subnet, rec in entry.remote.items():
+                for subnet, (hops, _, _) in entry.remote.items():
                     assert subnet in dist, \
                         f"scenario {i}: record for unreachable subnet {subnet}"
-                    assert rec.hops == dist[subnet], \
-                        f"scenario {i}: hops {rec.hops} != BFS {dist[subnet]}"
+                    assert hops == dist[subnet], \
+                        f"scenario {i}: hops {hops} != BFS {dist[subnet]}"
                     checked += 1
     wall = time.perf_counter() - t0
     assert checked > 100, f"only {checked} remote entries checked"
@@ -238,7 +238,7 @@ def test_c07_duplicates():
     w.run_until(30.0)
     cat = w.nodes[1].catalog
     assert len(cat.entries) == 1
-    assert cat.entries[fid].meta.names == {"a.ogg", "b.ogg", "c.ogg"}
+    assert cat.entries[fid].meta.names == ("a.ogg", "b.ogg", "c.ogg")
     assert cat.lookup_name("a.ogg") == cat.lookup_name("b.ogg") == [fid]
     results = [r for r in trace_events(w, "search-result", device=4)]
     assert len(results) == 2 and all(r.details["ok"] for r in results)

@@ -1,5 +1,7 @@
 """NetworkFileCatalog and SubnetCatalog behaviour."""
 
+import gc
+
 from pear2pear.catalog import Mirror, NetworkFileCatalog, SubnetCatalog
 from pear2pear.core import make_meta
 
@@ -32,7 +34,7 @@ def test_register_same_content_merges_names():
     cat.register_files(2, [make_meta("copy-of-a.txt", b"same", BS)])
     assert len(cat.entries) == 1
     (entry,) = cat.entries.values()
-    assert entry.meta.names == {"a.txt", "copy-of-a.txt"}
+    assert entry.meta.names == ("a.txt", "copy-of-a.txt")
     assert entry.holders == {1, 2}
 
 
@@ -93,22 +95,22 @@ def test_merge_adds_one_hop_per_jump():
     merge_whole(b, _cat_with(("song", b"tune"), root=5, ssid="NET-C").snapshot(), "NET-C", now=0.0)
     a = _cat()
     merge_whole(a, b.snapshot(), "NET-B", now=0.0)
-    rec = a.entries[SONG].remote["NET-C"]
-    assert rec.hops == 2
-    assert rec.gateway == "NET-B"
+    hops, _, gateway = a.entries[SONG].remote["NET-C"]
+    assert hops == 2
+    assert gateway == "NET-B"
 
 
 def test_merge_keeps_minimum_hops():
     a = _cat()
     far = _far("NET-X", 0, ("NET-C", 3, 1))
     merge_whole(a, far, "NET-X", now=0.0)
-    assert a.entries[SONG].remote["NET-C"].hops == 4
+    assert a.entries[SONG].remote["NET-C"][0] == 4
     merge_whole(a, _cat_with(("song", b"tune"), root=5, ssid="NET-C").snapshot(), "NET-C", now=1.0)
-    assert a.entries[SONG].remote["NET-C"].hops == 1
+    assert a.entries[SONG].remote["NET-C"][0] == 1
     # a longer path later must not displace the shorter one
     merge_whole(a, far, "NET-X", now=2.0)
-    rec = a.entries[SONG].remote["NET-C"]
-    assert (rec.hops, rec.gateway) == (1, "NET-C")
+    hops, _, gateway = a.entries[SONG].remote["NET-C"]
+    assert (hops, gateway) == (1, "NET-C")
 
 
 def test_merge_skips_records_about_home():
@@ -128,8 +130,7 @@ def test_equal_hop_offers_give_one_record_whatever_the_merge_order():
         a = _cat()
         for t, (gateway, snap) in enumerate(order):
             merge_whole(a, snap, gateway, now=float(t))
-        rec = a.entries[SONG].remote["NET-C"]
-        assert (rec.hops, rec.holder_count, rec.gateway) == (2, 2, "NET-B")
+        assert a.entries[SONG].remote["NET-C"] == (2, 2, "NET-B")
         assert a.snapshot()["entries"][0][-1] == [["NET-C", 2, 2]]
 
 
@@ -137,14 +138,13 @@ def test_a_withdrawn_record_falls_back_to_a_longer_offer():
     a = _cat()
     merge_whole(a, _far("NET-B", 0, ("NET-C", 1, 2)), "NET-B", now=0.0)
     merge_whole(a, _far("NET-D", 0, ("NET-C", 2, 3)), "NET-D", now=0.0)
-    assert a.entries[SONG].remote["NET-C"].gateway == "NET-B"
+    assert a.entries[SONG].remote["NET-C"][2] == "NET-B"
     # B's next delta removes the song: D's three-hop offer takes over at once
     b = a.mirrors["NET-B"]
     delta = {"subnet": "NET-B", "entries": [], "removed": [SONG.digest],
              "version": b.version + 1, "base": b.version}
     assert a.merge_snapshot(delta, "NET-B", now=1.0)
-    rec = a.entries[SONG].remote["NET-C"]
-    assert (rec.hops, rec.holder_count, rec.gateway) == (3, 3, "NET-D")
+    assert a.entries[SONG].remote["NET-C"] == (3, 3, "NET-D")
 
 
 def test_remote_ttl_expiry():
@@ -171,8 +171,7 @@ def test_an_expired_mirror_takes_only_what_it_alone_offered():
     a.expire_remote(now=60.0, ttl=60.0)
     assert set(a.mirrors) == {"NET-D"}
     assert f.file_id not in a.entries
-    rec = a.entries[SONG].remote["NET-C"]
-    assert (rec.hops, rec.holder_count, rec.gateway) == (3, 4, "NET-D")
+    assert a.entries[SONG].remote["NET-C"] == (3, 4, "NET-D")
     a.expire_remote(now=90.0, ttl=60.0)
     assert a.entries == {}
 
@@ -193,7 +192,7 @@ def test_no_snapshot_ships_a_record_at_the_hop_cap():
     # could hold it at more than CAP
     a = _cat()
     merge_whole(a, _far("NET-B", 1, ("NET-C", CAP - 2, 1), ("NET-D", CAP - 1, 1)), "NET-B", now=0.0)
-    assert {s: r.hops for s, r in a.entries[SONG].remote.items()} == \
+    assert {s: r[0] for s, r in a.entries[SONG].remote.items()} == \
         {"NET-B": 1, "NET-C": CAP - 1, "NET-D": CAP}
     assert a.snapshot()["entries"][0][-1] == [["NET-B", 1, 1], ["NET-C", CAP - 1, 1]]
 
@@ -248,6 +247,31 @@ def test_delta_carries_a_holder_count_refresh():
     assert [e[-1][0][-1] for e in delta["entries"]] == [2]
     assert held.apply(delta)
     assert held.entries == a.snapshot()["entries"]
+
+
+def test_records_and_names_are_values_the_collector_stops_tracking():
+    # C holds the song and f; B merged C. A holds f itself and merges B, then
+    # C, whose one-hop offers displace B's two-hop records
+    f = make_meta("f", b"more", BS)
+    c = _cat_with(("song", b"tune"), ("f", b"more"), root=5, ssid="NET-C")
+    b = _cat("NET-B")
+    merge_whole(b, c.snapshot(), "NET-C", now=0.0)
+    a = _cat_with(("f", b"more"))
+    merge_whole(a, b.snapshot(), "NET-B", now=0.0)
+    merge_whole(a, c.snapshot(), "NET-C", now=1.0)
+    assert a.entries[SONG].remote == {"NET-C": (1, 1, "NET-C")}
+    assert a.entries[f.file_id].remote == {"NET-C": (1, 1, "NET-C")}
+    gc.collect()
+    for entry in a.entries.values():
+        assert not gc.is_tracked(entry.remote)
+        assert not any(gc.is_tracked(r) for r in entry.remote.values())
+        assert not gc.is_tracked(entry.meta.names)
+    # a remote-only entry shares one empty holder set with every other, also
+    # once its last local holder has gone
+    song = a.entries[SONG]
+    assert not song.holders and type(song.holders) is not set
+    a.drop_holder(1)
+    assert a.entries[f.file_id].holders is song.holders
 
 
 # --- SubnetCatalog --------------------------------------------------------

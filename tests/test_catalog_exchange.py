@@ -45,8 +45,8 @@ def test_merges_see_the_full_snapshot_of_the_cut(name, monkeypatch):
         def run(self, *args):
             out = method(self, *args)
             check(self)
-            assert all(r.hops <= self.max_hops for e in self.entries.values()
-                       for r in e.remote.values())
+            assert all(hops <= self.max_hops for e in self.entries.values()
+                       for hops, _, _ in e.remote.values())
             return out
         return run
 
@@ -106,7 +106,7 @@ def test_a_fetch_that_lands_after_its_neighbour_expired_is_dropped():
     assert fetches == [20.0, 40.0]
     assert merges == pytest.approx([24.1])
     assert not [r for e in root.catalog.entries.values() for r in e.remote.values()
-                if r.gateway == target]
+                if r[2] == target]
     w.run_until(60.05)
     (order,) = orders_of(root)
     assert (order.target, order.since) == (target, 0)

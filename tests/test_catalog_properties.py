@@ -47,8 +47,8 @@ def render(cat):
             e.meta.size,
             e.meta.block_count,
             len(e.holders),
-            [[s, r.hops, r.holder_count] for s, r in sorted(e.remote.items())
-             if r.hops < cat.max_hops],
+            [[s, hops, count] for s, (hops, count, _) in sorted(e.remote.items())
+             if hops < cat.max_hops],
         ])
     return {"subnet": cat.ssid, "entries": entries}
 
@@ -255,7 +255,7 @@ def test_the_merge_leaves_what_a_full_walk_leaves(ops):
         else:
             cat.apply_file_change(op[1], op[2], [METAS[f][0].file_id for f in op[3]])
         check(cat)
-        assert all(r.hops <= CAP for e in cat.entries.values() for r in e.remote.values())
+        assert all(hops <= CAP for e in cat.entries.values() for hops, _, _ in e.remote.values())
         snap = cat.snapshot()
         assert snap == render(cat)
         replicas.append((cat._version, snap))

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from pear2pear.catalog import NetworkFileCatalog
 from pear2pear.core import Ssid, make_meta, render_ssid
 from pear2pear.frames import (
-    PROTOCOL_VERSION, Frame, FrameKind, WireError, decode_frame, encode_frame,
+    _SSID_MEMO, PROTOCOL_VERSION, Frame, FrameKind, WireError, decode_frame, encode_frame,
 )
 from pear2pear.scenario import build_world, load_scenario
 
@@ -318,6 +318,29 @@ def test_truncated_ssid_nonce_rejected():
 def test_non_minimal_ssid_root_id_rejected():
     with pytest.raises(WireError, match="non-minimal"):
         decode_frame(_dict_of(_str(b"a"), b"\x08\x81\x00" + SSID_PAIR[2:]))
+
+
+def _uvarint(n: int) -> bytes:
+    out = bytearray()
+    while n > 0x7F:
+        out.append(n & 0x7F | 0x80)
+        n >>= 7
+    out.append(n)
+    return bytes(out)
+
+
+def test_subnets_encode_alike_cold_remembered_and_evicted():
+    # twice as many subnets as the codec remembers, each encoded and decoded
+    # three times: first cold, or remembered from an earlier test, then
+    # remembered, then evicted
+    roots = list(range(2 * _SSID_MEMO)) + [2**63]
+    for _ in range(3):
+        for root in roots:
+            nonce = root * 7919 % 2**32
+            ssid = render_ssid(Ssid(root, nonce))
+            raw = encode_frame(Frame(kind=FrameKind.PING, src=1, dst=2, payload={"v": ssid}))
+            assert raw == _dict_of(_str(b"v"), b"\x08" + _uvarint(root) + nonce.to_bytes(4, "big"))
+            assert decode_frame(raw).payload == {"v": ssid}
 
 
 def test_ints_beyond_64_bits_are_refused_by_the_encoder():

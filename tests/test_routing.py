@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from pear2pear.catalog import NetworkFileCatalog, RemoteRecord, SubnetCatalog
+from pear2pear.catalog import NetworkFileCatalog, SubnetCatalog
 from pear2pear.core import make_meta
 from pear2pear.routing import (
     Local, Remote, assign_block_source, designate_courier, partition_blocks,
@@ -79,7 +79,7 @@ def _cat_with_remotes(records):
     meta = make_meta("song", b"tune", 16)
     entry = cat._entry(meta)
     for subnet, hops, holders in records:
-        entry.remote[subnet] = RemoteRecord(subnet, hops, holders, subnet)
+        entry.remote[subnet] = (hops, holders, subnet)
     return cat, meta.file_id
 
 

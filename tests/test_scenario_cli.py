@@ -132,12 +132,17 @@ def _generated(size):
     (lambda d: d.update(seed=True), "$.seed"),
     # a Params method, not a field
     (lambda d: d.update(params={"override": 1}), "$.params"),
+    # a period too short to move the clock re-armed its timer at one instant
+    # for ever; a JSON integer beyond a float's range raised OverflowError
+    (lambda d: d.update(params={"scan_period": 5e-324}), "$.params.scan_period"),
+    (lambda d: d.update(params={"ping_interval": 10**400}), "$.params.ping_interval"),
 ], ids=["devices-not-list", "visibility-not-list", "script-not-list", "files-not-list",
         "bool-device-id", "bool-edge-endpoint", "bool-script-device", "bool-size",
         "non-string-hex", "non-integer-seed", "non-string-name", "zero-ping-interval",
         "scan-period-not-below-silent-timeout", "nan-silent-timeout", "zero-block-size",
         "negative-block-size", "negative-hop-latency", "nan-link-latency",
-        "string-block-size", "fractional-block-size", "bool-seed", "method-as-param"])
+        "string-block-size", "fractional-block-size", "bool-seed", "method-as-param",
+        "denormal-scan-period", "int-beyond-float-ping-interval"])
 def test_malformed_shapes_rejected(mutate, path):
     doc = _minimal()
     mutate(doc)
