@@ -65,8 +65,12 @@ def block_payload(content: bytes, index: int, block_size: int) -> bytes:
 
 @dataclass(slots=True)
 class FileMeta:
+    """A file's id, names, size and block count. A node's own metas hold
+    their names in a `set` that grows in place; a catalog entry's copy holds
+    them in a sorted tuple that the catalog replaces, and must not be
+    mutated."""
     file_id: FileId
-    names: set = field(default_factory=set)
+    names: set | tuple = field(default_factory=set)
     size: int = 0
     block_count: int = 1
 

@@ -99,8 +99,6 @@ def _put_uvarint(n: int, out: bytearray):
 def _get_uvarint(data: bytes, pos: int):
     """The varint at `pos` and the position after it. Only the shortest form
     of a value below 2**64 is accepted."""
-    if pos < len(data) and data[pos] < 0x80:  # most varints are one byte
-        return data[pos], pos + 1
     value = shift = 0
     while True:
         if pos >= len(data):
