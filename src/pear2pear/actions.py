@@ -25,12 +25,12 @@ class HopTo:
 @dataclass
 class StartTimer:
     delay: float
-    tag: tuple           # (handler, *args), handed back to Node.on_timer
+    tag: tuple           # (term, handler, *args), handed back to Node.on_timer
 
 
 @dataclass
 class RequestScan:
-    delay: float = 0.0
+    """Scan now: the host hands the visible SSIDs to Node.on_scan."""
 
 
 @dataclass

@@ -9,11 +9,12 @@ merged from it, and the home root applies that delta to its mirror.
 Remote records are a view over the mirrors. The record of a (file, subnet)
 is the offer with the fewest hops over all mirrors: a neighbour's own holders
 at one hop, and each of its records one hop further. A tie goes to the
-gateway first in SSID order, and no record names this subnet. A merge, an
-expiry or a dropped gateway re-derives only the digests whose offers it
-changed. No snapshot ships a record at `max_hops` or more, so no record here
-is ever further than `max_hops`: no courier chain could fetch it, and a
-record that lost its source counts up to that bound and goes.
+gateway first in SSID order, no record names this subnet, and an offered id
+that is not a 32-byte digest gets no entry. A merge, an expiry or a dropped
+gateway re-derives only the digests whose offers it changed. No snapshot
+ships a record at `max_hops` or more, so no record here is ever further than
+`max_hops`: no courier chain could fetch it, and a record that lost its
+source counts up to that bound and goes.
 
 Every change a snapshot shows goes through `_changed`, which clears the
 entry's cached snapshot entry, `entry.wire`, and stamps `entry.version` with
@@ -28,11 +29,16 @@ keys on the wire, and unlike tuples they decode back equal). Entries are
 shared between snapshots, and so between frames and mirrors: they are
 read-only.
 
-In memory, `entry.remote` maps a subnet to the plain tuple `(hops,
-holder_count, gateway)`, and a re-derivation replaces the dict rather than
-mutate a record. `entry.meta.names` is a sorted tuple. The cyclic collector
-stops tracking an exact tuple of scalars at its first collection, and a dict
-of such tuples at a full one; an instance of a record class or a `NamedTuple`
+In memory, `entries` maps a file's 32-byte digest, its one key everywhere
+in a catalog, to its one record, a `CatalogEntry`: its names as a sorted
+tuple, replaced when a new name arrives, its size and block count, its
+local holders and its remote records. It holds no `FileId` or `FileMeta`:
+each would be one more object per root and file for the collector to walk.
+`entry.remote` maps a subnet to the
+plain tuple `(hops, holder_count, gateway)`, and a re-derivation replaces
+the dict rather than mutate a record. The cyclic collector stops tracking
+an exact tuple of scalars at its first collection, and a dict of such
+tuples at a full one; an instance of a record class or a `NamedTuple`
 subclass stays tracked. An entry held only remotely shares one empty
 `frozenset` as its holders, and gets a set of its own with its first local
 holder. A root keeps tens of thousands of remote records, and every
@@ -43,15 +49,16 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .core import FileId, FileMeta
-
 
 _NO_HOLDERS = frozenset()
+DIGEST_LEN = 32  # of a content hash, as `core.DIGEST_LEN`
 
 
 @dataclass(slots=True)
 class CatalogEntry:
-    meta: FileMeta  # its names a sorted tuple
+    names: tuple  # sorted, distinct; replaced, never mutated
+    size: int
+    block_count: int
     holders: set | frozenset = _NO_HOLDERS  # local member DeviceIds
     # subnet ssid -> (hops from here, holder count, gateway: the adjacent
     # subnet on the shortest known path)
@@ -67,8 +74,7 @@ class NetworkFileCatalog:
     def __init__(self, ssid: str, max_hops: int):
         self.ssid = ssid
         self.max_hops = max_hops
-        self.entries: dict[FileId, CatalogEntry] = {}
-        self._by_digest: dict[bytes, CatalogEntry] = {}  # the same entries, by digest
+        self.entries: dict[bytes, CatalogEntry] = {}  # by digest
         self._version = 0  # bumped by every change a snapshot shows
         self._tombstones: dict[bytes, int] = {}  # dropped digest -> version, oldest first
         self._floor = 0  # the version of the newest tombstone pruned
@@ -80,48 +86,46 @@ class NetworkFileCatalog:
         entry.wire = None
 
     def _add_names(self, entry: CatalogEntry, names) -> None:
-        known = entry.meta.names
+        known = entry.names
         for name in names:
             if name not in known:
-                entry.meta.names = tuple(sorted({*known, *names}))
+                entry.names = tuple(sorted({*known, *names}))
                 self._changed(entry)
                 return
 
-    def _entry(self, meta: FileMeta) -> CatalogEntry:
-        digest = meta.file_id.digest
-        entry = self._by_digest.get(digest)
+    def _entry(self, digest: bytes, names, size: int, block_count: int) -> CatalogEntry:
+        entry = self.entries.get(digest)
         if entry is None:
-            names = tuple(sorted(set(meta.names)))
-            entry = CatalogEntry(meta=FileMeta(meta.file_id, names, meta.size, meta.block_count))
-            self.entries[meta.file_id] = self._by_digest[digest] = entry
+            entry = CatalogEntry(tuple(sorted(set(names))), size, block_count)
+            self.entries[digest] = entry
             self._tombstones.pop(digest, None)
             self._changed(entry)
         else:
-            self._add_names(entry, meta.names)
+            self._add_names(entry, names)
         return entry
 
-    def _drop_if_empty(self, entry: CatalogEntry) -> None:
+    def _drop_if_empty(self, digest: bytes, entry: CatalogEntry) -> None:
         if not entry.holders and not entry.remote:
-            file_id = entry.meta.file_id
-            del self.entries[file_id]
-            del self._by_digest[file_id.digest]
+            del self.entries[digest]
             # stamped with the version of the change that emptied it
-            self._tombstones[file_id.digest] = entry.version
-            while len(self._tombstones) > len(self._by_digest):
+            self._tombstones[digest] = entry.version
+            while len(self._tombstones) > len(self.entries):
                 oldest = next(iter(self._tombstones))
                 self._floor = self._tombstones.pop(oldest)
 
-    def _drop_holder_from(self, entry: CatalogEntry, peer: int) -> None:
-        if peer in entry.holders:
+    def _drop_holder_from(self, digest: bytes, peer: int) -> None:
+        entry = self.entries.get(digest)
+        if entry is not None and peer in entry.holders:
             entry.holders.discard(peer)
             if not entry.holders:
                 entry.holders = _NO_HOLDERS
             self._changed(entry)
-            self._drop_if_empty(entry)
+            self._drop_if_empty(digest, entry)
 
     def register_files(self, peer: int, metas) -> None:
+        """Record `peer` as a holder of the files of these `FileMeta`s."""
         for meta in metas:
-            entry = self._entry(meta)
+            entry = self._entry(meta.file_id.digest, meta.names, meta.size, meta.block_count)
             if peer not in entry.holders:
                 if not entry.holders:
                     entry.holders = set()
@@ -129,35 +133,31 @@ class NetworkFileCatalog:
                 self._changed(entry)
 
     def apply_file_change(self, peer: int, added, removed) -> None:
+        """`peer` now holds the files of the `FileMeta`s `added`, and no
+        longer those of the `FileId`s `removed`."""
         self.register_files(peer, added)
         for file_id in removed:
-            entry = self.entries.get(file_id)
-            if entry is not None:
-                self._drop_holder_from(entry, peer)
+            self._drop_holder_from(file_id.digest, peer)
 
     def drop_holder(self, peer: int) -> None:
-        for entry in list(self.entries.values()):
-            self._drop_holder_from(entry, peer)
+        for digest in list(self.entries):
+            self._drop_holder_from(digest, peer)
 
     def lookup_name(self, name: str) -> list:
-        return sorted(fid for fid, e in self.entries.items() if name in e.meta.names)
+        """The digests of the files named `name`, sorted."""
+        return sorted(d for d, e in self.entries.items() if name in e.names)
 
-    def snapshot(self, since: int | None = None) -> dict:
-        """Wire-encodable snapshot sorted by digest: with no `since`, the
-        whole catalog.
-
-        With `since`, a delta for a reader that holds this catalog as it was
-        at version `since`: the entries changed after it, the digests
-        `removed` after it, the catalog's `version` now and the `base` the
-        delta was cut against. A `since` of 0, or one this catalog cannot
-        answer (below `_floor` or above its version), gets a full dump with
-        `base` 0 and nothing `removed`. Entries are cached and shared
-        between snapshots: read-only."""
-        if since is None:
-            return {"subnet": self.ssid, "entries": self._wire(sorted(self._by_digest))}
+    def snapshot(self, since: int) -> dict:
+        """Wire-encodable delta, sorted by digest, for a reader that holds
+        this catalog as it was at version `since`: the entries changed after
+        it, the digests `removed` after it, the catalog's `version` now and
+        the `base` the delta was cut against. A `since` of 0, or one this
+        catalog cannot answer (below `_floor` or above its version), gets a
+        full dump with `base` 0 and nothing `removed`. Entries are cached
+        and shared between snapshots: read-only."""
         if not self._floor <= since <= self._version:
             since = 0
-        changed = sorted(d for d, e in self._by_digest.items() if e.version > since)
+        changed = sorted(d for d, e in self.entries.items() if e.version > since)
         removed = sorted(d for d, v in self._tombstones.items() if v > since) if since else []
         return {"subnet": self.ssid, "entries": self._wire(changed), "removed": removed,
                 "version": self._version, "base": since}
@@ -166,9 +166,9 @@ class NetworkFileCatalog:
         """The snapshot entries with these digests, in order."""
         out = []
         for digest in digests:
-            e = self._by_digest[digest]
+            e = self.entries[digest]
             if e.wire is None:
-                e.wire = [digest, list(e.meta.names), e.meta.size, e.meta.block_count,
+                e.wire = [digest, list(e.names), e.size, e.block_count,
                           len(e.holders),
                           [[s, hops, count] for s, (hops, count, _) in sorted(e.remote.items())
                            if hops < self.max_hops]]
@@ -210,11 +210,10 @@ class NetworkFileCatalog:
             best = {}  # subnet -> (hops, holder count, gateway)
             raws = []
             for gateway, mirror in mirrors:
-                entries = mirror.entries
-                i = bisect_left(entries, digest, key=_digest)
-                if i == len(entries) or entries[i][0] != digest:
+                i, found = _find(mirror.entries, digest)
+                if not found:
                     continue
-                raw = entries[i]
+                raw = mirror.entries[i]
                 offered = raw[4] and gateway != home  # its own holders, one hop away
                 if offered:
                     held = best.get(gateway)
@@ -228,12 +227,11 @@ class NetworkFileCatalog:
                             best[subnet] = (hops + 1, count, gateway)
                 if offered:
                     raws.append(raw)
-            entry = self._by_digest.get(digest)
+            entry = self.entries.get(digest)
             if entry is None:
-                if not best:
+                if not best or len(digest) != DIGEST_LEN:  # no record for a malformed id
                     continue
-                _, names, size, block_count, _, _ = raws[0]
-                entry = self._entry(FileMeta(FileId(digest), names, size, block_count))
+                entry = self._entry(digest, *raws[0][1:4])
             for raw in raws:
                 self._add_names(entry, raw[1])
             # a new gateway alone changes nothing a snapshot shows
@@ -247,7 +245,7 @@ class NetworkFileCatalog:
                         break
             if changed:
                 self._changed(entry)
-                self._drop_if_empty(entry)
+                self._drop_if_empty(digest, entry)
 
 
 _digest = itemgetter(0)

@@ -65,12 +65,10 @@ def block_payload(content: bytes, index: int, block_size: int) -> bytes:
 
 @dataclass(slots=True)
 class FileMeta:
-    """A file's id, names, size and block count. A node's own metas hold
-    their names in a `set` that grows in place; a catalog entry's copy holds
-    them in a sorted tuple that the catalog replaces, and must not be
-    mutated."""
+    """A file's id, names, size and block count, as a node holds it or a
+    payload describes it. Its names grow in place."""
     file_id: FileId
-    names: set | tuple = field(default_factory=set)
+    names: set = field(default_factory=set)
     size: int = 0
     block_count: int = 1
 

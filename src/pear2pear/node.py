@@ -116,8 +116,11 @@ class Node:
         self._counter += 1
         return f"{self.device}-{self._counter}"
 
-    def _meta_payload(self, meta: FileMeta) -> dict:
-        return {"file_id": meta.file_id.digest, "names": sorted(meta.names),
+    @staticmethod
+    def _meta_payload(digest: bytes, meta) -> dict:
+        """The payload of a file: its digest, and the names, size and block
+        count of `meta`, a `FileMeta` or a catalog entry."""
+        return {"file_id": digest, "names": sorted(meta.names),
                 "size": meta.size, "block_count": meta.block_count}
 
     @staticmethod
@@ -147,7 +150,7 @@ class Node:
     def on_arrive(self, now: float) -> list:
         out = [Note("arrive", {})]
         self._new_life()
-        out.append(RequestScan(0.0))
+        out.append(RequestScan())
         return out
 
     def on_depart(self, now: float, silent: bool) -> list:
@@ -196,10 +199,9 @@ class Node:
         self.attached = ssid
         self.home_root = root_id
         self.last_root_seen = now
-        files = [self._meta_payload(m) for m in
-                 sorted(self.metas.values(), key=lambda m: m.file_id)]
+        files = [self._meta_payload(fid.digest, m) for fid, m in sorted(self.metas.items())]
         self._send(out, K.FILE_LIST, root_id, {"files": files, "removed": []}, now)
-        out.append(RequestScan(0.0))
+        out.append(RequestScan())
         self._after(out, self.p.scan_period, self._t_scan_report)
         self._after(out, self.p.ping_interval, self._t_root_check)
         out.append(Note("role", {"role": MEMBER, "ssid": ssid}))
@@ -209,7 +211,7 @@ class Node:
         for sid in sorted(self.sessions):
             self._session_fail(now, self.sessions[sid], reason, out)
         self._new_life()
-        out.append(RequestScan(0.0))
+        out.append(RequestScan())
 
     # ------------------------------------------------------------------ frames
 
@@ -402,15 +404,15 @@ class Node:
     def _search_results(self, query, by):
         if by == "id":
             try:
-                fids = [FileId.from_hex(query)]
+                digests = [FileId.from_hex(query).digest]
             except ValueError:
-                fids = []
-            fids = [f for f in fids if f in self.catalog.entries]
+                digests = []
+            digests = [d for d in digests if d in self.catalog.entries]
         else:
-            fids = self.catalog.lookup_name(query)
+            digests = self.catalog.lookup_name(query)
         results = []
-        for fid in fids:
-            entry = self.catalog.entries[fid]
+        for digest in digests:
+            entry = self.catalog.entries[digest]
             if entry.holders:
                 locality, hops = "local", 0
             elif entry.remote:
@@ -418,9 +420,7 @@ class Node:
                 locality = "remote"
             else:
                 continue
-            results.append({"file_id": fid.digest, "names": list(entry.meta.names),
-                            "size": entry.meta.size,
-                            "block_count": entry.meta.block_count,
+            results.append({**self._meta_payload(digest, entry),
                             "locality": locality, "hops": hops})
         return results
 
@@ -555,32 +555,32 @@ class Node:
         origin = payload.get("origin") or sid
         req_ttl = payload.get("ttl", self.p.courier_ttl)
         is_user = payload.get("user", True)
-        sel = routing.select_source(self.catalog, file_id)
+        sel = routing.select_source(self.catalog, file_id.digest)
+        entry = self.catalog.entries.get(file_id.digest)
 
         if isinstance(sel, routing.Local):
             holders = [h for h in sel.holders if h != src]
             here = list(filter(self._here, holders))
-            meta = self.catalog.entries[file_id].meta
             if not here:
                 self._refuse(now, out, src, sid, "holder-away" if holders else "no-source")
                 return
             self._send(out, K.SOURCE_LIST, src,
                        {"ok": True, "mode": "pull", "session_id": sid,
                         "file_id": file_id.digest, "sources": here, "hops": 0,
-                        "meta": self._meta_payload(meta)}, now)
+                        "meta": self._meta_payload(file_id.digest, entry)}, now)
             return
 
         if isinstance(sel, routing.Remote):
-            meta = self.catalog.entries[file_id].meta
             if req_ttl < 1:
                 self._refuse(now, out, src, sid, "ttl")
                 return
             eligible = self._eligible_couriers(now, sel.gateway, exclude={src})
             ranges = [None]
-            if is_user and sel.hops == 1 and meta.block_count >= self.p.swarm_threshold \
+            if is_user and sel.hops == 1 and entry.block_count >= self.p.swarm_threshold \
                     and len(eligible) >= 2:
-                ranges = routing.partition_blocks(
-                    meta.block_count, min(len(eligible), self.p.max_swarm))
+                # no more ranges than blocks: an empty range's courier could only time out
+                ranges = routing.partition_blocks(entry.block_count, min(
+                    len(eligible), self.p.max_swarm, entry.block_count))
             orders = [self._order(now, out, transfer.CourierMission(
                 "", "file", sel.gateway, ttl=req_ttl, file_id=file_id,
                 block_range=rng, requester=src, session_id=sid, origin=origin),
@@ -592,7 +592,7 @@ class Node:
             self._send(out, K.SOURCE_LIST, src,
                        {"ok": True, "mode": "push", "session_id": sid,
                         "file_id": file_id.digest, "hops": sel.hops,
-                        "meta": self._meta_payload(meta)}, now)
+                        "meta": self._meta_payload(file_id.digest, entry)}, now)
             return
 
         self._refuse(now, out, src, sid, "notfound")
@@ -704,7 +704,8 @@ class Node:
                 meta = self.store_file(name, content)
                 if self.role == MEMBER:
                     self._send(out, K.FILE_LIST, self.home_root,
-                               {"files": [self._meta_payload(meta)], "removed": []}, now)
+                               {"files": [self._meta_payload(meta.file_id.digest, meta)],
+                                "removed": []}, now)
                 elif self.role == ROOT:
                     self.catalog.register_files(self.device, [meta])
                     self._check_wanted(now, [meta], out)
@@ -876,7 +877,7 @@ class Node:
     def _t_scan_report(self, now, out):
         self._after(out, self.p.scan_period, self._t_scan_report)
         if self.mission is None:
-            out.append(RequestScan(0.0))
+            out.append(RequestScan())
 
     def _t_root_check(self, now, out):
         self._after(out, self.p.ping_interval, self._t_root_check)

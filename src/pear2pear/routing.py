@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 from .catalog import NetworkFileCatalog, SubnetCatalog
-from .core import FileId
 
 
 @dataclass(frozen=True)
@@ -40,10 +39,11 @@ def designate_courier(sub: SubnetCatalog, target: str, eligible=None):
     return peer
 
 
-def select_source(cat: NetworkFileCatalog, file_id: FileId):
-    """Best source for a file: local holders beat everything; otherwise the
-    minimum-hop remote record, ties broken by more copies then subnet id."""
-    entry = cat.entries.get(file_id)
+def select_source(cat: NetworkFileCatalog, digest: bytes):
+    """Best source for the file of `digest`: local holders beat everything;
+    otherwise the minimum-hop remote record, ties broken by more copies then
+    subnet id."""
+    entry = cat.entries.get(digest)
     if entry is None:
         return None
     if entry.holders:

@@ -235,7 +235,7 @@ class World:
                               tag=act.tag)
 
             elif isinstance(act, RequestScan):
-                self.schedule(self.clock + act.delay, "scan", device=device)
+                self.schedule(self.clock, "scan", device=device)
 
             elif isinstance(act, Note):
                 self._note(device, act.kind, act.details)

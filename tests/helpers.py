@@ -41,12 +41,13 @@ def star(world, root, members, files=None):
     arrive(world, [root] + list(members))
 
 
-def swarm_world(bridges):
+def swarm_world(bridges, size=32768, **overrides):
     """Root 1 with members 2-5 and root 10 with member 11, which holds a
-    32-block file; `bridges` also see root 10. Device 5 downloads the file
-    at t=50, so with two or more idle bridges root 1 splits it into a swarm."""
-    content = random_content(42, 32768)
-    w = make_world(block_size=1024)
+    file of `size` bytes in 1 KiB blocks; `bridges` also see root 10. Device
+    5 downloads the file at t=50, so with two or more idle bridges root 1
+    splits the default 32-block file into a swarm."""
+    content = random_content(42, size)
+    w = make_world(block_size=1024, **overrides)
     w.add_device(1)
     w.add_device(10)
     for d in (2, 3, 4, 5):

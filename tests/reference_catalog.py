@@ -35,7 +35,7 @@ def records(cat: NetworkFileCatalog) -> dict:
     """digest -> {subnet: (hops, holder_count, gateway)}, as `cat` holds them:
     each record a plain tuple, so that the collector can stop tracking it."""
     assert all(type(r) is tuple for e in cat.entries.values() for r in e.remote.values())
-    return {fid.digest: dict(e.remote) for fid, e in cat.entries.items() if e.remote}
+    return {digest: dict(e.remote) for digest, e in cat.entries.items() if e.remote}
 
 
 def check(cat: NetworkFileCatalog) -> None:
@@ -44,8 +44,8 @@ def check(cat: NetworkFileCatalog) -> None:
     entry gives its file."""
     assert records(cat) == derive(cat)
     assert all(e.holders or e.remote for e in cat.entries.values())
-    assert all(list(e.meta.names) == sorted(set(e.meta.names)) for e in cat.entries.values())
+    assert all(list(e.names) == sorted(set(e.names)) for e in cat.entries.values())
     for gateway, mirror in cat.mirrors.items():
         for raw in mirror.entries:
             if offers(cat, gateway, raw):
-                assert set(cat._by_digest[raw[0]].meta.names).issuperset(raw[1])
+                assert set(cat.entries[raw[0]].names).issuperset(raw[1])

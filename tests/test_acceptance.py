@@ -192,12 +192,12 @@ def test_c06_liveness():
     star(w, 1, [2, 3], files={2: [("mix.ogg", content)]})
     fid = w.nodes[2].store_file("mix.ogg", content).file_id
     w.run_until(1.0)
-    assert fid in w.nodes[1].catalog.entries
+    assert fid.digest in w.nodes[1].catalog.entries
     w.schedule(20.0, "depart", device=2, silent=True)
     bound = 20.0 + w.p.silent_timeout + w.p.ping_interval
     w.run_until(bound)
     assert 2 not in w.nodes[1].members
-    assert fid not in w.nodes[1].catalog.entries
+    assert fid.digest not in w.nodes[1].catalog.entries
     (purge,) = [r for r in trace_events(w, "purge", device=1)
                 if r.details["peer"] == 2]
     assert purge.time <= bound
@@ -213,14 +213,14 @@ def test_c06_liveness():
     (purge,) = [r for r in trace_events(w, "purge", device=1)
                 if r.details["peer"] == 2]
     assert purge.time - leaving.time == w.p.leave_countdown
-    assert fid not in w.nodes[1].catalog.entries
+    assert fid.digest not in w.nodes[1].catalog.entries
     # re-run to just before the purge: the entry must still be present
     w2 = make_world()
     star(w2, 1, [2, 3], files={2: [("mix.ogg", content)]})
     fid = w2.nodes[2].store_file("mix.ogg", content).file_id
     w2.schedule(10.0, "depart", device=2, silent=False)
     w2.run_until(leaving.time + w2.p.leave_countdown - 0.001)
-    assert fid in w2.nodes[1].catalog.entries
+    assert fid.digest in w2.nodes[1].catalog.entries
     assert 2 in w2.nodes[1].members
 
 
@@ -238,8 +238,8 @@ def test_c07_duplicates():
     w.run_until(30.0)
     cat = w.nodes[1].catalog
     assert len(cat.entries) == 1
-    assert cat.entries[fid].meta.names == ("a.ogg", "b.ogg", "c.ogg")
-    assert cat.lookup_name("a.ogg") == cat.lookup_name("b.ogg") == [fid]
+    assert cat.entries[fid.digest].names == ("a.ogg", "b.ogg", "c.ogg")
+    assert cat.lookup_name("a.ogg") == cat.lookup_name("b.ogg") == [fid.digest]
     results = [r for r in trace_events(w, "search-result", device=4)]
     assert len(results) == 2 and all(r.details["ok"] for r in results)
     rec = only_download(w)

@@ -3,7 +3,7 @@
 import gc
 
 from pear2pear.catalog import Mirror, NetworkFileCatalog, SubnetCatalog
-from pear2pear.core import make_meta
+from pear2pear.core import FileId, FileMeta, make_meta
 
 from helpers import merge_whole
 
@@ -34,7 +34,7 @@ def test_register_same_content_merges_names():
     cat.register_files(2, [make_meta("copy-of-a.txt", b"same", BS)])
     assert len(cat.entries) == 1
     (entry,) = cat.entries.values()
-    assert entry.meta.names == ("a.txt", "copy-of-a.txt")
+    assert entry.names == ("a.txt", "copy-of-a.txt")
     assert entry.holders == {1, 2}
 
 
@@ -42,17 +42,17 @@ def test_register_is_idempotent():
     meta = make_meta("a.txt", b"x", BS)
     cat = _cat()
     cat.register_files(1, [meta])
-    before = cat.snapshot()
+    before = cat.snapshot(0)
     cat.register_files(1, [meta])
-    assert cat.snapshot() == before
+    assert cat.snapshot(0) == before
 
 
 def test_lookup_by_any_name():
     cat = _cat_with(("a.txt", b"same"))
     cat.register_files(2, [make_meta("other.txt", b"same", BS)])
     fid = make_meta("x", b"same", BS).file_id
-    assert cat.lookup_name("a.txt") == [fid]
-    assert cat.lookup_name("other.txt") == [fid]
+    assert cat.lookup_name("a.txt") == [fid.digest]
+    assert cat.lookup_name("other.txt") == [fid.digest]
     assert cat.lookup_name("missing.txt") == []
 
 
@@ -61,20 +61,20 @@ def test_file_change_removes_and_collapses():
     fid = make_meta("a.txt", b"x", BS).file_id
     cat.register_files(2, [make_meta("a.txt", b"x", BS)])
     cat.apply_file_change(1, [], [fid])
-    assert cat.entries[fid].holders == {2}
+    assert cat.entries[fid.digest].holders == {2}
     cat.apply_file_change(2, [], [fid])
-    assert fid not in cat.entries
+    assert fid.digest not in cat.entries
 
 
 def test_drop_holder_keeps_entries_with_remote_copies():
     cat = _cat_with(("a.txt", b"x"))
     fid = make_meta("a.txt", b"x", BS).file_id
-    snap = _cat_with(("a.txt", b"x"), root=9, ssid="NET-B").snapshot()
+    snap = _cat_with(("a.txt", b"x"), root=9, ssid="NET-B").snapshot(0)
     merge_whole(cat, snap, "NET-B", now=0.0)
     cat.drop_holder(1)
-    assert fid in cat.entries
-    assert not cat.entries[fid].holders
-    assert "NET-B" in cat.entries[fid].remote
+    assert fid.digest in cat.entries
+    assert not cat.entries[fid.digest].holders
+    assert "NET-B" in cat.entries[fid.digest].remote
 
 
 def _far(ssid, holders, *records):
@@ -92,10 +92,10 @@ SONG = make_meta("song", b"tune", BS).file_id
 def test_merge_adds_one_hop_per_jump():
     # C holds the file; B merged C's snapshot; A merges B's.
     b = _cat("NET-B")
-    merge_whole(b, _cat_with(("song", b"tune"), root=5, ssid="NET-C").snapshot(), "NET-C", now=0.0)
+    merge_whole(b, _cat_with(("song", b"tune"), root=5, ssid="NET-C").snapshot(0), "NET-C", now=0.0)
     a = _cat()
-    merge_whole(a, b.snapshot(), "NET-B", now=0.0)
-    hops, _, gateway = a.entries[SONG].remote["NET-C"]
+    merge_whole(a, b.snapshot(0), "NET-B", now=0.0)
+    hops, _, gateway = a.entries[SONG.digest].remote["NET-C"]
     assert hops == 2
     assert gateway == "NET-B"
 
@@ -104,12 +104,12 @@ def test_merge_keeps_minimum_hops():
     a = _cat()
     far = _far("NET-X", 0, ("NET-C", 3, 1))
     merge_whole(a, far, "NET-X", now=0.0)
-    assert a.entries[SONG].remote["NET-C"][0] == 4
-    merge_whole(a, _cat_with(("song", b"tune"), root=5, ssid="NET-C").snapshot(), "NET-C", now=1.0)
-    assert a.entries[SONG].remote["NET-C"][0] == 1
+    assert a.entries[SONG.digest].remote["NET-C"][0] == 4
+    merge_whole(a, _cat_with(("song", b"tune"), root=5, ssid="NET-C").snapshot(0), "NET-C", now=1.0)
+    assert a.entries[SONG.digest].remote["NET-C"][0] == 1
     # a longer path later must not displace the shorter one
     merge_whole(a, far, "NET-X", now=2.0)
-    hops, _, gateway = a.entries[SONG].remote["NET-C"]
+    hops, _, gateway = a.entries[SONG.digest].remote["NET-C"]
     assert (hops, gateway) == (1, "NET-C")
 
 
@@ -118,7 +118,7 @@ def test_merge_skips_records_about_home():
     # neighbor knows our copy at hops 1; merging must not create a remote
     # record pointing back at ourselves
     merge_whole(a, _far("NET-B", 0, ("NET-A", 1, 1)), "NET-B", now=0.0)
-    assert a.entries[SONG].remote == {}
+    assert a.entries[SONG.digest].remote == {}
 
 
 def test_equal_hop_offers_give_one_record_whatever_the_merge_order():
@@ -130,30 +130,30 @@ def test_equal_hop_offers_give_one_record_whatever_the_merge_order():
         a = _cat()
         for t, (gateway, snap) in enumerate(order):
             merge_whole(a, snap, gateway, now=float(t))
-        assert a.entries[SONG].remote["NET-C"] == (2, 2, "NET-B")
-        assert a.snapshot()["entries"][0][-1] == [["NET-C", 2, 2]]
+        assert a.entries[SONG.digest].remote["NET-C"] == (2, 2, "NET-B")
+        assert a.snapshot(0)["entries"][0][-1] == [["NET-C", 2, 2]]
 
 
 def test_a_withdrawn_record_falls_back_to_a_longer_offer():
     a = _cat()
     merge_whole(a, _far("NET-B", 0, ("NET-C", 1, 2)), "NET-B", now=0.0)
     merge_whole(a, _far("NET-D", 0, ("NET-C", 2, 3)), "NET-D", now=0.0)
-    assert a.entries[SONG].remote["NET-C"][2] == "NET-B"
+    assert a.entries[SONG.digest].remote["NET-C"][2] == "NET-B"
     # B's next delta removes the song: D's three-hop offer takes over at once
     b = a.mirrors["NET-B"]
     delta = {"subnet": "NET-B", "entries": [], "removed": [SONG.digest],
              "version": b.version + 1, "base": b.version}
     assert a.merge_snapshot(delta, "NET-B", now=1.0)
-    assert a.entries[SONG].remote["NET-C"] == (3, 3, "NET-D")
+    assert a.entries[SONG.digest].remote["NET-C"] == (3, 3, "NET-D")
 
 
 def test_remote_ttl_expiry():
     a = _cat()
-    merge_whole(a, _cat_with(("song", b"tune"), root=5, ssid="NET-C").snapshot(), "NET-C", now=10.0)
+    merge_whole(a, _cat_with(("song", b"tune"), root=5, ssid="NET-C").snapshot(0), "NET-C", now=10.0)
     a.expire_remote(now=69.0, ttl=60.0)
-    assert SONG in a.entries
+    assert SONG.digest in a.entries
     a.expire_remote(now=70.0, ttl=60.0)
-    assert SONG not in a.entries
+    assert SONG.digest not in a.entries
     assert a.mirrors == {}
 
 
@@ -170,21 +170,32 @@ def test_an_expired_mirror_takes_only_what_it_alone_offered():
     assert set(a.mirrors) == {"NET-B", "NET-D"}
     a.expire_remote(now=60.0, ttl=60.0)
     assert set(a.mirrors) == {"NET-D"}
-    assert f.file_id not in a.entries
-    assert a.entries[SONG].remote["NET-C"] == (3, 4, "NET-D")
+    assert f.file_id.digest not in a.entries
+    assert a.entries[SONG.digest].remote["NET-C"] == (3, 4, "NET-D")
     a.expire_remote(now=90.0, ttl=60.0)
     assert a.entries == {}
 
 
 def test_drop_via_gateways():
     a = _cat()
-    merge_whole(a, _cat_with(("song", b"tune"), root=5, ssid="NET-B").snapshot(), "NET-B", now=0.0)
+    merge_whole(a, _cat_with(("song", b"tune"), root=5, ssid="NET-B").snapshot(0), "NET-B", now=0.0)
     merge_whole(a, _far("NET-D", 0, ("NET-E", 1, 1)), "NET-D", now=0.0)
     a.drop_via_gateways({"NET-B"})
     assert set(a.mirrors) == {"NET-D"}
-    assert set(a.entries[SONG].remote) == {"NET-E"}
+    assert set(a.entries[SONG.digest].remote) == {"NET-E"}
     a.drop_via_gateways({"NET-D"})
-    assert SONG not in a.entries
+    assert SONG.digest not in a.entries
+
+
+def test_a_malformed_digest_gets_no_entry():
+    # a neighbour's snapshot is outside input: an id that is no 32-byte
+    # digest neither enters the catalog nor travels on in its snapshots
+    snap = _far("NET-B", 1)
+    snap["entries"] = sorted(snap["entries"] + [[b"short", ["bad"], 3, 1, 1, []]])
+    a = _cat()
+    merge_whole(a, snap, "NET-B", now=0.0)
+    assert list(a.entries) == [SONG.digest]
+    assert [e[0] for e in a.snapshot(0)["entries"]] == [SONG.digest]
 
 
 def test_no_snapshot_ships_a_record_at_the_hop_cap():
@@ -192,17 +203,17 @@ def test_no_snapshot_ships_a_record_at_the_hop_cap():
     # could hold it at more than CAP
     a = _cat()
     merge_whole(a, _far("NET-B", 1, ("NET-C", CAP - 2, 1), ("NET-D", CAP - 1, 1)), "NET-B", now=0.0)
-    assert {s: r[0] for s, r in a.entries[SONG].remote.items()} == \
+    assert {s: r[0] for s, r in a.entries[SONG.digest].remote.items()} == \
         {"NET-B": 1, "NET-C": CAP - 1, "NET-D": CAP}
-    assert a.snapshot()["entries"][0][-1] == [["NET-B", 1, 1], ["NET-C", CAP - 1, 1]]
+    assert a.snapshot(0)["entries"][0][-1] == [["NET-B", 1, 1], ["NET-C", CAP - 1, 1]]
 
 
 def test_snapshot_deterministic_and_sorted():
     cat = _cat_with(("z.txt", b"zz"), ("a.txt", b"aa"), ("m.txt", b"mm"))
-    snap = cat.snapshot()
+    snap = cat.snapshot(0)
     ids = [e[0] for e in snap["entries"]]
     assert ids == sorted(ids)
-    assert snap == cat.snapshot()
+    assert snap == cat.snapshot(0)
 
 
 def test_mirror_refuses_a_delta_cut_against_another_version():
@@ -220,7 +231,7 @@ def test_mirror_refuses_a_delta_cut_against_another_version():
     assert not held.apply(delta)
     assert (held.version, held.entries) == before
     assert newer.apply(delta)
-    assert newer.entries == cat.snapshot()["entries"]
+    assert newer.entries == cat.snapshot(0)["entries"]
     # a repeat cut of an unchanged catalog ships nothing
     again = cat.snapshot(newer.version)
     assert (again["entries"], again["removed"]) == ([], [])
@@ -232,7 +243,7 @@ def test_a_refused_delta_asks_for_a_full_dump():
     stale = {"subnet": "NET-B", "entries": [], "removed": [SONG.digest], "version": 9, "base": 7}
     assert not a.merge_snapshot(stale, "NET-B", now=1.0)
     assert a.mirrors["NET-B"].version == 0
-    assert set(a.entries[SONG].remote) == {"NET-B"}
+    assert set(a.entries[SONG.digest].remote) == {"NET-B"}
 
 
 def test_delta_carries_a_holder_count_refresh():
@@ -246,7 +257,18 @@ def test_delta_carries_a_holder_count_refresh():
     # an entry's remote records are its last field, a record's holders its last
     assert [e[-1][0][-1] for e in delta["entries"]] == [2]
     assert held.apply(delta)
-    assert held.entries == a.snapshot()["entries"]
+    assert held.entries == a.snapshot(0)["entries"]
+
+
+def _reached(obj):
+    """Every object the collector reaches from `obj`, classes aside."""
+    seen, todo = {id(obj)}, [obj]
+    while todo:
+        for ref in gc.get_referents(todo.pop()):
+            if not isinstance(ref, type) and id(ref) not in seen:
+                seen.add(id(ref))
+                todo.append(ref)
+                yield ref
 
 
 def test_records_and_names_are_values_the_collector_stops_tracking():
@@ -255,23 +277,28 @@ def test_records_and_names_are_values_the_collector_stops_tracking():
     f = make_meta("f", b"more", BS)
     c = _cat_with(("song", b"tune"), ("f", b"more"), root=5, ssid="NET-C")
     b = _cat("NET-B")
-    merge_whole(b, c.snapshot(), "NET-C", now=0.0)
+    merge_whole(b, c.snapshot(0), "NET-C", now=0.0)
     a = _cat_with(("f", b"more"))
-    merge_whole(a, b.snapshot(), "NET-B", now=0.0)
-    merge_whole(a, c.snapshot(), "NET-C", now=1.0)
-    assert a.entries[SONG].remote == {"NET-C": (1, 1, "NET-C")}
-    assert a.entries[f.file_id].remote == {"NET-C": (1, 1, "NET-C")}
+    merge_whole(a, b.snapshot(0), "NET-B", now=0.0)
+    merge_whole(a, c.snapshot(0), "NET-C", now=1.0)
+    assert a.entries[SONG.digest].remote == {"NET-C": (1, 1, "NET-C")}
+    assert a.entries[f.file_id.digest].remote == {"NET-C": (1, 1, "NET-C")}
+    a.snapshot(0)  # so that each entry holds its snapshot entry too
+    # one record per file, keyed by its digest alone
+    assert all(type(d) is bytes and len(d) == 32 for d in a.entries)
+    for entry in a.entries.values():
+        assert not [o for o in _reached(entry) if isinstance(o, (FileId, FileMeta))]
     gc.collect()
     for entry in a.entries.values():
         assert not gc.is_tracked(entry.remote)
         assert not any(gc.is_tracked(r) for r in entry.remote.values())
-        assert not gc.is_tracked(entry.meta.names)
+        assert not gc.is_tracked(entry.names)
     # a remote-only entry shares one empty holder set with every other, also
     # once its last local holder has gone
-    song = a.entries[SONG]
+    song = a.entries[SONG.digest]
     assert not song.holders and type(song.holders) is not set
     a.drop_holder(1)
-    assert a.entries[f.file_id].holders is song.holders
+    assert a.entries[f.file_id.digest].holders is song.holders
 
 
 # --- SubnetCatalog --------------------------------------------------------

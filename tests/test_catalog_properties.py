@@ -37,20 +37,21 @@ STEPS = [0.0, 0.1, 0.2, 10.0, 29.9, 30.0, 59.9, 60.0]
 
 
 def render(cat):
-    """The whole snapshot, rendered from scratch as before caching."""
+    """The full dump, rendered from scratch as before caching."""
     entries = []
-    for file_id in sorted(cat.entries):
-        e = cat.entries[file_id]
+    for digest in sorted(cat.entries):
+        e = cat.entries[digest]
         entries.append([
-            file_id.digest,
-            sorted(e.meta.names),
-            e.meta.size,
-            e.meta.block_count,
+            digest,
+            sorted(e.names),
+            e.size,
+            e.block_count,
             len(e.holders),
             [[s, hops, count] for s, (hops, count, _) in sorted(e.remote.items())
              if hops < cat.max_hops],
         ])
-    return {"subnet": cat.ssid, "entries": entries}
+    return {"subnet": cat.ssid, "entries": entries, "removed": [], "version": cat._version,
+            "base": 0}
 
 
 files = st.integers(0, len(CONTENTS) - 1)
@@ -119,7 +120,7 @@ def check_deltas(cat, snap, replicas, data):
 def test_incremental_catalog_matches_full_rendering(ops, data):
     cat = NetworkFileCatalog(HOME, 8)
     earlier = []
-    replicas = [(0, cat.snapshot())]
+    replicas = [(0, cat.snapshot(0))]
     now = 0.0
     for op in ops:
         kind = op[0]
@@ -141,7 +142,7 @@ def test_incremental_catalog_matches_full_rendering(ops, data):
             cat.drop_via_gateways(op[1])
             assert cat.mirrors.keys().isdisjoint(op[1])
         check(cat)
-        snap = cat.snapshot()
+        snap = cat.snapshot(0)
         assert snap == render(cat)
         for old, frozen in earlier:
             assert old == frozen
@@ -221,7 +222,7 @@ def test_the_merge_leaves_what_a_full_walk_leaves(ops):
     and every delta it cuts must bring an earlier replica to its snapshot."""
     cat = NetworkFileCatalog(HOME, CAP)
     neighbours = {g: NetworkFileCatalog(g, CAP) for g in GATEWAYS}
-    replicas = [(0, cat.snapshot())]
+    replicas = [(0, cat.snapshot(0))]
     now = 0.0
     for op in ops:
         kind = op[0]
@@ -256,7 +257,7 @@ def test_the_merge_leaves_what_a_full_walk_leaves(ops):
             cat.apply_file_change(op[1], op[2], [METAS[f][0].file_id for f in op[3]])
         check(cat)
         assert all(hops <= CAP for e in cat.entries.values() for hops, _, _ in e.remote.values())
-        snap = cat.snapshot()
+        snap = cat.snapshot(0)
         assert snap == render(cat)
         replicas.append((cat._version, snap))
         check_replicas(cat, snap, replicas)

@@ -373,7 +373,7 @@ def _built_frames():
     near, far = NetworkFileCatalog(net_a, 8), NetworkFileCatalog(net_c, 8)
     near.register_files(1, [make_meta("a.txt", b"aaa", 16)])
     far.register_files(5, [make_meta("a.txt", b"aaa", 16), make_meta("song", b"tune", 16)])
-    merge_whole(near, far.snapshot(), net_c, now=0.0)
+    merge_whole(near, far.snapshot(0), net_c, now=0.0)
     snapshot = {"snapshot": near.snapshot(0), "via": net_a, "mission_id": "1-7"}
     assert [len(e[-1]) for e in snapshot["snapshot"]["entries"]] == [1, 1]
     return [encode_frame(f) for f in (

@@ -31,6 +31,21 @@ def test_swarm_courier_lost_mid_mission_is_replaced():
     assert w.nodes[5].files[fid] == content
 
 
+def test_a_swarm_never_orders_an_empty_block_range():
+    # a one-block file may swarm, but two idle bridges get one range, not an
+    # empty second one whose courier could only time out and be re-ordered
+    w, fid, content = swarm_world(bridges=(2, 3), size=1000, swarm_threshold=0)
+    frames = record_frames(w)
+    w.run_until(200.0)
+    orders = [f.payload for f in frames if f.kind == FrameKind.COURIER_ORDER
+              and f.payload.get("mission") == "file" and "status" not in f.payload]
+    assert [o["range"] for o in orders] == [[0, 1]]
+    assert trace_events(w, "mission-timeout", device=1) == []
+    rec = only_download(w)
+    assert rec["success"] and rec["couriers"] == 1
+    assert w.nodes[5].files[fid] == content
+
+
 def test_swarm_with_every_courier_lost_fails_at_the_deadline():
     # both couriers leave mid-mission; with no replacement the root gives up
     # at the mission deadline, and the requester fails then, not at its own

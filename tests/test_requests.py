@@ -35,7 +35,7 @@ def test_a_root_searches_and_downloads_a_members_file():
     assert only_download(w)["success"]
     root = w.nodes[1]
     assert root.files[fid] == content
-    assert root.catalog.entries[fid].holders == {1, 2}
+    assert root.catalog.entries[fid.digest].holders == {1, 2}
 
 
 def test_a_holder_that_refuses_every_block_is_dropped_once():

@@ -77,7 +77,7 @@ def _cat_with_remotes(records):
     (subnet, hops, holder_count) records."""
     cat = NetworkFileCatalog("NET-A", 8)
     meta = make_meta("song", b"tune", 16)
-    entry = cat._entry(meta)
+    entry = cat._entry(meta.file_id.digest, meta.names, meta.size, meta.block_count)
     for subnet, hops, holders in records:
         entry.remote[subnet] = (hops, holders, subnet)
     return cat, meta.file_id
@@ -86,7 +86,7 @@ def _cat_with_remotes(records):
 def test_local_beats_any_remote():
     cat, fid = _cat_with_remotes([("NET-B", 1, 99)])
     cat.register_files(4, [make_meta("song", b"tune", 16)])
-    assert select_source(cat, fid) == Local(holders=(4,))
+    assert select_source(cat, fid.digest) == Local(holders=(4,))
 
 
 def test_remote_orderings_exhaustive():
@@ -95,14 +95,14 @@ def test_remote_orderings_exhaustive():
     for perm in itertools.permutations(records):
         cat, fid = _cat_with_remotes(perm)
         best = min(perm, key=lambda r: (r[1], -r[2], r[0]))
-        got = select_source(cat, fid)
+        got = select_source(cat, fid.digest)
         assert isinstance(got, Remote)
         assert (got.subnet, got.hops, got.holder_count) == best
 
 
 def test_unknown_file_has_no_source():
     cat = NetworkFileCatalog("NET-A", 8)
-    assert select_source(cat, make_meta("x", b"y", 16).file_id) is None
+    assert select_source(cat, make_meta("x", b"y", 16).file_id.digest) is None
 
 
 # --- partitioning ---------------------------------------------------------
