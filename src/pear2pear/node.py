@@ -49,8 +49,7 @@ class FileRequest:
 
 
 def _ignore_frame(node, now, src, payload, out):
-    """PONG, which only a courier visiting a target root sends: the dispatch
-    preamble already refreshed the sender's last_seen."""
+    """PONG, sent only by a visiting courier: the dispatch preamble refreshed its last_seen."""
 
 
 class Node:
@@ -177,7 +176,9 @@ class Node:
             else:
                 self._become_root(now, out)
         elif self.role == MEMBER and self.mission is None:
-            foreign = [s for s in ssids if parse_ssid(s) is not None and s != self.attached]
+            if self.attached in ssids:   # its root's beacon: the root is alive
+                self.last_root_seen = now
+            foreign = [s for s in ssids if s != self.attached and parse_ssid(s) is not None]
             self._send(out, K.SCAN_REPORT, self.home_root, {"visible": foreign}, now)
         return out
 
@@ -881,7 +882,8 @@ class Node:
 
     def _t_root_check(self, now, out):
         self._after(out, self.p.ping_interval, self._t_root_check)
-        if self.mission is None and now - self.last_root_seen >= self.p.silent_timeout:
+        # 1e-9: a beacon scanned on this timer's phase may read a rounding error younger
+        if self.mission is None and now - self.last_root_seen >= self.p.silent_timeout - 1e-9:
             self._to_scanning(now, out, "root-silent")
 
     def _t_leave_countdown(self, now, out, peer, since):
@@ -945,9 +947,10 @@ class Node:
         if gone:
             self.catalog.drop_via_gateways(set(gone))
         for peer in filter(self._here, sorted(self.members)):
-            if now - self.members[peer].last_seen >= self.p.silent_timeout:
+            quiet = now - self.members[peer].last_seen
+            if quiet >= self.p.silent_timeout:
                 self._purge_member(now, peer, "silent", out)
-            else:
+            elif quiet >= min(self.p.scan_period, self.p.silent_timeout - self.p.ping_interval):
                 self._send(out, K.PING, peer, {}, now)
 
     def _courier_cycle(self, now, out):

@@ -63,6 +63,22 @@ def swarm_world(bridges, size=32768, **overrides):
     return w, fid, content
 
 
+def stranded_courier_world(**overrides):
+    """Three chained subnets, 100 -> 200 -> 300, through gateways 103 and
+    203; 301 holds far.txt, which 101 asks for at 105 s. Courier 103 joins
+    200 at 107.04 s and waits there on a nested push that never comes: 203
+    leaves silently at 108 s while hopping to 300."""
+    w = make_world(**overrides)
+    star(w, 100, [101, 102, 103])
+    star(w, 200, [201, 202, 203])
+    star(w, 300, [301], files={301: [("far.txt", b"far away" * 100)]})
+    w.add_edge(103, 200)
+    w.add_edge(203, 300)
+    w.schedule(105.0, "download", device=101, file_id=next(iter(w.nodes[301].files)))
+    w.schedule(108.0, "depart", device=203, silent=True)
+    return w
+
+
 def roots_of(world):
     """ssid -> root device for every active hotspot."""
     return {n.ssid: d for d, n in world.nodes.items()

@@ -13,7 +13,7 @@ from pear2pear.frames import (
 )
 from pear2pear.scenario import build_world, load_scenario
 
-from helpers import merge_whole
+from helpers import merge_whole, stranded_courier_world
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -383,7 +383,17 @@ def _built_frames():
     )]
 
 
-REAL_FRAMES = _scenario_frames() + _built_frames()
+def _visiting_courier_frames():
+    """PING and PONG, which only a courier that stays at its target for a
+    scan period draws: root 200 pings stranded courier 103."""
+    w = stranded_courier_world()
+    frames = {}
+    w.metrics.on_frame_emit = lambda f: frames.setdefault((f.kind, f.src, f.dst), encode_frame(f))
+    w.run_until(175.0)
+    return [frames[FrameKind.PING, 200, 103], frames[FrameKind.PONG, 103, 200]]
+
+
+REAL_FRAMES = _scenario_frames() + _built_frames() + _visiting_courier_frames()
 
 
 def test_real_frames_cover_every_kind():

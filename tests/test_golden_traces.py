@@ -24,18 +24,22 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 # All four traces were re-pinned when idle members no longer answer PING:
 # each lost only lines naming PONG (98, 30, 20 and 108), and no metrics
 # report changed.
+# All four traces were re-pinned when a member's scan began to prove its
+# root alive and a root began to ping only a member unheard for a scan
+# period: each lost only lines naming PING or PONG (107, 33, 23 and 113),
+# and no metrics report changed.
 GOLDEN = {
     "chain.json": (
-        "0b113fdf10ff72a3d00851ec3cd8fc895d953b6ff168648cca023720735b5bcb",
+        "042194fb7c6b73581bba8ef78aa0eef2e8fe9f57958718a98145468b64bab2d9",
         "fcd6faadc8328d887d22a20b51221bc372c5e3e7460dde89189899967d5c89a7"),
     "intra_subnet.json": (
-        "cca32e827528f9c331f06cd08cf479f7994b7778b20afb4b30f8f477ce5f35d6",
+        "e3829e2af5a9c302fcc7578538a58e429d4807812313484d1b91a2055e0d08c0",
         "6840d7701cd87e62ec08f089d94c7a47e772b40a49b6489675081cdc997305ca"),
     "multi_source.json": (
-        "33107394b0bccea330b9887ff86fb2dfb7906fe099ee861dea39326f0b3c699d",
+        "333c37fbf2c661ec2536d2c552c86460c7686e5e4fd16a2da1ea85c705b4df09",
         "38007262784af1a67ea4220ab18a1d68136f9c9b6f968a46aeb9c27eeb7af3a8"),
     "swarm.json": (
-        "9018696db43ca7ba623995b1e2bb78a43d59e62d6df9820a071b91e1f28ee839",
+        "2ce97a26ece8a226c5db15d21860666ab40d37e3855075a057b2215a013165a4",
         "7783e839c7205f7cebf4871f85b0b2b899a3df4084278517b61fd3cb6c36319a"),
 }
 

@@ -175,16 +175,64 @@ def test_silent_member_purged_within_bound():
 
 
 def test_member_outlives_silent_timeout_while_responsive():
-    # an idle member answers no PING: its scan reports keep it listed
+    # an idle member's scan reports keep it listed, and its scans, which list
+    # its root's SSID, keep the root: the root sends it no PING at all
     w = make_world()
     star(w, 1, [2])
     frames = record_frames(w)
     w.run_until(2 * w.p.silent_timeout)
-    assert any(f.kind == FrameKind.PING and f.dst == 2 for f in frames)
+    assert not any(f.kind == FrameKind.PING and f.dst == 2 for f in frames)
     sent = {f.kind for f in frames if f.src == 2}
     assert FrameKind.SCAN_REPORT in sent and FrameKind.PONG not in sent
     assert 2 in w.nodes[1].members
     assert w.nodes[2].role == MEMBER
+    assert trace_events(w, "root-lost") == []
+
+
+# Root departs at 15 s, between member 2's scans at 10.02 and 20.02. When
+# roots pinged every idle member, 2 last heard root 1 by the PING of 10.01
+# and left at 40.02. Now its last beacon is the scan of 10.02, one
+# silent_timeout before the check of 40.02 up to the rounding of two timer
+# chains' sums, which the check allows for.
+ROOT_GONE_AT, LEFT_BY = 15.0, 40.02
+
+
+@pytest.mark.parametrize("hosts_again", [False, True], ids=["departs", "new-nonce"])
+def test_a_member_whose_root_goes_leaves_no_later_than_with_pings(hosts_again):
+    # the root departs silently, or hosts again a second later under a new
+    # nonce: either way its old SSID is gone from the member's scans
+    w = make_world()
+    star(w, 1, [2])
+    w.schedule(ROOT_GONE_AT, "depart", device=1, silent=True)
+    if hosts_again:
+        w.schedule(ROOT_GONE_AT + 1.0, "arrive", device=1)
+    w.run_until(60.0)
+    (lost,) = trace_events(w, "root-lost", device=2)
+    assert lost.details["reason"] == "root-silent"
+    assert lost.time <= LEFT_BY
+    assert lost.time <= ROOT_GONE_AT + w.p.silent_timeout + w.p.scan_period
+    if hosts_again:
+        assert w.nodes[2].attached == w.nodes[1].ssid
+
+
+@pytest.mark.parametrize("lands_at", [22.025, 22.03])
+def test_a_target_root_does_not_ping_a_courier_whose_accept_is_in_flight(lands_at):
+    # courier 2's JOIN_REQUEST reaches root 10 at 22.02 s, and root 10's ping
+    # cycle runs while the JOIN_ACCEPT is in flight, or in the instant it
+    # lands: a courier just admitted was just heard, so it gets no PING,
+    # which would be lost as different-hotspot
+    w = make_world()
+    star(w, 1, [2])
+    w.add_device(10)
+    w.add_device(11)
+    w.add_edge(11, 10)
+    w.add_edge(2, 10)
+    arrive(w, [10, 11], t=lands_at - 20.0)
+    w.run_until(40.0)
+    (admit,) = [r for r in trace_events(w, "admit", device=10) if r.details["peer"] == 2]
+    assert admit.time == pytest.approx(22.02)
+    lost = [r.details for r in w.trace if r.kind in ("undeliverable", "drop")]
+    assert lost == []
 
 
 def test_root_loss_sends_members_back_to_scanning():

@@ -38,15 +38,26 @@ def test_a_member_that_changes_hotspot_reports_once_per_period():
 
 
 def test_a_root_that_comes_back_within_a_ping_interval_pings_once_per_period():
-    # root 1 leaves at 2 and hosts again at 3; member 2 finds the old SSID
-    # silent at 30.02 and joins the new one
+    # root 1 leaves at 2 and hosts again at 3; members 2 and 3 find the old
+    # SSID silent at 30.02 and join the new one. The new term's ping cycle
+    # runs at 33, 43, 53 and 63: it never pings idle member 2, and pings 3,
+    # gone silently at 35, once per period from when it is a scan period
+    # quiet until the cycle that purges it. The old term's cycle at 42, 52
+    # and 62 must be dead.
     w = make_world()
-    star(w, 1, [2])
+    star(w, 1, [2, 3])
     w.schedule(2.0, "depart", device=1, silent=True)
     w.schedule(3.0, "arrive", device=1)
-    w.run_until(60.0)
+    w.schedule(35.0, "depart", device=3, silent=True)
+    w.run_until(70.0)
     assert w.nodes[2].attached == w.nodes[1].ssid
-    assert _sends(w, 1, FrameKind.PING, dst=2) == pytest.approx([33.0, 43.0, 53.0])
+    assert _sends(w, 1, FrameKind.PING, dst=2) == []
+    pings = [r.time for r in trace_events(w, "undeliverable", device=1)
+             if r.details["frame"] == "PING" and r.details["dst"] == 3]
+    assert pings == pytest.approx([43.0, 53.0])
+    (purge,) = trace_events(w, "purge", device=1)
+    assert purge.details == {"peer": 3, "reason": "silent"}
+    assert purge.time == pytest.approx(63.0)
 
 
 def test_a_member_that_comes_back_reports_once_per_period():

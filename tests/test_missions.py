@@ -9,7 +9,7 @@ from pear2pear.frames import FrameKind
 
 from helpers import (
     arrive, courier_reports, make_world, only_download, orders_of, record_frames, star,
-    swarm_world, trace_events,
+    stranded_courier_world, swarm_world, trace_events,
 )
 
 
@@ -242,21 +242,11 @@ def test_a_done_report_keeps_its_target_listed():
 
 
 def test_a_courier_whose_nested_courier_is_lost_times_out_at_the_target():
-    # three chained subnets, 100 -> 200 -> 300, through gateways 103 and 203.
-    # Courier 103 joins 200 at 107.04 and waits on a nested push that never
-    # comes: 203 leaves while hopping to 300. 103's own work timeout, counted
-    # from its admission, fires before 200's deadline for 203's order. While
-    # it waits at 200 it sends no scan reports: its PONGs keep it listed.
-    w = make_world()
-    star(w, 100, [101, 102, 103])
-    star(w, 200, [201, 202, 203])
-    star(w, 300, [301], files={301: [("far.txt", b"far away" * 100)]})
-    w.add_edge(103, 200)
-    w.add_edge(203, 300)
-    fid = next(iter(w.nodes[301].files))
+    # 103's own work timeout, counted from its admission, fires before 200's
+    # deadline for 203's order. While it waits at 200 it sends no scan
+    # reports: its PONGs keep it listed.
+    w = stranded_courier_world()
     frames = record_frames(w)
-    w.schedule(105.0, "download", device=101, file_id=fid)
-    w.schedule(108.0, "depart", device=203, silent=True)
     w.run_until(175.0)
     hops = [h for h in trace_events(w, "hop-start", device=103)
             if h.details.get("session") == "101-1"]
@@ -269,3 +259,19 @@ def test_a_courier_whose_nested_courier_is_lost_times_out_at_the_target():
     assert all(p.details["peer"] != 103 for p in trace_events(w, "purge", device=200))
     leave = trace_events(w, "leaving", device=200)[-1]
     assert leave.details["peer"] == 103 and leave.time == pytest.approx(167.05)
+
+
+def test_a_stranded_courier_is_pinged_before_the_next_cycle_would_purge_it():
+    # with scan_period 25 s, root 200's ping cycles find courier 103 quiet
+    # for about 23 s and then 33 s, past silent_timeout: a root that waited
+    # for a scan period of quiet would purge it unpinged. Root 200 pings it
+    # from silent_timeout - ping_interval of quiet, and its PONGs keep it.
+    w = stranded_courier_world(scan_period=25.0)
+    frames = record_frames(w)
+    w.run_until(175.0)
+    pings = [f for f in frames if f.kind == FrameKind.PING and (f.src, f.dst) == (200, 103)]
+    pongs = [f for f in frames if f.kind == FrameKind.PONG and (f.src, f.dst) == (103, 200)]
+    assert len(pings) == len(pongs) > 0
+    assert all(p.details["peer"] != 103 for p in trace_events(w, "purge", device=200))
+    (report,) = courier_reports(frames)
+    assert report.src == 103 and report.payload["reason"] == "work-timeout"
