@@ -2,8 +2,9 @@
 are reachable through which members.
 
 A root keeps a `Mirror` of each neighbour's catalog, as its couriers last
-fetched it. A courier carries a delta, not the whole catalog: the target root
-cuts the entries changed since the version the courier's home root last
+fetched it: the neighbour's snapshot entries, keyed by digest like every
+other map here. A courier carries a delta, not the whole catalog: the target
+root cuts the entries changed since the version the courier's home root last
 merged from it, and the home root applies that delta to its mirror.
 
 Remote records are a view over the mirrors. The record of a (file, subnet)
@@ -45,9 +46,7 @@ holder. A root keeps tens of thousands of remote records, and every
 collection of its generation would otherwise walk them all.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 
 _NO_HOLDERS = frozenset()
@@ -200,20 +199,19 @@ class NetworkFileCatalog:
         """Drop the mirrors of these gateways, and the records only they offered."""
         gone = [self.mirrors.pop(g) for g in gateways if g in self.mirrors]
         if gone:
-            self._derive({e[0] for m in gone for e in m.entries})
+            self._derive(set().union(*(m.entries for m in gone)))
 
     def _derive(self, digests) -> None:
         """Set the remote records of these digests to the best offers of the
         mirrors, in digest order."""
-        home, mirrors = self.ssid, list(self.mirrors.items())
+        home, mirrors = self.ssid, [(g, m.entries) for g, m in self.mirrors.items()]
         for digest in sorted(digests):
             best = {}  # subnet -> (hops, holder count, gateway)
             raws = []
-            for gateway, mirror in mirrors:
-                i, found = _find(mirror.entries, digest)
-                if not found:
+            for gateway, offers in mirrors:
+                raw = offers.get(digest)
+                if raw is None:
                     continue
-                raw = mirror.entries[i]
                 offered = raw[4] and gateway != home  # its own holders, one hop away
                 if offered:
                     held = best.get(gateway)
@@ -248,24 +246,14 @@ class NetworkFileCatalog:
                 self._drop_if_empty(digest, entry)
 
 
-_digest = itemgetter(0)
-
-
-def _find(entries: list, digest: bytes) -> tuple:
-    """Where `digest` is, or would go, in a digest-sorted entry list, and
-    whether it is there."""
-    i = bisect_left(entries, digest, key=_digest)
-    return i, i < len(entries) and entries[i][0] == digest
-
-
 @dataclass
 class Mirror:
     """A neighbour root's catalog as this root last merged it: the version
-    it was cut at (0 asks for a full dump), its snapshot entries in digest
-    order (shared lists, read-only; the list itself is the mirror's) and the
-    time of its last merge."""
+    it was cut at (0 asks for a full dump), its snapshot entries by digest
+    (shared lists, read-only; the dict itself is the mirror's) and the time
+    of its last merge."""
     version: int = 0
-    entries: list = field(default_factory=list)
+    entries: dict = field(default_factory=dict)
     merged: float = 0.0
 
     def apply(self, delta: dict) -> dict | None:
@@ -275,30 +263,18 @@ class Mirror:
         when the delta was cut against a version other than this mirror's
         and is not a full dump. A full dump is compared with the entries
         held, which a refused delta leaves in place."""
-        base, entries = delta["base"], self.entries
+        base, held = delta["base"], self.entries
         if base == 0:
-            held = {e[0]: e for e in entries}
-            self.entries = list(delta["entries"])
-            changed = [e for e in self.entries if held.pop(e[0], None) != e]
-            removed = list(held)
+            self.entries = {e[0]: e for e in delta["entries"]}
+            changed = [e for e in delta["entries"] if held.pop(e[0], None) != e]
+            removed = list(held)  # what the dump no longer lists
         elif base != self.version:
             return None
         else:
-            changed, removed = [], []
-            for digest in delta["removed"]:  # some were added after the base
-                i, found = _find(entries, digest)
-                if found:
-                    del entries[i]
-                    removed.append(digest)
-            for e in delta["entries"]:
-                i, found = _find(entries, e[0])
-                if not found:
-                    entries.insert(i, e)
-                elif entries[i] == e:
-                    continue
-                else:
-                    entries[i] = e
-                changed.append(e)
+            # some were added after the base, so the mirror never held them
+            removed = [d for d in delta["removed"] if held.pop(d, None) is not None]
+            changed = [e for e in delta["entries"] if held.get(e[0]) != e]
+            held.update({e[0]: e for e in changed})
         self.version = delta["version"]
         return {"subnet": delta["subnet"], "entries": changed, "removed": removed}
 

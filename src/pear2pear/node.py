@@ -48,6 +48,15 @@ class FileRequest:
     reassigned: bool = False
 
 
+def _id_digest(query):
+    """The digest an id query names, in any spelling `FileId.from_hex` takes,
+    or None."""
+    try:
+        return FileId.from_hex(query).digest
+    except ValueError:
+        return None
+
+
 def _ignore_frame(node, now, src, payload, out):
     """PONG, sent only by a visiting courier: the dispatch preamble refreshed its last_seen."""
 
@@ -404,11 +413,8 @@ class Node:
 
     def _search_results(self, query, by):
         if by == "id":
-            try:
-                digests = [FileId.from_hex(query).digest]
-            except ValueError:
-                digests = []
-            digests = [d for d in digests if d in self.catalog.entries]
+            digest = _id_digest(query)
+            digests = [digest] if digest in self.catalog.entries else []
         else:
             digests = self.catalog.lookup_name(query)
         results = []
@@ -443,7 +449,8 @@ class Node:
                                           "query": payload.get("query", "")}))
 
     def _start_wanted(self, now, query, by, requester, out):
-        key = f"{by}:{query}"
+        digest = _id_digest(query) if by == "id" else None  # one entry per file
+        key = f"id:{digest.hex()}" if digest else f"{by}:{query}"
         if key in self.wanted:
             return
         self.wanted[key] = WantedEntry(query=query, by=by, requester=requester)
@@ -471,7 +478,7 @@ class Node:
             for meta in added_metas:
                 if entry.by == "name" and entry.query in meta.names:
                     hit = meta
-                elif entry.by == "id" and entry.query == meta.file_id.hex:
+                elif entry.by == "id" and _id_digest(entry.query) == meta.file_id.digest:
                     hit = meta
             if hit is None:
                 continue
@@ -629,7 +636,7 @@ class Node:
                                             "mode": payload["mode"],
                                             "hops": sess.hops_used}))
         if payload["mode"] == "pull":
-            sess.begin_pull(meta, payload["sources"], block_range, now)
+            sess.begin_pull(meta, payload["sources"], block_range)
             self._session_pump(now, sess, out)
             self._after(out, self.p.block_timeout, self._t_block_timeout, sess.session_id)
         else:

@@ -12,10 +12,8 @@ class Local:
 
 @dataclass(frozen=True)
 class Remote:
-    subnet: str
     hops: int
     gateway: str
-    holder_count: int
 
 
 def designate_courier(sub: SubnetCatalog, target: str, eligible=None):
@@ -49,9 +47,9 @@ def select_source(cat: NetworkFileCatalog, digest: bytes):
     if entry.holders:
         return Local(holders=tuple(sorted(entry.holders)))
     if entry.remote:
-        subnet, (hops, count, gateway) = min(
+        _, (hops, _, gateway) = min(
             entry.remote.items(), key=lambda item: (item[1][0], -item[1][1], item[0]))
-        return Remote(subnet=subnet, hops=hops, gateway=gateway, holder_count=count)
+        return Remote(hops=hops, gateway=gateway)
     return None
 
 

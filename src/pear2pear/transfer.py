@@ -34,7 +34,7 @@ class TransferSession:
     hash_retry_used: bool = False
     reassign_used: bool = False
 
-    def begin_pull(self, meta: FileMeta, sources, block_range, now: float) -> None:
+    def begin_pull(self, meta: FileMeta, sources, block_range) -> None:
         self.meta = meta
         self.sources = sorted(sources)
         self._set_range(block_range)

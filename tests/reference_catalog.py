@@ -23,7 +23,7 @@ def derive(cat: NetworkFileCatalog) -> dict:
     """digest -> {subnet: (hops, holder_count, gateway)}, from `cat`'s mirrors."""
     out = {}
     for gateway in sorted(cat.mirrors):
-        for raw in cat.mirrors[gateway].entries:
+        for raw in cat.mirrors[gateway].entries.values():
             best = out.setdefault(raw[0], {})
             for subnet, hops, count in offers(cat, gateway, raw):
                 if subnet not in best or hops < best[subnet][0]:
@@ -46,6 +46,6 @@ def check(cat: NetworkFileCatalog) -> None:
     assert all(e.holders or e.remote for e in cat.entries.values())
     assert all(list(e.names) == sorted(set(e.names)) for e in cat.entries.values())
     for gateway, mirror in cat.mirrors.items():
-        for raw in mirror.entries:
+        for raw in mirror.entries.values():
             if offers(cat, gateway, raw):
                 assert set(cat.entries[raw[0]].names).issuperset(raw[1])

@@ -227,14 +227,38 @@ def test_mirror_refuses_a_delta_cut_against_another_version():
     delta = cat.snapshot(newer.version)
     assert delta["entries"] == []
     assert len(delta["removed"]) == 1
-    before = (held.version, held.entries)
+    before = (held.version, dict(held.entries))
     assert not held.apply(delta)
     assert (held.version, held.entries) == before
     assert newer.apply(delta)
-    assert newer.entries == cat.snapshot(0)["entries"]
+    assert newer.entries == {e[0]: e for e in cat.snapshot(0)["entries"]}
     # a repeat cut of an unchanged catalog ships nothing
     again = cat.snapshot(newer.version)
     assert (again["entries"], again["removed"]) == ([], [])
+
+
+def test_mirror_reports_exactly_what_changed():
+    def raw(n, holders):
+        return [bytes([n]) * 32, [f"f{n}"], 16, 1, holders, []]
+
+    kept, old, dropped = raw(1, 1), raw(2, 1), raw(3, 1)
+    new, added = raw(2, 2), raw(4, 1)
+    mirror = Mirror(5, {e[0]: e for e in (kept, old, dropped)})
+    # a full dump over the held entries: one unchanged (an equal copy, as
+    # decoded off the wire), one changed, one dropped and one new
+    dump = {"subnet": "NET-B", "entries": [list(kept), new, added],
+            "removed": [], "version": 7, "base": 0}
+    assert mirror.apply(dump) == {"subnet": "NET-B", "entries": [new, added],
+                                  "removed": [dropped[0]]}
+    assert mirror.entries == {e[0]: e for e in (kept, new, added)}
+    # a delta that re-sends an identical entry and removes a digest never
+    # held reports neither, only its real change and removal
+    changed = raw(4, 3)
+    delta = {"subnet": "NET-B", "entries": [list(new), changed],
+             "removed": [kept[0], raw(9, 1)[0]], "version": 8, "base": 7}
+    assert mirror.apply(delta) == {"subnet": "NET-B", "entries": [changed],
+                                   "removed": [kept[0]]}
+    assert (mirror.version, mirror.entries) == (8, {e[0]: e for e in (new, changed)})
 
 
 def test_a_refused_delta_asks_for_a_full_dump():
@@ -257,7 +281,7 @@ def test_delta_carries_a_holder_count_refresh():
     # an entry's remote records are its last field, a record's holders its last
     assert [e[-1][0][-1] for e in delta["entries"]] == [2]
     assert held.apply(delta)
-    assert held.entries == a.snapshot(0)["entries"]
+    assert held.entries == {e[0]: e for e in a.snapshot(0)["entries"]}
 
 
 def _reached(obj):

@@ -36,7 +36,7 @@ def test_merges_see_the_full_snapshot_of_the_cut(name, monkeypatch):
     def checked_apply(self, delta):
         changes = apply(self, delta)
         assert changes is not None, "delta cut against a version the home root does not hold"
-        assert self.entries == full_at[delta["subnet"], delta["version"]]
+        assert self.entries == {e[0]: e for e in full_at[delta["subnet"], delta["version"]]}
         merged.append(len(changes["entries"]))
         return changes
 

@@ -101,9 +101,9 @@ def check_replicas(cat, snap, replicas):
         assert delta["version"] == cat._version
         assert delta["base"] == (since if since >= cat._floor else 0)
         assert live.isdisjoint(delta["removed"])
-        replica = Mirror(since, list(then["entries"]))
+        replica = Mirror(since, {e[0]: e for e in then["entries"]})
         assert replica.apply(delta)
-        assert replica.entries == snap["entries"]
+        assert replica.entries == {e[0]: e for e in snap["entries"]}
 
 
 def check_deltas(cat, snap, replicas, data):

@@ -120,20 +120,23 @@ def test_a_sole_holder_away_on_an_order_is_refused():
     assert not [f for f in frames if f.kind == FrameKind.BLOCK_REQUEST]
 
 
-def test_a_search_by_id_waits_for_the_file_to_appear():
+@pytest.mark.parametrize("spell", [str.lower, str.upper], ids=["lower", "upper"])
+def test_a_search_by_id_waits_for_the_file_to_appear(spell):
     # device 2 looks an absent file up by id and asks for it: both miss,
     # and root 1 keeps one wanted entry for the id. Holder 3 arrives at 15;
-    # its FILE_LIST resolves the entry and answers 2's search.
+    # its FILE_LIST resolves the entry and answers 2's search. An id in
+    # upper case names the same file, and so shares and resolves that entry.
     content = b"late content" * 40
     w = make_world()
     star(w, 1, [2])
     w.add_device(3, [("late.txt", content)])
     w.add_edge(3, 1)
     fid = make_meta("late.txt", content, w.p.block_size).file_id
-    w.schedule(5.0, "search", device=2, query=fid.hex, by="id")
+    query = spell(fid.hex)
+    w.schedule(5.0, "search", device=2, query=query, by="id")
     w.schedule(6.0, "download", device=2, file_id=fid)
     w.schedule(15.0, "arrive", device=3)
-    w.schedule(20.0, "search", device=2, query=fid.hex, by="id")
+    w.schedule(20.0, "search", device=2, query=query, by="id")
     w.run_until(25.0)
     results = trace_events(w, "search-result", device=2)
     assert [r.details["ok"] for r in results] == [False, True, True]

@@ -18,7 +18,7 @@ BS = 16
 def _pull_session(content, sources, block_range=None, name="f"):
     meta = make_meta(name, content, BS)
     sess = TransferSession("s1", file_id=meta.file_id)
-    sess.begin_pull(meta, sources, block_range, now=0.0)
+    sess.begin_pull(meta, sources, block_range)
     return sess, meta
 
 
