@@ -65,6 +65,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _printable(text: str, path: str) -> None:
+    """A name or query lands in one `--trace` line; a control character such
+    as a newline would split it."""
+    if not text.isprintable():
+        raise ScenarioError(path, f"must hold printable characters only, got {text!r}")
+
+
 def _list(doc: dict, key: str, path: str) -> list:
     value = doc.get(key, [])
     if not isinstance(value, list):
@@ -165,6 +172,7 @@ def parse_scenario(doc: dict) -> Scenario:
                 raise ScenarioError(fpath, "file needs a name")
             if not isinstance(raw["name"], str):
                 raise ScenarioError(f"{fpath}.name", "name must be a string")
+            _printable(raw["name"], f"{fpath}.name")
             content = _content_of(raw, fpath)
             files.append((raw["name"], content))
             names.setdefault(raw["name"], set()).add(compute_file_id(content))
@@ -204,6 +212,9 @@ def parse_scenario(doc: dict) -> Scenario:
         elif action == "search":
             if "query" not in row:
                 raise ScenarioError(path, "search needs a query")
+            if not isinstance(row["query"], str):
+                raise ScenarioError(f"{path}.query", "query must be a string")
+            _printable(row["query"], f"{path}.query")
             by = row.get("by", "name")
             if by not in ("name", "id"):
                 raise ScenarioError(f"{path}.by", f"by must be name or id, got {by!r}")
@@ -213,6 +224,7 @@ def parse_scenario(doc: dict) -> Scenario:
             ref = row.get("file")
             if not isinstance(ref, str):
                 raise ScenarioError(path, "download needs a file reference")
+            _printable(ref, f"{path}.file")
             file_id = _resolve_file(ref, names, path)
             sc.script.append({"time": t, "action": "download", "device": device,
                               "file_id": file_id})

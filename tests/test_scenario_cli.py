@@ -95,6 +95,35 @@ def test_non_string_text_rejected():
     assert err.value.path == "$.devices[1].files[0].text"
 
 
+@pytest.mark.parametrize("mutate,path", [
+    (lambda d: d["devices"][1]["files"].append({"name": "a\nb x=1.ogg", "text": "y"}),
+     "$.devices[1].files[1].name"),
+    (lambda d: d["script"].append({"time": 1, "action": "download", "device": 1,
+                                   "file": "a.txt\r"}), "$.script[0].file"),
+    (lambda d: d["script"].append(_search_at(1, query="a\nb x=1")), "$.script[0].query"),
+    (lambda d: d["script"].append(_search_at(1, query="\x1b[2J")), "$.script[0].query"),
+    (lambda d: d["script"].append(_search_at(1, query=7)), "$.script[0].query"),
+], ids=["newline-in-name", "carriage-return-in-file", "newline-in-query",
+        "escape-in-query", "non-string-query"])
+def test_a_name_or_query_that_would_split_a_trace_line_is_rejected(mutate, path):
+    # Each lands verbatim in a --trace line.
+    doc = _minimal()
+    mutate(doc)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    assert err.value.path == path
+
+
+def test_spaces_in_names_and_queries_are_kept():
+    doc = _minimal()
+    doc["devices"][1]["files"][0]["name"] = "a b.txt"
+    doc["script"] = [_search_at(1, query="a b"),
+                     {"time": 2, "action": "download", "device": 1, "file": "a b.txt"}]
+    sc = parse_scenario(doc)
+    assert sc.devices[1][1][0][0] == "a b.txt"
+    assert sc.script[0]["query"] == "a b"
+
+
 def _generated(size):
     return {"name": "g.bin", "seed": 1, "size": size}
 

@@ -2,12 +2,14 @@
 retained trace."""
 
 import gc
+import sys
 
 import pytest
 
 from pear2pear.actions import Note
 from pear2pear.core import Ssid, render_ssid
 from pear2pear.frames import Frame, FrameKind
+from pear2pear.metrics import MetricsCollector
 from pear2pear.node import MEMBER, ROOT
 from pear2pear.scenario import build_world, parse_scenario
 from pear2pear.sim import World
@@ -93,7 +95,8 @@ def test_frame_latency():
     assert recvs[0].time == pytest.approx(sends[0].time + w.p.link_latency)
 
 
-def _busy_world(seed):
+def _busy_build(seed):
+    """A two-subnet world with one download, not yet run, and its end time."""
     w = make_world(seed=seed)
     files = {11: [("song.ogg", b"some shared bytes" * 100)]}
     star(w, 1, [2, 3, 4], files=files)
@@ -101,7 +104,12 @@ def _busy_world(seed):
     w.add_edge(4, 10)  # subnet of root 1 can reach subnet of root 10
     fid = w.nodes[11].store_file("song.ogg", b"some shared bytes" * 100).file_id
     w.schedule(50.0, "download", device=2, file_id=fid)
-    w.run_until(150.0)
+    return w, 150.0
+
+
+def _busy_world(seed):
+    w, until = _busy_build(seed)
+    w.run_until(until)
     return w
 
 
@@ -141,22 +149,89 @@ def test_a_note_renders_its_details_in_key_order():
     assert w.trace[-1].details == noted
 
 
-def _tiny_workload(name):
+def _built(name):
+    """The busy world or a tiny bench workload, not yet run, and its end time."""
+    if name == "busy":
+        return _busy_build(7)
     sc = parse_scenario(workloads.WORKLOADS[name](SEED, **TINY[name]))
-    w = build_world(sc)
-    w.run_until(sc.until)
+    return build_world(sc), sc.until
+
+
+WORLDS = ["busy"] + sorted(TINY)
+
+
+def _run(name):
+    w, until = _built(name)
+    w.run_until(until)
     return w
 
 
-@pytest.mark.parametrize("name", ["busy"] + sorted(TINY))
+@pytest.mark.parametrize("name", WORLDS)
 def test_the_retained_trace_is_not_tracked_by_the_collector(name):
-    # A note holds only scalars, so its first collection untracks it and full
-    # collections skip the trace. A note that puts a list or a dict into its
-    # details would stay tracked.
-    w = _busy_world(7) if name == "busy" else _tiny_workload(name)
+    # A note's values are scalars in one flat list, so full collections skip
+    # the trace. A note that puts a list or a dict into its details would
+    # leave it tracked there.
+    w = _run(name)
     gc.collect()
-    assert w._log
-    assert [r for r in w._log if gc.is_tracked(r)] == []
+    assert w._notes
+    assert [v for v in w._notes if gc.is_tracked(v)] == []
+
+
+@pytest.mark.parametrize("name", WORLDS)
+def test_a_retained_note_takes_at_most_64_bytes(name):
+    # The columns' own size: a clock, and a slot for the shape, the device and
+    # each value, each 8 B, with the list's spare capacity. The values are
+    # mostly objects the run holds anyway.
+    w = _run(name)
+    notes = len(w._times)
+    assert notes > 100
+    assert len(w._notes) == sum(2 + len(r.details) for r in w.trace)
+    assert (sys.getsizeof(w._times) + sys.getsizeof(w._notes)) / notes <= 64
+
+
+def _reference_line(time, device, kind, details):
+    """A note as `--trace` renders it, one field at a time."""
+    parts = [f"{time:.6f}", f"dev={device}", kind]
+    for key in sorted(details):
+        value = details[key]
+        if isinstance(value, float):
+            value = f"{value:.6f}"
+        elif isinstance(value, bool):
+            value = "true" if value else "false"
+        parts.append(f"{key}={value}")
+    return " ".join(parts)
+
+
+# Noted by one silent extra device at its arrival: a note with no details,
+# one key set in two insertion orders, two kinds that share a key set, and a
+# float and a bool value. It arrives at -0.0, after the 0.0 arrivals, which
+# renders as "-0.000000" between notes at "0.000000".
+EDGE_DEVICE = 10**6
+EDGE_NOTES = [("edge", {}), ("edge", {"b": 1, "a": "x"}), ("edge", {"a": "y", "b": 2}),
+              ("edge-too", {"b": 0.5, "a": True}), ("edge", {})]
+
+
+@pytest.mark.parametrize("name", WORLDS)
+def test_the_trace_reads_back_every_note_in_order(name, monkeypatch):
+    seen = []
+    observe = MetricsCollector.observe
+
+    def recording(self, now, device, kind, details):
+        seen.append((now, device, kind, dict(details)))
+        observe(self, now, device, kind, details)
+
+    monkeypatch.setattr(MetricsCollector, "observe", recording)
+    w, until = _built(name)
+    assert EDGE_DEVICE not in w.nodes
+    w.add_device(EDGE_DEVICE)
+    w.nodes[EDGE_DEVICE].on_arrive = lambda now: [Note(*note) for note in EDGE_NOTES]
+    w.schedule(-0.0, "arrive", device=EDGE_DEVICE)
+    # read once in mid-run, then again after the run goes on
+    for t in (until / 2, until):
+        w.run_until(t)
+        assert [tuple(r) for r in w.trace] == seen
+        assert w.trace_lines() == [_reference_line(*note) for note in seen]
+    assert "-0.000000 dev=1000000 edge" in w.trace_lines()
 
 
 # --- root lookup from the SSID ----------------------------------------------
