@@ -10,30 +10,30 @@ from dataclasses import dataclass, field
 from .frames import Frame
 
 
-@dataclass
+@dataclass(slots=True)
 class Send:
     frame: Frame
 
 
-@dataclass
+@dataclass(slots=True)
 class HopTo:
     target: str          # rendered SSID
     label: str = "hop"   # "forward" | "return" | "hop" (for traces)
     session_id: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class StartTimer:
     delay: float
     tag: tuple           # (term, handler, *args), handed back to Node.on_timer
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestScan:
     """Scan now: the host hands the visible SSIDs to Node.on_scan."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Note:
     kind: str
     details: dict = field(default_factory=dict)

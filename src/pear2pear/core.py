@@ -4,6 +4,7 @@ Everything here is a pure function; no simulation state is touched.
 """
 
 import base64
+import functools
 import hashlib
 import re
 from dataclasses import dataclass, field
@@ -94,6 +95,7 @@ def render_ssid(ssid: Ssid) -> str:
     return f"{SSID_PREFIX}{ssid.root_id:016X}-{ssid.nonce:08X}"
 
 
+@functools.lru_cache(maxsize=1024)   # every scan parses every visible SSID
 def parse_ssid(s: str):
     """Parse a rendered SSID; returns None for non-protocol networks. Only an
     exact rendering parses, so render_ssid(parse_ssid(s)) == s whenever the

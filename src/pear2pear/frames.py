@@ -64,7 +64,7 @@ class FrameKind(enum.IntEnum):
 JOIN_PHASE_KINDS = {FrameKind.JOIN_REQUEST, FrameKind.JOIN_ACCEPT, FrameKind.JOIN_REJECT}
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     kind: FrameKind
     src: int

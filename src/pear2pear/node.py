@@ -213,7 +213,6 @@ class Node:
         self._send(out, K.FILE_LIST, root_id, {"files": files, "removed": []}, now)
         out.append(RequestScan())
         self._after(out, self.p.scan_period, self._t_scan_report)
-        self._after(out, self.p.ping_interval, self._t_root_check)
         out.append(Note("role", {"role": MEMBER, "ssid": ssid}))
 
     def _to_scanning(self, now, out, reason):
@@ -883,15 +882,16 @@ class Node:
         self._courier_cycle(now, out)
 
     def _t_scan_report(self, now, out):
+        """Each scan period a member not out on a mission checks its root: it
+        scans if it heard the root within `silent_timeout`, else gives it up."""
         self._after(out, self.p.scan_period, self._t_scan_report)
-        if self.mission is None:
-            out.append(RequestScan())
-
-    def _t_root_check(self, now, out):
-        self._after(out, self.p.ping_interval, self._t_root_check)
+        if self.mission is not None:
+            return
         # 1e-9: a beacon scanned on this timer's phase may read a rounding error younger
-        if self.mission is None and now - self.last_root_seen >= self.p.silent_timeout - 1e-9:
+        if now - self.last_root_seen >= self.p.silent_timeout - 1e-9:
             self._to_scanning(now, out, "root-silent")
+        else:
+            out.append(RequestScan())
 
     def _t_leave_countdown(self, now, out, peer, since):
         """Purge `peer` only if the leave that started this countdown is

@@ -8,7 +8,7 @@ class Params:
     # kernel
     max_members: int = 7
     join_timeout: float = 5.0
-    ping_interval: float = 10.0
+    ping_interval: float = 10.0   # the root's ping cycle; a member checks its root at each scan
     silent_timeout: float = 30.0
     leave_countdown: float = 30.0
     # radio

@@ -5,6 +5,7 @@ nodes only see events and return actions. Ties in event time break by
 insertion order, so a (scenario, seed) pair fully determines the trace.
 """
 
+import functools
 import heapq
 import random
 from array import array
@@ -12,7 +13,7 @@ from typing import NamedTuple
 
 from .actions import HopTo, Note, RequestScan, Send, StartTimer
 from .core import parse_ssid
-from .frames import JOIN_PHASE_KINDS, Frame
+from .frames import JOIN_PHASE_KINDS, Frame, FrameKind
 from .metrics import MetricsCollector
 from .node import Node, ROOT
 from .params import Params
@@ -44,7 +45,11 @@ class World:
         # took about 112 B with its list slot and its share of clock floats.
         self._times = array("d")
         self._notes: list = []
-        self._shapes: dict[tuple, int] = {}
+        # Frame notes' shapes come first: `_emit` and `_deliver` write them
+        # without a lookup.
+        self._shapes: dict[tuple, int] = {
+            ("recv", "frame", "src"): _RECV, ("send", "frame", "dst"): _SEND,
+            ("send", "frame", "dst", "session"): _SEND_SESSION}
         self.metrics = MetricsCollector()
 
     # ----------------------------------------------------------- construction
@@ -65,8 +70,18 @@ class World:
         self.vis.setdefault(b, set()).add(a)
 
     def schedule(self, time: float, kind: str, **data) -> None:
+        """Queue an event of `kind`, a key of `_KINDS`, whose handler takes
+        `data` as keyword arguments. An unknown kind is refused here."""
+        try:
+            handler = self._KINDS[kind]
+        except KeyError:
+            raise ValueError(f"unknown event kind {kind}") from None
+        self._push(time, functools.partial(handler, self, **data), ())
+
+    def _push(self, time: float, handler, args: tuple) -> None:
+        """Queue `handler(*args)` at `time`, after every event queued for it."""
         self._seq += 1
-        heapq.heappush(self.queue, (time, self._seq, kind, data))
+        heapq.heappush(self.queue, (time, self._seq, handler, args))
 
     # ---------------------------------------------------------------- queries
 
@@ -92,9 +107,9 @@ class World:
     def step(self) -> bool:
         if not self.queue:
             return False
-        time, _, kind, data = heapq.heappop(self.queue)
+        time, _, handler, args = heapq.heappop(self.queue)
         self.clock = time
-        self._dispatch(kind, data)
+        handler(*args)
         return True
 
     def run_until(self, t_end: float) -> None:
@@ -108,6 +123,10 @@ class World:
             shape = self._shapes[key]
         except KeyError:
             shape = self._shapes[key] = len(self._shapes)
+        self._shaped_note(shape, device, kind, details)
+
+    def _shaped_note(self, shape: int, device: int, kind: str, details: dict) -> None:
+        """`_note` for a caller that knows the note's shape number."""
         self._times.append(self.clock)
         notes = self._notes
         notes.append(shape)
@@ -115,117 +134,113 @@ class World:
         notes += details.values()
         self.metrics.observe(self.clock, device, kind, details)
 
-    def _dispatch(self, kind: str, data: dict) -> None:
-        if kind == "arrive":
-            device = data["device"]
-            node = self.nodes[device]
-            node.active = True
-            self._emit(device, node.on_arrive(self.clock))
+    # ----------------------------------------------------------------- events
+    # One handler per event kind, queued with its arguments.
 
-        elif kind == "depart":
-            device = data["device"]
-            node = self.nodes[device]
-            if not node.active:
-                return
-            self._emit(device, node.on_depart(self.clock, data["silent"]))
-            delay = 0.0 if data["silent"] else 2 * self.p.link_latency
-            self.schedule(self.clock + delay, "deactivate", device=device)
+    def _arrive(self, device: int) -> None:
+        node = self.nodes[device]
+        node.active = True
+        self._emit(node, node.on_arrive(self.clock))
 
-        elif kind == "deactivate":
-            self.nodes[data["device"]].active = False
+    def _depart(self, device: int, silent: bool) -> None:
+        node = self.nodes[device]
+        if not node.active:
+            return
+        self._emit(node, node.on_depart(self.clock, silent))
+        delay = 0.0 if silent else 2 * self.p.link_latency
+        self._push(self.clock + delay, self._deactivate, (device,))
 
-        elif kind == "scan":
-            device = data["device"]
-            node = self.nodes[device]
-            if node.active:
-                self._emit(device, node.on_scan(self.clock, self.visible_roots(device)))
+    def _deactivate(self, device: int) -> None:
+        self.nodes[device].active = False
 
-        elif kind == "frame":
-            self._deliver(data["frame"])
+    def _scan(self, device: int) -> None:
+        node = self.nodes[device]
+        if node.active:
+            self._emit(node, node.on_scan(self.clock, self.visible_roots(device)))
 
-        elif kind == "timer":
-            device = data["device"]
-            node = self.nodes[device]
-            if node.active:
-                self._emit(device, node.on_timer(self.clock, data["tag"]))
+    def _timer(self, device: int, tag: tuple) -> None:
+        node = self.nodes[device]
+        if node.active:
+            self._emit(node, node.on_timer(self.clock, tag))
 
-        elif kind == "hopdone":
-            device = data["device"]
-            node = self.nodes[device]
-            if not node.active or data["term"] != node.term:
-                return   # the device left since the hop began
-            target = data["target"]
-            root = self.find_root(target)
-            if root is not None and root in self.vis.get(device, ()):
-                self._note(device, "hop-complete", {"target": target})
-                self._emit(device, node.on_hop_complete(self.clock, target))
-            else:
-                self._note(device, "hop-failed", {"target": target, "at": "arrival"})
-                self._emit(device, node.on_hop_failed(self.clock, target))
-
-        elif kind == "search":
-            device = data["device"]
-            node = self.nodes[device]
-            self._note(device, "script", {"action": "search", "query": data["query"]})
-            if node.active:
-                self._emit(device, node.on_user_search(self.clock, data["query"],
-                                                       data.get("by", "name")))
-
-        elif kind == "download":
-            device = data["device"]
-            node = self.nodes[device]
-            self._note(device, "script", {"action": "download",
-                                          "file": data["file_id"].short})
-            if node.active:
-                self._emit(device, node.on_user_download(self.clock, data["file_id"]))
-
+    def _hop_done(self, device: int, target: str, term: int) -> None:
+        node = self.nodes[device]
+        if not node.active or term != node.term:
+            return   # the device left since the hop began
+        root = self.find_root(target)
+        if root is not None and root in self.vis.get(device, ()):
+            self._note(device, "hop-complete", {"target": target})
+            self._emit(node, node.on_hop_complete(self.clock, target))
         else:
-            raise ValueError(f"unknown event kind {kind}")
+            self._note(device, "hop-failed", {"target": target, "at": "arrival"})
+            self._emit(node, node.on_hop_failed(self.clock, target))
+
+    def _search(self, device: int, query: str, by: str = "name") -> None:
+        node = self.nodes[device]
+        self._note(device, "script", {"action": "search", "query": query})
+        if node.active:
+            self._emit(node, node.on_user_search(self.clock, query, by))
+
+    def _download(self, device: int, file_id) -> None:
+        node = self.nodes[device]
+        self._note(device, "script", {"action": "download", "file": file_id.short})
+        if node.active:
+            self._emit(node, node.on_user_download(self.clock, file_id))
 
     # --------------------------------------------------------------- delivery
 
-    def _link_ok(self, frame: Frame) -> tuple:
+    def _link_loss(self, frame: Frame):
+        """Why `frame` would be lost on the radio now, or None if it gets through."""
         src = self.nodes.get(frame.src)
         dst = self.nodes.get(frame.dst)
         if dst is None or not dst.active or src is None or not src.active:
-            return False, "peer-gone"
+            return "peer-gone"
         if frame.kind in JOIN_PHASE_KINDS:
-            if frame.dst in self.vis.get(frame.src, ()):
-                return True, ""
-            return False, "out-of-range"
+            return None if frame.dst in self.vis.get(frame.src, ()) else "out-of-range"
         if src.attached is not None and src.attached == dst.attached:
-            return True, ""
-        return False, "different-hotspot"
+            return None
+        return "different-hotspot"
 
     def _deliver(self, frame: Frame) -> None:
-        ok, reason = self._link_ok(frame)
-        if not ok:
-            self._note(frame.dst, "drop", {"frame": frame.kind.name,
-                                           "src": frame.src, "reason": reason})
+        details = {"frame": _FRAME_NAMES[frame.kind], "src": frame.src}
+        reason = self._link_loss(frame)
+        if reason is not None:
+            details["reason"] = reason
+            self._note(frame.dst, "drop", details)
             return
-        self._note(frame.dst, "recv", {"frame": frame.kind.name, "src": frame.src})
-        self._emit(frame.dst, self.nodes[frame.dst].on_frame(self.clock, frame))
+        self._shaped_note(_RECV, frame.dst, "recv", details)
+        node = self.nodes[frame.dst]
+        self._emit(node, node.on_frame(self.clock, frame))
 
-    def _emit(self, device: int, outputs) -> None:
-        node = self.nodes[device]
+    def _emit(self, node: Node, outputs) -> None:
+        device = node.device
         for act in outputs:
-            if isinstance(act, Send):
+            cls = type(act)
+            if cls is Send:
                 frame = act.frame
                 self.metrics.on_frame_emit(frame)
-                details = {"frame": frame.kind.name, "dst": frame.dst}
+                details = {"frame": _FRAME_NAMES[frame.kind], "dst": frame.dst}
                 sid = frame.payload.get("session_id")
                 if sid:
                     details["session"] = sid
-                ok, reason = self._link_ok(frame)
-                if ok:
-                    self._note(device, "send", details)
-                    self.schedule(self.clock + self.p.link_latency, "frame",
-                                  frame=frame)
+                reason = self._link_loss(frame)
+                if reason is None:
+                    self._shaped_note(_SEND_SESSION if sid else _SEND, device, "send", details)
+                    self._push(self.clock + self.p.link_latency, self._deliver, (frame,))
                 else:
                     details["reason"] = reason
                     self._note(device, "undeliverable", details)
 
-            elif isinstance(act, HopTo):
+            elif cls is StartTimer:
+                self._push(self.clock + act.delay, self._timer, (device, act.tag))
+
+            elif cls is Note:
+                self._note(device, act.kind, act.details)
+
+            elif cls is RequestScan:
+                self._push(self.clock, self._scan, (device,))
+
+            elif cls is HopTo:
                 root = self.find_root(act.target)
                 valid = (node.role != ROOT and root is not None
                          and root in self.vis.get(device, ()))
@@ -235,25 +250,20 @@ class World:
                         details["session"] = act.session_id
                     self._note(device, "hop-start", details)
                     node.detach()
-                    self.schedule(self.clock + self.p.hop_latency, "hopdone",
-                                  device=device, target=act.target, term=node.term)
+                    self._push(self.clock + self.p.hop_latency, self._hop_done,
+                               (device, act.target, node.term))
                 else:
                     self._note(device, "hop-failed", {"target": act.target,
                                                       "at": "departure"})
-                    self._emit(device, node.on_hop_failed(self.clock, act.target))
-
-            elif isinstance(act, StartTimer):
-                self.schedule(self.clock + act.delay, "timer", device=device,
-                              tag=act.tag)
-
-            elif isinstance(act, RequestScan):
-                self.schedule(self.clock, "scan", device=device)
-
-            elif isinstance(act, Note):
-                self._note(device, act.kind, act.details)
+                    self._emit(node, node.on_hop_failed(self.clock, act.target))
 
             else:
                 raise TypeError(f"unknown action {act!r}")
+
+    # Event kind -> handler, for `schedule`.
+    _KINDS = {"arrive": _arrive, "depart": _depart, "deactivate": _deactivate,
+              "scan": _scan, "frame": _deliver, "timer": _timer, "hopdone": _hop_done,
+              "search": _search, "download": _download}
 
     # ------------------------------------------------------------------ trace
 
@@ -312,6 +322,9 @@ class World:
             i = j
         return lines
 
+
+_FRAME_NAMES = {kind: kind.name for kind in FrameKind}
+_RECV, _SEND, _SEND_SESSION = range(3)
 
 # Value types that a template renders as they are; any other goes through
 # `_rendered` first.

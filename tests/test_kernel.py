@@ -7,6 +7,7 @@ import pytest
 from pear2pear.core import parse_ssid
 from pear2pear.frames import FrameKind
 from pear2pear.node import MEMBER, ROOT, SCANNING, Node
+from pear2pear.params import Params
 from pear2pear.scenario import build_world, load_scenario, parse_scenario, run_scenario
 
 from helpers import (
@@ -192,25 +193,36 @@ def test_member_outlives_silent_timeout_while_responsive():
 # Root departs at 15 s, between member 2's scans at 10.02 and 20.02. When
 # roots pinged every idle member, 2 last heard root 1 by the PING of 10.01
 # and left at 40.02. Now its last beacon is the scan of 10.02, one
-# silent_timeout before the check of 40.02 up to the rounding of two timer
-# chains' sums, which the check allows for.
+# silent_timeout before the check of 40.02 up to the rounding of the scan
+# timer's sums, which the check allows for.
 ROOT_GONE_AT, LEFT_BY = 15.0, 40.02
 
 
-@pytest.mark.parametrize("hosts_again", [False, True], ids=["departs", "new-nonce"])
-def test_a_member_whose_root_goes_leaves_no_later_than_with_pings(hosts_again):
+# With other scan periods the root departs at 22 s. At a scan_period of 7 s
+# that is just after member 2's scan of 21.02, its last beacon: a root check
+# on a ping_interval timer of its own found the root silent only at 60.02,
+# later than silent_timeout + scan_period after the departure.
+@pytest.mark.parametrize("hosts_again, scan_period, gone_at", [
+    (False, 10.0, ROOT_GONE_AT), (True, 10.0, ROOT_GONE_AT),
+    (False, 7.0, 22.0), (True, 7.0, 22.0), (False, 12.0, 22.0), (True, 12.0, 22.0),
+], ids=["departs", "new-nonce", "departs-scan-7", "new-nonce-scan-7",
+        "departs-scan-12", "new-nonce-scan-12"])
+def test_a_member_whose_root_goes_leaves_no_later_than_with_pings(hosts_again, scan_period,
+                                                                   gone_at):
     # the root departs silently, or hosts again a second later under a new
-    # nonce: either way its old SSID is gone from the member's scans
-    w = make_world()
+    # nonce: either way its old SSID is gone from the member's scans. The
+    # member checks its root at each scan, whatever the root's ping_interval.
+    w = make_world(scan_period=scan_period, ping_interval=10.0)
     star(w, 1, [2])
-    w.schedule(ROOT_GONE_AT, "depart", device=1, silent=True)
+    w.schedule(gone_at, "depart", device=1, silent=True)
     if hosts_again:
-        w.schedule(ROOT_GONE_AT + 1.0, "arrive", device=1)
-    w.run_until(60.0)
+        w.schedule(gone_at + 1.0, "arrive", device=1)
+    w.run_until(70.0)
     (lost,) = trace_events(w, "root-lost", device=2)
     assert lost.details["reason"] == "root-silent"
-    assert lost.time <= LEFT_BY
-    assert lost.time <= ROOT_GONE_AT + w.p.silent_timeout + w.p.scan_period
+    assert lost.time <= gone_at + w.p.silent_timeout + scan_period
+    if scan_period == Params().scan_period:
+        assert lost.time <= LEFT_BY
     if hosts_again:
         assert w.nodes[2].attached == w.nodes[1].ssid
 

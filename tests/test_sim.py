@@ -2,6 +2,7 @@
 retained trace."""
 
 import gc
+import itertools
 import sys
 
 import pytest
@@ -93,6 +94,42 @@ def test_frame_latency():
              if r.details["src"] == 2]
     assert sends and recvs
     assert recvs[0].time == pytest.approx(sends[0].time + w.p.link_latency)
+
+
+# One of each kind queued for one instant, keyed by the first note it writes:
+# a scripted download, a frame, and a node timer.
+def _queue_one(w, kind, at):
+    if kind == "script":
+        fid = w.nodes[1].store_file("a.ogg", b"a").file_id
+        w.schedule(at, "download", device=2, file_id=fid)
+    elif kind == "recv":
+        w.schedule(at, "frame", frame=Frame(FrameKind.PING, src=1, dst=2))
+    else:
+        node = w.nodes[2]
+        w.schedule(at, "timer", device=2,
+                   tag=(node.term, lambda now, out: out.append(Note("probe"))))
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(["script", "recv", "probe"])),
+                         ids="-".join)
+def test_events_at_one_instant_fire_in_insertion_order_whatever_their_kind(order):
+    w = make_world()
+    star(w, 1, [2])
+    w.run_until(1.0)
+    for kind in order:
+        _queue_one(w, kind, 5.0)
+    w.run_until(6.0)
+    assert [r.kind for r in w.trace if r.time == 5.0 and r.kind in order] == list(order)
+
+
+def test_an_unknown_event_kind_is_refused_when_scheduled():
+    w = make_world()
+    w.add_device(1)
+    with pytest.raises(ValueError, match="teleport"):
+        w.schedule(1.0, "teleport", device=1)
+    assert w.queue == []
+    w.run_until(2.0)
+    assert w.trace == []
 
 
 def _busy_build(seed):
