@@ -24,11 +24,13 @@ with the version of the change that emptied it, until the digest comes back.
 There are never more tombstones than entries: the oldest go first, and
 `_floor` rises to the version of the last one gone.
 
-A snapshot entry is the list `[file_id, names, size, block_count, holders,
-remote]`, each remote record the list `[subnet, hops, holders]` (lists: no
-keys on the wire, and unlike tuples they decode back equal). Entries are
-shared between snapshots, and so between frames and mirrors: they are
-read-only.
+A snapshot entry is the tuple `(file_id, names, size, block_count, holders,
+remote)`, its `names` the entry's own sorted tuple and each remote record
+the tuple `(subnet, hops, holders)`: no keys on the wire, and the codec
+decodes every array as a tuple, so a decoded entry equals the one sent.
+Entries are shared between snapshots, and so between frames and mirrors:
+they are read-only. Built of scalars and such tuples, an entry is one the
+cyclic collector stops tracking, though every mirror holds thousands.
 
 In memory, `entries` maps a file's 32-byte digest, its one key everywhere
 in a catalog, to its one record, a `CatalogEntry`: its names as a sorted
@@ -62,7 +64,7 @@ class CatalogEntry:
     # subnet ssid -> (hops from here, holder count, gateway: the adjacent
     # subnet on the shortest known path)
     remote: dict = field(default_factory=dict)
-    wire: list | None = field(default=None, compare=False, repr=False)  # snapshot entry
+    wire: tuple | None = field(default=None, compare=False, repr=False)  # snapshot entry
     version: int = field(default=0, compare=False, repr=False)  # of the last change
 
 
@@ -95,7 +97,9 @@ class NetworkFileCatalog:
     def _entry(self, digest: bytes, names, size: int, block_count: int) -> CatalogEntry:
         entry = self.entries.get(digest)
         if entry is None:
-            entry = CatalogEntry(tuple(sorted(set(names))), size, block_count)
+            # a names tuple already sorted and distinct, as a snapshot's, is kept
+            canon = tuple(sorted(set(names)))
+            entry = CatalogEntry(names if canon == names else canon, size, block_count)
             self.entries[digest] = entry
             self._tombstones.pop(digest, None)
             self._changed(entry)
@@ -157,22 +161,19 @@ class NetworkFileCatalog:
         if not self._floor <= since <= self._version:
             since = 0
         changed = sorted(d for d, e in self.entries.items() if e.version > since)
-        removed = sorted(d for d, v in self._tombstones.items() if v > since) if since else []
-        return {"subnet": self.ssid, "entries": self._wire(changed), "removed": removed,
-                "version": self._version, "base": since}
+        removed = tuple(sorted(d for d, v in self._tombstones.items() if v > since)) \
+            if since else ()
+        return {"subnet": self.ssid, "entries": tuple(map(self._wire, changed)),
+                "removed": removed, "version": self._version, "base": since}
 
-    def _wire(self, digests) -> list:
-        """The snapshot entries with these digests, in order."""
-        out = []
-        for digest in digests:
-            e = self.entries[digest]
-            if e.wire is None:
-                e.wire = [digest, list(e.names), e.size, e.block_count,
-                          len(e.holders),
-                          [[s, hops, count] for s, (hops, count, _) in sorted(e.remote.items())
-                           if hops < self.max_hops]]
-            out.append(e.wire)
-        return out
+    def _wire(self, digest: bytes) -> tuple:
+        """The snapshot entry of `digest`, cached on its catalog entry."""
+        e = self.entries[digest]
+        if e.wire is None:
+            e.wire = (digest, e.names, e.size, e.block_count, len(e.holders),
+                      tuple((s, hops, count) for s, (hops, count, _) in sorted(e.remote.items())
+                            if hops < self.max_hops))
+        return e.wire
 
     def merge_snapshot(self, delta: dict, via_gateway: str, now: float) -> bool:
         """Apply a courier-fetched delta to the mirror of `via_gateway`, the
@@ -250,7 +251,7 @@ class NetworkFileCatalog:
 class Mirror:
     """A neighbour root's catalog as this root last merged it: the version
     it was cut at (0 asks for a full dump), its snapshot entries by digest
-    (shared lists, read-only; the dict itself is the mirror's) and the time
+    (shared tuples, read-only; the dict itself is the mirror's) and the time
     of its last merge."""
     version: int = 0
     entries: dict = field(default_factory=dict)

@@ -74,9 +74,11 @@ class FileMeta:
     block_count: int = 1
 
 
-def make_meta(name: str, content: bytes, block_size: int) -> FileMeta:
+def make_meta(name: str, content: bytes, block_size: int,
+              file_id: FileId | None = None) -> FileMeta:
+    """The meta of `content` named `name`; `file_id`, if given, is its hash."""
     return FileMeta(
-        file_id=compute_file_id(content),
+        file_id=file_id or compute_file_id(content),
         names={name},
         size=len(content),
         block_count=block_count_for(len(content), block_size),

@@ -9,6 +9,11 @@ varint, a float is 8 bytes big-endian, a str is UTF-8 and dict keys are
 sorted. Payload ints must fit in a signed 64-bit int and `src` and `dst` in
 an unsigned one; the encoder raises WireError for anything else.
 
+An array is encoded from a list or a tuple alike, and always decodes as a
+tuple. Every payload array is built as a tuple, so a frame decodes back
+equal to the frame sent, and an array of scalars held on (a catalog's
+snapshot entries) is one the cyclic collector stops tracking.
+
 A str that is an exact SSID rendering (`core.parse_ssid` accepts it) names a
 subnet, and travels as its `(root_id, nonce)` pair: the root id as an
 unsigned varint, then the nonce as 4 bytes big-endian. With its tag that is
@@ -229,7 +234,7 @@ def _decode_value(data: bytes, pos: int):
         for _ in range(n):
             item, pos = _decode_value(data, pos)
             items.append(item)
-        return items, pos
+        return tuple(items), pos
     if tag == _T_DICT:
         n, pos = _get_uvarint(data, pos)
         out = {}

@@ -67,8 +67,8 @@ class Node:
         self.p = params
         self.files: dict[FileId, bytes] = {}
         self.metas: dict[FileId, FileMeta] = {}
-        for name, content in shared_files:
-            self.store_file(name, content)
+        for file in shared_files:   # (name, content), or with its FileId known
+            self.store_file(*file)
 
         self.active = True
         self.ssid: str | None = None   # the last SSID hosted
@@ -111,8 +111,8 @@ class Node:
 
     # ------------------------------------------------------------------ utils
 
-    def store_file(self, name: str, content: bytes) -> FileMeta:
-        meta = core.make_meta(name, content, self.p.block_size)
+    def store_file(self, name: str, content: bytes, file_id: FileId | None = None) -> FileMeta:
+        meta = core.make_meta(name, content, self.p.block_size, file_id)
         if meta.file_id in self.metas:
             self.metas[meta.file_id].names |= meta.names
         else:
@@ -128,7 +128,7 @@ class Node:
     def _meta_payload(digest: bytes, meta) -> dict:
         """The payload of a file: its digest, and the names, size and block
         count of `meta`, a `FileMeta` or a catalog entry."""
-        return {"file_id": digest, "names": sorted(meta.names),
+        return {"file_id": digest, "names": tuple(sorted(meta.names)),
                 "size": meta.size, "block_count": meta.block_count}
 
     @staticmethod
@@ -187,7 +187,7 @@ class Node:
         elif self.role == MEMBER and self.mission is None:
             if self.attached in ssids:   # its root's beacon: the root is alive
                 self.last_root_seen = now
-            foreign = [s for s in ssids if s != self.attached and parse_ssid(s) is not None]
+            foreign = tuple(s for s in ssids if s != self.attached and parse_ssid(s) is not None)
             self._send(out, K.SCAN_REPORT, self.home_root, {"visible": foreign}, now)
         return out
 
@@ -209,8 +209,8 @@ class Node:
         self.attached = ssid
         self.home_root = root_id
         self.last_root_seen = now
-        files = [self._meta_payload(fid.digest, m) for fid, m in sorted(self.metas.items())]
-        self._send(out, K.FILE_LIST, root_id, {"files": files, "removed": []}, now)
+        files = tuple(self._meta_payload(fid.digest, m) for fid, m in sorted(self.metas.items()))
+        self._send(out, K.FILE_LIST, root_id, {"files": files, "removed": ()}, now)
         out.append(RequestScan())
         self._after(out, self.p.scan_period, self._t_scan_report)
         out.append(Note("role", {"role": MEMBER, "ssid": ssid}))
@@ -411,12 +411,12 @@ class Node:
         return out
 
     def _search_results(self, query, by):
+        """The SEARCH_RESPONSE result of each file this root knows a source of."""
         if by == "id":
             digest = _id_digest(query)
             digests = [digest] if digest in self.catalog.entries else []
         else:
             digests = self.catalog.lookup_name(query)
-        results = []
         for digest in digests:
             entry = self.catalog.entries[digest]
             if entry.holders:
@@ -426,16 +426,14 @@ class Node:
                 locality = "remote"
             else:
                 continue
-            results.append({**self._meta_payload(digest, entry),
-                            "locality": locality, "hops": hops})
-        return results
+            yield {**self._meta_payload(digest, entry), "locality": locality, "hops": hops}
 
     def _h_search_request(self, now, src, payload, out):
         if self.role != ROOT:
             return
         query = payload.get("query", "")
         by = payload.get("by", "name")
-        results = self._search_results(query, by)
+        results = tuple(self._search_results(query, by))
         self._send(out, K.SEARCH_RESPONSE, src,
                    {"ok": bool(results), "results": results,
                     "query": query, "by": by}, now)
@@ -481,7 +479,7 @@ class Node:
                     hit = meta
             if hit is None:
                 continue
-            results = self._search_results(entry.query, entry.by)
+            results = tuple(self._search_results(entry.query, entry.by))
             self._send(out, K.SEARCH_RESPONSE, entry.requester,
                        {"ok": True, "results": results,
                         "query": entry.query, "by": entry.by}, now)
@@ -567,7 +565,7 @@ class Node:
 
         if isinstance(sel, routing.Local):
             holders = [h for h in sel.holders if h != src]
-            here = list(filter(self._here, holders))
+            here = tuple(filter(self._here, holders))
             if not here:
                 self._refuse(now, out, src, sid, "holder-away" if holders else "no-source")
                 return
@@ -711,8 +709,8 @@ class Node:
                 meta = self.store_file(name, content)
                 if self.role == MEMBER:
                     self._send(out, K.FILE_LIST, self.home_root,
-                               {"files": [self._meta_payload(meta.file_id.digest, meta)],
-                                "removed": []}, now)
+                               {"files": (self._meta_payload(meta.file_id.digest, meta),),
+                                "removed": ()}, now)
                 elif self.role == ROOT:
                     self.catalog.register_files(self.device, [meta])
                     self._check_wanted(now, [meta], out)

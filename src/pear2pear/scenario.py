@@ -27,7 +27,7 @@ class ScenarioError(Exception):
 class Scenario:
     seed: int = 0
     params: Params = field(default_factory=Params)
-    devices: list = field(default_factory=list)   # (device_id, [(name, bytes)])
+    devices: list = field(default_factory=list)   # (device_id, [(name, bytes, FileId)])
     edges: list = field(default_factory=list)
     script: list = field(default_factory=list)
     until: float = 60.0
@@ -174,8 +174,9 @@ def parse_scenario(doc: dict) -> Scenario:
                 raise ScenarioError(f"{fpath}.name", "name must be a string")
             _printable(raw["name"], f"{fpath}.name")
             content = _content_of(raw, fpath)
-            files.append((raw["name"], content))
-            names.setdefault(raw["name"], set()).add(compute_file_id(content))
+            file_id = compute_file_id(content)  # hashed once: the node is handed it
+            files.append((raw["name"], content, file_id))
+            names.setdefault(raw["name"], set()).add(file_id)
         sc.devices.append((device, files))
 
     for i, edge in enumerate(_list(doc, "visibility", "$.visibility")):

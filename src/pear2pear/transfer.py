@@ -153,7 +153,7 @@ class CourierMission:
             payload["file_id"] = self.file_id.digest
             payload["requester"] = self.requester
         if self.block_range is not None:
-            payload["range"] = [self.block_range[0], self.block_range[1]]
+            payload["range"] = self.block_range
         if self.kind == "catalog":
             payload["since"] = self.since
         return payload

@@ -11,7 +11,7 @@ exactly these records (`check`).
 from pear2pear.catalog import NetworkFileCatalog
 
 
-def offers(cat: NetworkFileCatalog, gateway: str, raw: list) -> list:
+def offers(cat: NetworkFileCatalog, gateway: str, raw: tuple) -> list:
     """The (subnet, hops, holder_count) offers of one entry of `gateway`'s mirror."""
     _, _, _, _, holders, records = raw
     out = [(gateway, 1, holders)] if holders else []

@@ -131,7 +131,7 @@ def test_equal_hop_offers_give_one_record_whatever_the_merge_order():
         for t, (gateway, snap) in enumerate(order):
             merge_whole(a, snap, gateway, now=float(t))
         assert a.entries[SONG.digest].remote["NET-C"] == (2, 2, "NET-B")
-        assert a.snapshot(0)["entries"][0][-1] == [["NET-C", 2, 2]]
+        assert a.snapshot(0)["entries"][0][-1] == (("NET-C", 2, 2),)
 
 
 def test_a_withdrawn_record_falls_back_to_a_longer_offer():
@@ -205,7 +205,7 @@ def test_no_snapshot_ships_a_record_at_the_hop_cap():
     merge_whole(a, _far("NET-B", 1, ("NET-C", CAP - 2, 1), ("NET-D", CAP - 1, 1)), "NET-B", now=0.0)
     assert {s: r[0] for s, r in a.entries[SONG.digest].remote.items()} == \
         {"NET-B": 1, "NET-C": CAP - 1, "NET-D": CAP}
-    assert a.snapshot(0)["entries"][0][-1] == [["NET-B", 1, 1], ["NET-C", CAP - 1, 1]]
+    assert a.snapshot(0)["entries"][0][-1] == (("NET-B", 1, 1), ("NET-C", CAP - 1, 1))
 
 
 def test_snapshot_deterministic_and_sorted():
@@ -225,7 +225,7 @@ def test_mirror_refuses_a_delta_cut_against_another_version():
     assert newer.apply(cat.snapshot(0))
     cat.apply_file_change(9, [], [make_meta("a.txt", b"x", BS).file_id])
     delta = cat.snapshot(newer.version)
-    assert delta["entries"] == []
+    assert delta["entries"] == ()
     assert len(delta["removed"]) == 1
     before = (held.version, dict(held.entries))
     assert not held.apply(delta)
@@ -234,7 +234,7 @@ def test_mirror_refuses_a_delta_cut_against_another_version():
     assert newer.entries == {e[0]: e for e in cat.snapshot(0)["entries"]}
     # a repeat cut of an unchanged catalog ships nothing
     again = cat.snapshot(newer.version)
-    assert (again["entries"], again["removed"]) == ([], [])
+    assert (again["entries"], again["removed"]) == ((), ())
 
 
 def test_mirror_reports_exactly_what_changed():
@@ -323,6 +323,32 @@ def test_records_and_names_are_values_the_collector_stops_tracking():
     assert not song.holders and type(song.holders) is not set
     a.drop_holder(1)
     assert a.entries[f.file_id.digest].holders is song.holders
+
+
+def test_snapshot_entries_and_mirrors_are_values_the_collector_stops_tracking():
+    # B merged C, and A merges B: A's mirror of B holds B's snapshot entries,
+    # each with a remote record of C's files
+    c = _cat_with(("song", b"tune"), ("f", b"more"), root=5, ssid="NET-C")
+    b = _cat("NET-B")
+    merge_whole(b, c.snapshot(0), "NET-C", now=0.0)
+    a = _cat_with(("f", b"more"))
+    merge_whole(a, b.snapshot(0), "NET-B", now=0.0)
+    a.snapshot(0)  # so that each entry holds its snapshot entry too
+    # a full collection untracks a tuple of values it has already found
+    # untracked, and then a dict of such: one level of nesting each, up to
+    # the mirror's dict of entries of records
+    for _ in range(3):
+        gc.collect()
+    mirrored = [e for m in a.mirrors.values() for e in m.entries.values()]
+    cached = [e.wire for cat in (a, b, c) for e in cat.entries.values()]
+    assert len(mirrored) == 2 and None not in cached
+    assert all(e[5] for e in mirrored)
+    for m in a.mirrors.values():
+        assert not gc.is_tracked(m.entries)
+    for entry in mirrored + cached:
+        assert not gc.is_tracked(entry)
+        assert not gc.is_tracked(entry[1])
+        assert not any(gc.is_tracked(r) for r in entry[5])
 
 
 # --- SubnetCatalog --------------------------------------------------------

@@ -63,7 +63,7 @@ def test_merges_see_the_full_snapshot_of_the_cut(name, monkeypatch):
     unchanged = [d for d in repeats if d["version"] == d["base"]]
     assert unchanged, "no repeat visit found its target unchanged"
     for d in unchanged:
-        assert d["entries"] == [] and d["removed"] == []
+        assert d["entries"] == () and d["removed"] == ()
     shipped = sum(len(d["entries"]) for _, d in deltas)
     whole = sum(len(full_at[d["subnet"], d["version"]]) for _, d in deltas)
     assert sum(merged) <= shipped < whole

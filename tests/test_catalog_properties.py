@@ -41,17 +41,17 @@ def render(cat):
     entries = []
     for digest in sorted(cat.entries):
         e = cat.entries[digest]
-        entries.append([
+        entries.append((
             digest,
-            sorted(e.names),
+            tuple(sorted(e.names)),
             e.size,
             e.block_count,
             len(e.holders),
-            [[s, hops, count] for s, (hops, count, _) in sorted(e.remote.items())
-             if hops < cat.max_hops],
-        ])
-    return {"subnet": cat.ssid, "entries": entries, "removed": [], "version": cat._version,
-            "base": 0}
+            tuple((s, hops, count) for s, (hops, count, _) in sorted(e.remote.items())
+                  if hops < cat.max_hops),
+        ))
+    return {"subnet": cat.ssid, "entries": tuple(entries), "removed": (),
+            "version": cat._version, "base": 0}
 
 
 files = st.integers(0, len(CONTENTS) - 1)
@@ -68,15 +68,15 @@ def raw_entries(draw, subnets=SUBNETS):
         meta = METAS[f][0]
         records = draw(st.dictionaries(st.sampled_from(subnets),
                                        st.tuples(st.integers(1, 2), st.integers(0, 2))))
-        entries.append([
+        entries.append((
             meta.file_id.digest,
-            sorted(draw(st.sets(st.sampled_from(NAMES[f]), min_size=1))),
+            tuple(sorted(draw(st.sets(st.sampled_from(NAMES[f]), min_size=1)))),
             meta.size,
             meta.block_count,
             draw(st.integers(0, 2)),
-            [[s, hops, count] for s, (hops, count) in sorted(records.items())],
-        ])
-    return sorted(entries)
+            tuple((s, hops, count) for s, (hops, count) in sorted(records.items())),
+        ))
+    return tuple(sorted(entries))
 
 
 steps = st.sampled_from(STEPS)
@@ -111,7 +111,7 @@ def check_deltas(cat, snap, replicas, data):
     future = cat._version + data.draw(st.integers(1, 3), label="ahead")
     for since in {0, -1, cat._floor - 1, future}:
         dump = cat.snapshot(since)
-        assert (dump["base"], dump["removed"]) == (0, [])
+        assert (dump["base"], dump["removed"]) == (0, ())
         assert dump["entries"] == snap["entries"]
 
 
@@ -182,7 +182,7 @@ exchanges = st.one_of(
 
 def far_entry(f, holders):
     meta = METAS[f][0]
-    return [meta.file_id.digest, [NAMES[f][0]], meta.size, meta.block_count, holders, []]
+    return (meta.file_id.digest, (NAMES[f][0],), meta.size, meta.block_count, holders, ())
 
 
 A, B = GATEWAYS[:2]

@@ -13,7 +13,7 @@ from pear2pear.frames import (
 )
 from pear2pear.scenario import build_world, load_scenario
 
-from helpers import merge_whole, stranded_courier_world
+from helpers import merge_whole, record_frames, stranded_courier_world
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -73,7 +73,7 @@ payload_values = st.recursive(
     st.none() | st.booleans() | st.integers(min_value=-2**63, max_value=2**63 - 1)
     | st.floats(allow_nan=False) | st.binary(max_size=64) | st.text(max_size=32)
     | ssids | near_misses,
-    lambda inner: st.lists(inner, max_size=4)
+    lambda inner: st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(st.text(max_size=8), inner, max_size=4),
     max_leaves=12,
 )
@@ -85,7 +85,7 @@ payload_values = st.recursive(
 def test_round_trip_property(payload, src, dst):
     frame = Frame(kind=FrameKind.SEARCH_RESPONSE, src=src, dst=dst, payload=payload)
     back = _round_trip(frame)
-    # tuples come back as lists; payload strategy avoids tuples so equality holds
+    # arrays come back as tuples, and the strategy builds every array as one
     assert back == frame
     assert encode_frame(back) == encode_frame(frame)
 
@@ -108,17 +108,17 @@ PINNED = [
     (FrameKind.JOIN_REJECT, {"ssid": N},
      "03ac0201050103047373696408ac0200c0ffee"),
     (FrameKind.FILE_LIST,
-     {"files": [{"file_id": D, "names": ["a"], "size": 5, "block_count": 1}], "removed": []},
+     {"files": ({"file_id": D, "names": ("a",), "size": 5, "block_count": 1},), "removed": ()},
      "04ac02010502030566696c657304010504030b626c6f636b5f636f756e740102030766696c655f69640202"
      "d19e03056e616d65730401030161030473697a65010a030772656d6f7665640400"),
-    (FrameKind.SCAN_REPORT, {"visible": [M]},
+    (FrameKind.SCAN_REPORT, {"visible": (M,)},
      "05ac02010501030776697369626c6504010807deadbeef"),
     (FrameKind.LEAVE_NOTICE, {}, "06ac02010500"),
     (FrameKind.PING, {}, "07ac02010500"),
     (FrameKind.PONG, {}, "08ac02010500"),
     (FrameKind.SEARCH_REQUEST, {"query": "a", "by": "name"},
      "09ac020105020302627903046e616d6503057175657279030161"),
-    (FrameKind.SEARCH_RESPONSE, {"ok": False, "results": [], "query": "a", "by": "name"},
+    (FrameKind.SEARCH_RESPONSE, {"ok": False, "results": (), "query": "a", "by": "name"},
      "0aac020105040302627903046e616d6503026f6b0600030571756572790301610307726573756c74730400"),
     (FrameKind.DOWNLOAD_REQUEST,
      {"file_id": D, "session_id": "1-1", "origin": "1-1", "ttl": 2, "user": True},
@@ -135,8 +135,8 @@ PINNED = [
      "0eac0201050503046461746102027879030766696c655f69640202d19e0305696e646578010203026f6b"
      "0601030a73657373696f6e5f69640303312d31"),
     (FrameKind.CATALOG_SNAPSHOT,
-     {"snapshot": {"subnet": N, "entries": [[D, ["a"], 5, 1, 1, [[M, 1, 2]]]],
-                   "removed": [], "version": 4, "base": 0},
+     {"snapshot": {"subnet": N, "entries": ((D, ("a",), 5, 1, 1, ((M, 1, 2),)),),
+                   "removed": (), "version": 4, "base": 0},
       "via": N, "mission_id": ""},
      "0fac02010503030a6d697373696f6e5f696403000308736e617073686f740505030462617365010003"
      "07656e7472696573040104060202d19e0401030161010a01020102040104030807deadbeef0102010403"
@@ -168,7 +168,7 @@ PINNED_VALUES = [
     (2**63 - 1, "01feffffffffffffffff01"), (-2**63, "01ffffffffffffffffff01"),
     (1.5, "073ff8000000000000"),
     (b"", "0200"), (b"\x00\xff", "020200ff"), ("é", "0302c3a9"), ("x" * 200, "03c801" + "78" * 200),
-    ([], "0400"), ([1, [2]], "0402010204010104"), ({}, "0500"),
+    ((), "0400"), ((1, (2,)), "0402010204010104"), ({}, "0500"),
     ("P2P-0000000000000001-0000ABCD", "08010000abcd"),
     ("P2P-FFFFFFFFFFFFFFFF-0000002A", "08ffffffffffffffffff010000002a"),
     ("P2P-0000000000000001-0000abcd", "031d" + b"P2P-0000000000000001-0000abcd".hex()),
@@ -180,6 +180,13 @@ def test_pinned_value_encodings(value, wire):
     raw = encode_frame(Frame(kind=FrameKind.PING, src=1, dst=2, payload={"v": value}))
     assert raw.hex() == VERSION + "070102" + "0501030176" + wire
     assert decode_frame(raw).payload == {"v": value}
+
+
+def test_a_list_encodes_as_the_tuple_it_decodes_to():
+    as_lists = Frame(kind=FrameKind.PING, src=1, dst=2, payload={"v": [1, [2, []]]})
+    as_tuples = Frame(kind=FrameKind.PING, src=1, dst=2, payload={"v": (1, (2, ()))})
+    assert encode_frame(as_lists) == encode_frame(as_tuples)
+    assert decode_frame(encode_frame(as_lists)) == as_tuples
 
 
 # --- malformed input --------------------------------------------------------
@@ -398,6 +405,18 @@ REAL_FRAMES = _scenario_frames() + _built_frames() + _visiting_courier_frames()
 
 def test_real_frames_cover_every_kind():
     assert {decode_frame(raw).kind for raw in REAL_FRAMES} == set(FrameKind)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_every_frame_a_shipped_scenario_emits_decodes_back_equal(name):
+    # an array decodes as a tuple, so a payload array built as a list fails
+    sc = load_scenario(str(SCENARIOS / name))
+    world = build_world(sc)
+    frames = record_frames(world)
+    world.run_until(sc.until)
+    assert frames
+    for frame in frames:
+        assert decode_frame(encode_frame(frame)) == frame, frame.kind.name
 
 
 def _decodes_or_wire_error(data):

@@ -39,7 +39,7 @@ def test_a_swarm_never_orders_an_empty_block_range():
     w.run_until(200.0)
     orders = [f.payload for f in frames if f.kind == FrameKind.COURIER_ORDER
               and f.payload.get("mission") == "file" and "status" not in f.payload]
-    assert [o["range"] for o in orders] == [[0, 1]]
+    assert [o["range"] for o in orders] == [(0, 1)]
     assert trace_events(w, "mission-timeout", device=1) == []
     rec = only_download(w)
     assert rec["success"] and rec["couriers"] == 1

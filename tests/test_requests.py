@@ -103,7 +103,7 @@ def test_a_holder_away_on_an_order_is_not_listed_as_a_source():
     (order,) = trace_events(w, "courier-assign", device=1)
     assert order.time == 20.0 and order.details["courier"] == 2
     (listed,) = _source_lists(frames)
-    assert listed["sources"] == [3]
+    assert listed["sources"] == (3,)
     assert only_download(w)["success"]
     assert trace_events(w, "reassign", device=4) == []
     assert w.nodes[4].files[fid] == content

@@ -1,14 +1,18 @@
 """Scenario loading/validation and the CLI contract."""
 
+import hashlib
 import json
 import pathlib
 from dataclasses import fields
 
 import pytest
 
+from pear2pear import core, scenario
 from pear2pear.cli import main
 from pear2pear.params import Params
-from pear2pear.scenario import ScenarioError, load_scenario, parse_scenario, run_scenario
+from pear2pear.scenario import (
+    ScenarioError, build_world, load_scenario, parse_scenario, run_scenario,
+)
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -228,13 +232,33 @@ def test_ambiguous_name_reference_rejected():
 
 
 def test_download_by_explicit_id():
-    import hashlib
     doc = _minimal()
     fid = hashlib.sha256(b"hello").hexdigest()
     doc["script"] = [{"time": 1, "action": "download", "device": 1,
                       "file": f"id:{fid}"}]
     sc = parse_scenario(doc)
     assert sc.script[0]["file_id"].hex == fid
+
+
+def test_each_file_is_hashed_once_to_set_up(monkeypatch):
+    hashed = []
+
+    def counted(content):
+        hashed.append(content)
+        return core.FileId(hashlib.sha256(content).digest())
+
+    monkeypatch.setattr(core, "compute_file_id", counted)
+    monkeypatch.setattr(scenario, "compute_file_id", counted)
+    doc = _minimal()
+    doc["devices"][0]["files"] = [{"name": "b.txt", "text": "hello"},
+                                  {"name": "c.bin", "seed": 9, "size": 64}]
+    sc = parse_scenario(doc)
+    world = build_world(sc)
+    assert len(hashed) == 3
+    for device, files in sc.devices:
+        for name, content, file_id in files:
+            assert file_id.digest == hashlib.sha256(content).digest()
+            assert name in world.nodes[device].metas[file_id].names
 
 
 # --- corpus ---------------------------------------------------------------

@@ -204,7 +204,7 @@ ORDERS = [
                     requester=5, session_id="5-2", origin="5-2"),
      {"mission": "file", "target": TARGET, "mission_id": "1-5", "ttl": 3,
       "session_id": "5-2", "origin": "5-2", "file_id": FID.digest,
-      "requester": 5, "range": [11, 22]}),
+      "requester": 5, "range": (11, 22)}),
 ]
 
 
