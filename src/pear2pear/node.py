@@ -24,10 +24,13 @@ ROOT = "root"
 @dataclass
 class MembershipRecord:
     """A member as its root knows it. `away` is the order it is out on; an
-    away member is never purged, so no order vanishes with its record."""
+    away member is never purged, so no order vanishes with its record.
+    `beacons` once it has sent a scan report: it then sends one at least
+    every beacon period."""
     last_seen: float
     leaving_since: float | None = None
     away: transfer.CourierMission | None = None
+    beacons: bool = False
 
 
 @dataclass
@@ -58,7 +61,7 @@ def _id_digest(query):
 
 
 def _ignore_frame(node, now, src, payload, out):
-    """PONG, sent only by a visiting courier: the dispatch preamble refreshed its last_seen."""
+    """PONG: the dispatch preamble refreshed its sender's last_seen."""
 
 
 class Node:
@@ -96,6 +99,9 @@ class Node:
         # member
         self.home_root: int | None = None
         self.last_root_seen = 0.0
+        # the foreign SSIDs last reported (None: report at the next scan), and the scans since
+        self.reported: tuple | None = None
+        self.unreported_scans = 0
 
         # root
         self.members: dict[int, MembershipRecord] = {}
@@ -185,10 +191,14 @@ class Node:
             else:
                 self._become_root(now, out)
         elif self.role == MEMBER and self.mission is None:
-            if self.attached in ssids:   # its root's beacon: the root is alive
+            if self.attached in ssids:   # its root is on the air, so alive
                 self.last_root_seen = now
             foreign = tuple(s for s in ssids if s != self.attached and parse_ssid(s) is not None)
-            self._send(out, K.SCAN_REPORT, self.home_root, {"visible": foreign}, now)
+            # a change at once; an unchanged list as a beacon every beacon_scans scans
+            self.unreported_scans += 1
+            if foreign != self.reported or self.unreported_scans >= self.p.beacon_scans:
+                self.reported, self.unreported_scans = foreign, 0
+                self._send(out, K.SCAN_REPORT, self.home_root, {"visible": foreign}, now)
         return out
 
     def _become_root(self, now, out):
@@ -365,8 +375,8 @@ class Node:
         out.append(Note("purge", {"peer": peer, "reason": reason}))
 
     def _h_ping(self, now, src, payload, out):
-        if self.mission is not None:   # an idle member's scan reports prove it alive
-            self._send(out, K.PONG, src, {}, now)
+        # an idle member's beacons keep it from being pinged unless one was lost
+        self._send(out, K.PONG, src, {}, now)
 
     # catalogs --------------------------------------------------------------
 
@@ -382,6 +392,7 @@ class Node:
 
     def _h_scan_report(self, now, src, payload, out):
         if self.role == ROOT and self._here(src):
+            self.members[src].beacons = True
             self.subnets.report_scan(src, payload.get("visible", []), now)
 
     def _h_catalog_snapshot(self, now, src, payload, out):
@@ -744,6 +755,7 @@ class Node:
             return
         m = self.mission = transfer.CourierMission.from_order(
             payload, self.device, self.attached, src)
+        self.reported = None   # its first scan after the mission reports
         out.append(HopTo(m.target, label="forward", session_id=m.origin))
 
     def _leave_target(self, now, out):
@@ -881,7 +893,9 @@ class Node:
 
     def _t_scan_report(self, now, out):
         """Each scan period a member not out on a mission checks its root: it
-        scans if it heard the root within `silent_timeout`, else gives it up."""
+        scans if it heard the root within `silent_timeout`, else gives it up.
+        The scan reports to the root only a change in the foreign SSIDs, or
+        else beacons on every `beacon_scans`-th scan."""
         self._after(out, self.p.scan_period, self._t_scan_report)
         if self.mission is not None:
             return
@@ -951,11 +965,25 @@ class Node:
         gone = self.subnets.expire(now, self.p.neighbor_ttl)
         if gone:
             self.catalog.drop_via_gateways(set(gone))
+        p = self.p
+        # The quiet that purges a member, and the quiet that pings it, by
+        # `beacons`. A member that beacons may skip k - 1 scans between
+        # reports, so its silence counts from the last of them, and it is
+        # pinged once it has missed a beacon. Any other, such as a visiting
+        # courier, is pinged after a scan period of quiet, or sooner so that
+        # the PING leads the purge by a cycle.
+        k = p.beacon_scans
+        limits = {True: (p.silent_timeout + (k - 1) * p.scan_period,
+                         k * p.scan_period + p.link_latency),
+                  False: (p.silent_timeout,
+                          min(p.scan_period, p.silent_timeout - p.ping_interval))}
         for peer in filter(self._here, sorted(self.members)):
-            quiet = now - self.members[peer].last_seen
-            if quiet >= self.p.silent_timeout:
+            rec = self.members[peer]
+            quiet = now - rec.last_seen
+            purge_at, ping_at = limits[rec.beacons]
+            if quiet >= purge_at:
                 self._purge_member(now, peer, "silent", out)
-            elif quiet >= min(self.p.scan_period, self.p.silent_timeout - self.p.ping_interval):
+            elif quiet >= ping_at:
                 self._send(out, K.PING, peer, {}, now)
 
     def _courier_cycle(self, now, out):

@@ -8,7 +8,10 @@ class Params:
     # kernel
     max_members: int = 7
     join_timeout: float = 5.0
-    ping_interval: float = 10.0   # the root's ping cycle; a member checks its root at each scan
+    # The root's ping cycle: it pings a member that beacons once it has
+    # missed a beacon, and any other once quiet for a scan period. A member
+    # checks its root at each scan, and beacons every `beacon_scans` scans.
+    ping_interval: float = 10.0
     silent_timeout: float = 30.0
     leave_countdown: float = 30.0
     # radio
@@ -30,6 +33,15 @@ class Params:
     # wanted-file policy
     wanted_repeat: float = 30.0
     wanted_max: int = 3
+
+    @property
+    def beacon_scans(self) -> float:
+        """k, an idle member's scans per unchanged SCAN_REPORT (its beacon):
+        a whole number, at least 1, and 2 at the defaults. k scan periods
+        fit within silent_timeout - ping_interval, so a root's ping cycle
+        can notice a missed beacon in time. A float, so that a huge ratio
+        reads inf instead of overflowing."""
+        return max(1.0, (self.silent_timeout - self.ping_interval) // self.scan_period)
 
     def override(self, **kwargs) -> "Params":
         known = {f.name: f.type for f in fields(self)}

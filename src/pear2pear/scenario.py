@@ -122,8 +122,10 @@ def _params_of(raw) -> Params:
 def check_params(params: Params) -> None:
     """Every field in its domain: counts positive, periods and timeouts
     finite and at least MIN_PERIOD, latencies finite and not negative. And
-    an idle member, which proves it is alive only by its scan reports, sends
-    one within every silent_timeout."""
+    two rules across fields: an idle member, which proves it is alive only
+    by its scan reports, scans within every silent_timeout, and its unchanged
+    reports, one per beacon period, come within every neighbor_ttl, so that
+    the neighbours it sees do not expire between them."""
     for f in fields(params):
         value = getattr(params, f.name)
         if f.name in _MAY_BE_ZERO:
@@ -141,6 +143,11 @@ def check_params(params: Params) -> None:
         raise ScenarioError("$.params.scan_period",
                             f"scan_period {params.scan_period!r} must be below "
                             f"silent_timeout {params.silent_timeout!r}")
+    beacon_period = params.beacon_scans * params.scan_period
+    if beacon_period >= params.neighbor_ttl:
+        raise ScenarioError("$.params.neighbor_ttl",
+                            f"neighbor_ttl {params.neighbor_ttl!r} must exceed the beacon "
+                            f"period, {params.beacon_scans:.0f} scan periods ({beacon_period!r})")
 
 
 def parse_scenario(doc: dict) -> Scenario:

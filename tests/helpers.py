@@ -140,6 +140,12 @@ def trace_events(world, kind, device=None):
             if r.kind == kind and (device is None or r.device == device)]
 
 
+def send_times(world, device, kind, dst=None):
+    """Times at which `device` sent a `kind` frame that left it, to `dst` if given."""
+    return [r.time for r in trace_events(world, "send", device=device)
+            if r.details["frame"] == kind.name and dst in (None, r.details["dst"])]
+
+
 def record_frames(world):
     """Every frame `world` emits over the radio from now on, in order. A
     courier's failure reason travels only in its COURIER_ORDER report, which

@@ -90,8 +90,10 @@ def test_a_fetch_that_lands_after_its_neighbour_expired_is_dropped():
     # away, so no scan report refreshes the neighbour, which expires with
     # its mirror at the 42 s ping. The fetch lands at 44.1 s and is dropped,
     # and the next one, once the courier has reported the neighbour again,
-    # asks for a full dump.
-    w = make_world(ping_interval=7.0, scan_period=5.0, neighbor_ttl=6.5)
+    # asks for a full dump. A silent_timeout of 14 s makes the courier report
+    # every 5 s scan (a beacon period of one scan), which a neighbor_ttl of
+    # 6.5 s needs.
+    w = make_world(ping_interval=7.0, scan_period=5.0, neighbor_ttl=6.5, silent_timeout=14.0)
     star(w, 1, [2])
     star(w, 10, [11], files={11: [("f.txt", b"x")]})
     w.add_edge(2, 10)

@@ -11,7 +11,8 @@ from pear2pear.params import Params
 from pear2pear.scenario import build_world, load_scenario, parse_scenario, run_scenario
 
 from helpers import (
-    arrive, clique, make_world, members_of, record_frames, roots_of, star, trace_events,
+    arrive, clique, make_world, members_of, record_frames, roots_of, send_times, star,
+    trace_events,
 )
 from test_golden_generated import SEED, TINY, workloads
 
@@ -175,6 +176,25 @@ def test_silent_member_purged_within_bound():
     assert purge.time <= 20.0 + w.p.silent_timeout + w.p.ping_interval
 
 
+def test_a_member_gone_silent_after_a_beacon_is_purged_within_its_skipped_scan():
+    # member 2 beacons at 20.02 s and departs silently at 20.5 s. It may
+    # skip one scan between beacons, so root 1 counts its silence from the
+    # scan of 30.02: it pings it at 50 and 60 s, once it has missed a beacon,
+    # and purges it at 70 s, the first cycle silent_timeout after that scan
+    w = make_world()
+    star(w, 1, [2])
+    w.schedule(20.5, "depart", device=2, silent=True)
+    w.run_until(100.0)
+    (purge,) = trace_events(w, "purge", device=1)
+    assert purge.details == {"peer": 2, "reason": "silent"}
+    assert purge.time == pytest.approx(70.0)
+    skipped = (w.p.beacon_scans - 1) * w.p.scan_period
+    assert purge.time <= 20.5 + w.p.silent_timeout + skipped + w.p.ping_interval
+    pings = [r.time for r in trace_events(w, "undeliverable", device=1)
+             if r.details["frame"] == FrameKind.PING.name]
+    assert pings == pytest.approx([50.0, 60.0])
+
+
 def test_member_outlives_silent_timeout_while_responsive():
     # an idle member's scan reports keep it listed, and its scans, which list
     # its root's SSID, keep the root: the root sends it no PING at all
@@ -188,6 +208,97 @@ def test_member_outlives_silent_timeout_while_responsive():
     assert 2 in w.nodes[1].members
     assert w.nodes[2].role == MEMBER
     assert trace_events(w, "root-lost") == []
+
+
+def _drop_one_report(w, after):
+    """Lose in flight the first SCAN_REPORT sent after `after`: it leaves
+    its sender and never lands. Returns the list its loss time goes to."""
+    link_loss, flying, lost = w._link_loss, [], []
+
+    def lossy(frame):
+        if frame.kind == FrameKind.SCAN_REPORT and not lost and w.clock > after:
+            if any(f is frame for f in flying):   # its second check: at delivery
+                lost.append(w.clock)
+                return "lost-in-flight"
+            flying.append(frame)
+        return link_loss(frame)
+
+    w._link_loss = lossy
+    return lost
+
+
+def test_an_idle_member_beacons_once_per_k_scans_and_is_never_pinged():
+    # member 2 joins at 0.02 s and scans every 10 s; with nothing new to
+    # report it beacons on every k-th scan, which keeps it listed: its root
+    # neither pings nor purges it
+    w = make_world()
+    star(w, 1, [2])
+    frames = record_frames(w)
+    w.run_until(5 * w.p.silent_timeout)
+    k = w.p.beacon_scans
+    assert k == 2
+    assert not any(f.kind == FrameKind.PING for f in frames)
+    assert trace_events(w, "purge") == []
+    reports = send_times(w, 2, FrameKind.SCAN_REPORT)
+    assert reports == pytest.approx([0.02 + k * w.p.scan_period * i for i in range(8)])
+    assert 2 in w.nodes[1].members
+
+
+def test_a_change_in_the_visible_list_reaches_the_root_by_the_next_scan():
+    # root 10 appears to member 2 at 25 s and goes at 45 s: each change is
+    # reported at the next scan (30.02, 50.02), neither of which is a beacon
+    w = make_world()
+    star(w, 1, [2])
+    w.add_device(10)
+    w.add_edge(2, 10)
+    arrive(w, [10], t=25.0)
+    w.schedule(45.0, "depart", device=10, silent=True)
+    root, lat = w.nodes[1], w.p.link_latency
+    w.run_until(30.02 + lat + 1e-6)
+    info = root.subnets.neighbors.get(w.nodes[10].ssid)
+    assert info is not None and info.reachable_by == {2}
+    w.run_until(50.02 + lat + 1e-6)
+    assert root.subnets.neighbors[w.nodes[10].ssid].reachable_by == set()
+    assert send_times(w, 2, FrameKind.SCAN_REPORT) == pytest.approx([0.02, 20.02, 30.02, 50.02])
+
+
+@pytest.mark.parametrize("joins_at", [0.02, 9.985])
+def test_one_beacon_lost_in_flight_does_not_purge_an_idle_member(joins_at):
+    # member 2 beacons every 20 s from its join, and its beacon of
+    # joins_at + 20 never lands. Joined at 0.02 s, it was last heard at 0.03
+    # s, and root 1's cycle of 30 s finds it a beacon overdue. Joined at
+    # 9.985 s, it was last heard at 9.995 s, and the cycle of 30 s comes
+    # 5 ms too soon: the cycle of 40 s pings it, within the silence it may
+    # skip. Either way its PONG keeps it listed.
+    w = make_world()
+    w.add_device(1)
+    w.add_device(2)
+    w.add_edge(2, 1)
+    arrive(w, [1])
+    arrive(w, [2], t=joins_at - 2 * w.p.link_latency)
+    frames = record_frames(w)
+    lost = _drop_one_report(w, after=joins_at + 15.0)
+    w.run_until(5 * w.p.silent_timeout)
+    assert lost == pytest.approx([joins_at + 20.0 + w.p.link_latency])
+    assert trace_events(w, "purge") == []
+    assert [(f.src, f.dst) for f in frames if f.kind in (FrameKind.PING, FrameKind.PONG)] \
+        == [(1, 2), (2, 1)]
+    assert 2 in w.nodes[1].members and w.nodes[2].role == MEMBER
+
+
+def test_a_neighbour_kept_only_by_unchanged_beacons_does_not_expire():
+    # no courier runs, so only member 2's beacons, one per k scans, refresh
+    # root 10 at root 1; neighbor_ttl is barely longer than a beacon period
+    w = make_world(courier_period=1000.0, neighbor_ttl=25.0)
+    star(w, 1, [2])
+    star(w, 10, [11])
+    w.add_edge(2, 10)
+    root = w.nodes[1]
+    for t in range(1, int(5 * w.p.neighbor_ttl)):
+        w.run_until(float(t))
+        assert w.nodes[10].ssid in root.subnets.neighbors, t
+    beacons = [0.02 + 20.0 * i for i in range(7)]
+    assert send_times(w, 2, FrameKind.SCAN_REPORT) == pytest.approx(beacons)
 
 
 # Root departs at 15 s, between member 2's scans at 10.02 and 20.02. When
@@ -322,3 +433,24 @@ def test_no_frame_goes_to_a_member_out_on_a_courier_order(run, name):
             if r.kind in ("undeliverable", "drop") and r.details["frame"] in kinds
             and r.details["reason"] == "different-hotspot"]
     assert lost == []
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_no_live_member_is_purged_as_silent(name, seed, monkeypatch):
+    # at the instant a root purges a member as silent, the member has left
+    # or is attached to another hotspot (or to none, mid-hop)
+    purges = []
+    purge = Node._purge_member
+
+    def checked(node, now, peer, reason, out):
+        if reason == "silent":
+            gone = w.nodes[peer]
+            purges.append((now, peer, gone.active and gone.attached == node.ssid))
+        purge(node, now, peer, reason, out)
+
+    monkeypatch.setattr(Node, "_purge_member", checked)
+    sc = parse_scenario(workloads.WORKLOADS[name](seed, **TINY[name]))
+    w = build_world(sc)
+    w.run_until(sc.until)
+    assert [p for p in purges if p[2]] == []

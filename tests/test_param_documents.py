@@ -1,6 +1,7 @@
 """Drawn parameter documents: each is refused with a ScenarioError at its
-field, or the world it builds runs with no raw exception and a clock that
-keeps moving.
+field, or it keeps the rules across fields (a scan within silent_timeout, a
+beacon within neighbor_ttl) and the world it builds runs with no raw
+exception and a clock that keeps moving.
 
 A document sets some `Params` fields to plausible values, zero, huge or tiny
 ones among them, and may set one field to anything: a negative, non-finite,
@@ -11,7 +12,7 @@ fails the test instead of hanging it.
 
 from dataclasses import fields
 
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from pear2pear.params import Params
 from pear2pear.scenario import ScenarioError, build_world, parse_scenario
@@ -56,6 +57,9 @@ def param_docs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(param_docs())
+@example({"neighbor_ttl": 20.0})   # one beacon period: refused
+@example({"neighbor_ttl": 20.5, "scan_period": 7.0})
+@example({"silent_timeout": 1.7e308, "scan_period": 1e-6})   # an inf beacon period
 def test_a_parameter_document_is_refused_or_runs(params):
     try:
         sc = parse_scenario({**DOC, "params": params})
@@ -63,6 +67,10 @@ def test_a_parameter_document_is_refused_or_runs(params):
         assert err.path == "$.params" or err.path.startswith("$.params.")
         event("refused")
         return
+    # an accepted document keeps both rules across fields
+    p = sc.params
+    assert p.scan_period < p.silent_timeout
+    assert p.scan_period <= p.beacon_scans * p.scan_period < p.neighbor_ttl
     world = build_world(sc)
     times = []
     while len(times) < EVENTS and world.queue and world.queue[0][0] <= sc.until:

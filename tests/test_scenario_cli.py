@@ -153,6 +153,10 @@ def _generated(size):
     (lambda d: d.update(params={"ping_interval": 0}), "$.params.ping_interval"),
     # idle members prove liveness only by scan reports, one per scan_period
     (lambda d: d.update(params={"scan_period": 30}), "$.params.scan_period"),
+    # an idle member's unchanged reports, one per beacon period (2 scan
+    # periods at the defaults), refresh the neighbours it sees
+    (lambda d: d.update(params={"neighbor_ttl": 20}), "$.params.neighbor_ttl"),
+    (lambda d: d.update(params={"scan_period": 7, "neighbor_ttl": 14}), "$.params.neighbor_ttl"),
     (lambda d: d.update(params={"silent_timeout": "nan"}), "$.params.silent_timeout"),
     # block_size 0 divides by zero; the others ran on with nonsense
     (lambda d: d.update(params={"block_size": 0}), "$.params.block_size"),
@@ -172,8 +176,9 @@ def _generated(size):
 ], ids=["devices-not-list", "visibility-not-list", "script-not-list", "files-not-list",
         "bool-device-id", "bool-edge-endpoint", "bool-script-device", "bool-size",
         "non-string-hex", "non-integer-seed", "non-string-name", "zero-ping-interval",
-        "scan-period-not-below-silent-timeout", "nan-silent-timeout", "zero-block-size",
-        "negative-block-size", "negative-hop-latency", "nan-link-latency",
+        "scan-period-not-below-silent-timeout", "beacon-period-not-below-neighbor-ttl",
+        "beacon-period-of-7s-scans-not-below-neighbor-ttl", "nan-silent-timeout",
+        "zero-block-size", "negative-block-size", "negative-hop-latency", "nan-link-latency",
         "string-block-size", "fractional-block-size", "bool-seed", "method-as-param",
         "denormal-scan-period", "int-beyond-float-ping-interval"])
 def test_malformed_shapes_rejected(mutate, path):
@@ -282,6 +287,17 @@ def test_cli_validate_bad_file(tmp_path, capsys):
     bad.write_text(json.dumps({"devices": [{"id": 1}, {"id": 1}]}))
     assert main(["validate", str(bad)]) == 2
     assert "$.devices[1]" in capsys.readouterr().err
+
+
+def test_cli_validate_rejects_a_neighbor_ttl_within_a_beacon_period(tmp_path, capsys):
+    # neighbours would flap: they expire between the unchanged reports that list them
+    doc = tmp_path / "flap.json"
+    doc.write_text(json.dumps(_minimal(params={"neighbor_ttl": 15})))
+    assert main(["validate", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert "$.params.neighbor_ttl" in err and "beacon period" in err
+    doc.write_text(json.dumps(_minimal(params={"neighbor_ttl": 21})))
+    assert main(["validate", str(doc)]) == 0
 
 
 def test_cli_missing_file(capsys):
