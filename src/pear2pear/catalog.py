@@ -5,7 +5,8 @@ A root keeps a `Mirror` of each neighbour's catalog, as its couriers last
 fetched it: the neighbour's snapshot entries, keyed by digest like every
 other map here. A courier carries a delta, not the whole catalog: the target
 root cuts the entries changed since the version the courier's home root last
-merged from it, and the home root applies that delta to its mirror.
+merged from it, and the home root applies that delta to its mirror of the
+`via` subnet named by the `CATALOG_SNAPSHOT` frame: a delta names no subnet.
 
 Remote records are a view over the mirrors. The record of a (file, subnet)
 is the offer with the fewest hops over all mirrors: a neighbour's own holders
@@ -163,8 +164,8 @@ class NetworkFileCatalog:
         changed = sorted(d for d, e in self.entries.items() if e.version > since)
         removed = tuple(sorted(d for d, v in self._tombstones.items() if v > since)) \
             if since else ()
-        return {"subnet": self.ssid, "entries": tuple(map(self._wire, changed)),
-                "removed": removed, "version": self._version, "base": since}
+        return {"entries": tuple(map(self._wire, changed)), "removed": removed,
+                "version": self._version, "base": since}
 
     def _wire(self, digest: bytes) -> tuple:
         """The snapshot entry of `digest`, cached on its catalog entry."""
@@ -259,11 +260,11 @@ class Mirror:
 
     def apply(self, delta: dict) -> dict | None:
         """Bring the mirror to the version of `delta`, a `snapshot(..., since)`,
-        and return what changed: the `subnet`, the `entries` that are new or
-        differ, and the digests `removed`. Returns None, changing nothing,
-        when the delta was cut against a version other than this mirror's
-        and is not a full dump. A full dump is compared with the entries
-        held, which a refused delta leaves in place."""
+        and return what changed: the `entries` that are new or differ, and
+        the digests `removed`. Returns None, changing nothing, when the delta
+        was cut against a version other than this mirror's and is not a full
+        dump. A full dump is compared with the entries held, which a refused
+        delta leaves in place."""
         base, held = delta["base"], self.entries
         if base == 0:
             self.entries = {e[0]: e for e in delta["entries"]}
@@ -277,7 +278,7 @@ class Mirror:
             changed = [e for e in delta["entries"] if held.get(e[0]) != e]
             held.update({e[0]: e for e in changed})
         self.version = delta["version"]
-        return {"subnet": delta["subnet"], "entries": changed, "removed": removed}
+        return {"entries": changed, "removed": removed}
 
 
 @dataclass

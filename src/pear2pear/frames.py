@@ -75,7 +75,6 @@ class Frame:
     src: int
     dst: int
     payload: dict = field(default_factory=dict)
-    version: int = PROTOCOL_VERSION
 
 
 _T_NONE = 0x00
@@ -253,9 +252,7 @@ def _decode_value(data: bytes, pos: int):
 
 
 def encode_frame(frame: Frame) -> bytes:
-    out = bytearray()
-    out.append(frame.version)
-    out.append(int(frame.kind))
+    out = bytearray((PROTOCOL_VERSION, frame.kind))
     for end in (frame.src, frame.dst):
         if not 0 <= end < _U64:
             raise WireError(f"device id {end} does not fit in 64 bits")
@@ -267,9 +264,8 @@ def encode_frame(frame: Frame) -> bytes:
 def decode_frame(data: bytes) -> Frame:
     if len(data) < 2:
         raise WireError("frame too short")
-    version = data[0]
-    if version != PROTOCOL_VERSION:
-        raise WireError(f"unsupported protocol version {version}")
+    if data[0] != PROTOCOL_VERSION:
+        raise WireError(f"unsupported protocol version {data[0]}")
     try:
         kind = FrameKind(data[1])
     except ValueError:
@@ -284,4 +280,4 @@ def decode_frame(data: bytes) -> Frame:
         raise WireError("trailing bytes after payload")
     if not isinstance(payload, dict):
         raise WireError("payload must be a dict")
-    return Frame(kind=kind, src=src, dst=dst, payload=payload, version=version)
+    return Frame(kind=kind, src=src, dst=dst, payload=payload)

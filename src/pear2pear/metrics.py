@@ -36,15 +36,15 @@ class MetricsCollector:
             self.courier_counts[courier] = self.courier_counts.get(courier, 0) + 1
 
     def on_frame_emit(self, frame) -> None:
-        payload = frame.payload if isinstance(frame.payload, dict) else {}
+        payload = frame.payload
         sid = payload.get("origin") or payload.get("session_id")
         if not sid or sid not in self.downloads:
             return
         rec = self.downloads[sid]
         rec["frames"] += 1
-        if frame.kind == FrameKind.BLOCK_RESPONSE and frame.payload.get("ok"):
-            rec["bytes"] += len(frame.payload.get("data", b""))
-        elif frame.kind == FrameKind.COURIER_ORDER and frame.payload.get("mission") == "file":
+        if frame.kind == FrameKind.BLOCK_RESPONSE and payload.get("ok"):
+            rec["bytes"] += len(payload.get("data", b""))
+        elif frame.kind == FrameKind.COURIER_ORDER and payload.get("mission") == "file":
             rec["couriers"] += 1
 
     def report(self) -> dict:

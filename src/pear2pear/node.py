@@ -12,7 +12,7 @@ from . import core, routing, transfer
 from .actions import HopTo, Note, RequestScan, Send, StartTimer
 from .catalog import NetworkFileCatalog, SubnetCatalog
 from .core import FileId, FileMeta, parse_ssid, render_ssid
-from .frames import PROTOCOL_VERSION, Frame, FrameKind as K
+from .frames import Frame, FrameKind as K
 from .params import Params
 
 SCANNING = "scanning"
@@ -39,16 +39,6 @@ class WantedEntry:
     by: str
     requester: int
     emitted: int = 0
-
-
-@dataclass
-class FileRequest:
-    """One file request at its root, served by a single courier or by a
-    swarm of one per block range: its orders are those its members are away
-    on with its session id. A swarm may replace one lost courier; a single
-    courier is not replaced."""
-    requester: int
-    reassigned: bool = False
 
 
 def _id_digest(query):
@@ -108,7 +98,8 @@ class Node:
         self.catalog: NetworkFileCatalog | None = None
         self.subnets: SubnetCatalog | None = None
         self.wanted: dict[str, WantedEntry] = {}
-        self.requests: dict[str, FileRequest] = {}  # by the request's session id
+        # by session id: may a file request replace a lost courier (a swarm, once)?
+        self.requests: dict[str, bool] = {}  # its orders are those its members are away on
         self._courier_cycle_n = 0
 
         # courier / transfer
@@ -173,6 +164,7 @@ class Node:
         out = [Note("depart", {"silent": silent})]
         if not silent and self.role == MEMBER and self.attached:
             self._send(out, K.LEAVE_NOTICE, self.home_root, {}, now)
+            self._enter(SCANNING)   # it takes no order, and its timers end
         for sid in sorted(self.sessions):
             self._session_fail(now, self.sessions[sid], "departed", out)
         return out
@@ -236,9 +228,6 @@ class Node:
 
     def on_frame(self, now: float, frame: Frame) -> list:
         out = []
-        if frame.version != PROTOCOL_VERSION:
-            out.append(Note("bad-version", {"version": frame.version}))
-            return out
         self._dispatch_frame(now, frame, out)
         return out
 
@@ -421,34 +410,34 @@ class Node:
             out.append(Note("search-result", {"ok": False, "count": 0, "query": query}))
         return out
 
-    def _search_results(self, query, by):
-        """The SEARCH_RESPONSE result of each file this root knows a source of."""
+    def _answer_search(self, now, out, dst, query, by):
+        """Send `dst` the SEARCH_RESPONSE to `query`, with each matching file
+        this root knows a source of; returns whether it found any."""
         if by == "id":
             digest = _id_digest(query)
             digests = [digest] if digest in self.catalog.entries else []
         else:
             digests = self.catalog.lookup_name(query)
+        results = []
         for digest in digests:
             entry = self.catalog.entries[digest]
             if entry.holders:
                 locality, hops = "local", 0
             elif entry.remote:
-                hops = min(r[0] for r in entry.remote.values())
-                locality = "remote"
+                locality, hops = "remote", min(r[0] for r in entry.remote.values())
             else:
                 continue
-            yield {**self._meta_payload(digest, entry), "locality": locality, "hops": hops}
+            results.append({**self._meta_payload(digest, entry), "locality": locality, "hops": hops})
+        self._send(out, K.SEARCH_RESPONSE, dst, {"ok": bool(results), "results": tuple(results),
+                                                 "query": query, "by": by}, now)
+        return bool(results)
 
     def _h_search_request(self, now, src, payload, out):
         if self.role != ROOT:
             return
         query = payload.get("query", "")
         by = payload.get("by", "name")
-        results = tuple(self._search_results(query, by))
-        self._send(out, K.SEARCH_RESPONSE, src,
-                   {"ok": bool(results), "results": results,
-                    "query": query, "by": by}, now)
-        if not results:
+        if not self._answer_search(now, out, src, query, by):
             self._start_wanted(now, query, by, src, out)
 
     def _h_search_response(self, now, src, payload, out):
@@ -490,10 +479,7 @@ class Node:
                     hit = meta
             if hit is None:
                 continue
-            results = tuple(self._search_results(entry.query, entry.by))
-            self._send(out, K.SEARCH_RESPONSE, entry.requester,
-                       {"ok": True, "results": results,
-                        "query": entry.query, "by": entry.by}, now)
+            self._answer_search(now, out, entry.requester, entry.query, entry.by)
             del self.wanted[key]
             out.append(Note("wanted-resolved", {"key": key}))
 
@@ -540,11 +526,9 @@ class Node:
         is away on it until it reports or the deadline lapses. Returns None,
         drawing no mission id, when nobody can go."""
         courier = routing.designate_courier(
-            self.subnets, mission.target,
-            eligible=self._eligible_couriers(now, mission.target, exclude))
+            self.subnets, mission.target, self._eligible_couriers(now, mission.target, exclude))
         if courier is None:
             return None
-        mission.courier = courier
         mission.mission_id = mid = self._new_id()
         if mission.kind == "catalog":
             mirror = self.catalog.mirrors.get(mission.target)
@@ -604,7 +588,7 @@ class Node:
             if not any(orders):
                 self._refuse(now, out, src, sid, "no-courier")
                 return
-            self.requests[sid] = FileRequest(requester=src, reassigned=len(ranges) == 1)
+            self.requests[sid] = len(ranges) > 1
             self._send(out, K.SOURCE_LIST, src,
                        {"ok": True, "mode": "push", "session_id": sid,
                         "file_id": file_id.digest, "hops": sel.hops,
@@ -753,8 +737,7 @@ class Node:
         if self.role != MEMBER or src != self.home_root or self.mission is not None:
             self._report(now, out, src, payload["mission_id"], "refused")
             return
-        m = self.mission = transfer.CourierMission.from_order(
-            payload, self.device, self.attached, src)
+        m = self.mission = transfer.CourierMission.from_order(payload, self.attached)
         self.reported = None   # its first scan after the mission reports
         out.append(HopTo(m.target, label="forward", session_id=m.origin))
 
@@ -772,7 +755,7 @@ class Node:
     def _deliver_mission(self, now, out):
         m = self.mission
         if m.kind == "catalog" and not m.fail_reason and m.snapshot is not None:
-            self._send(out, K.CATALOG_SNAPSHOT, m.home_root,
+            self._send(out, K.CATALOG_SNAPSHOT, self.home_root,
                        {"snapshot": m.snapshot, "via": m.target,
                         "mission_id": m.mission_id}, now)
         elif m.kind == "file" and not m.fail_reason and m.sub_session is not None:
@@ -781,9 +764,9 @@ class Node:
                 self._send(out, K.BLOCK_RESPONSE, m.requester,
                            {"ok": True, "file_id": m.file_id.digest, "index": idx,
                             "data": sub.buffers[idx], "session_id": m.session_id}, now)
-            self._report(now, out, m.home_root, m.mission_id, "done")
+            self._report(now, out, self.home_root, m.mission_id, "done")
         else:
-            self._report(now, out, m.home_root, m.mission_id, "failed",
+            self._report(now, out, self.home_root, m.mission_id, "failed",
                          m.fail_reason or "unknown")
         self.mission = None
 
@@ -832,19 +815,19 @@ class Node:
         # a catalog order is retried by the next courier period; a file order
         # with no request left belongs to one that has already failed
         sid = order.session_id
-        request = self.requests.get(sid) if order.kind == "file" else None
-        if request is None:
+        replaceable = self.requests.get(sid) if order.kind == "file" else None
+        if replaceable is None:
             return
         if status == "done":
             if not any(r.away and r.away.session_id == sid for r in self.members.values()):
                 del self.requests[sid]
             return
-        if not request.reassigned and self._order(
-                now, out, order, exclude={order.courier, request.requester}) is not None:
-            request.reassigned = True
+        if replaceable and self._order(
+                now, out, order, exclude={src, order.requester}) is not None:
+            self.requests[sid] = False
             return
         del self.requests[sid]
-        self._refuse(now, out, request.requester, sid, "courier-failed")
+        self._refuse(now, out, order.requester, sid, "courier-failed")
 
     # physical hop callbacks ------------------------------------------------
 
@@ -864,7 +847,7 @@ class Node:
         m = self.mission
         if self.attached is not None:
             # validated before leaving: still home, report and stand down
-            self._report(now, out, m.home_root, m.mission_id, "failed", "hop-failed")
+            self._report(now, out, self.home_root, m.mission_id, "failed", "hop-failed")
             self.mission = None
             return out
         if target != m.home:
@@ -882,14 +865,6 @@ class Node:
         if tag[0] == self.term:
             tag[1](now, out, *tag[2:])
         return out
-
-    def _t_ping(self, now, out):
-        self._after(out, self.p.ping_interval, self._t_ping)
-        self._ping_cycle(now, out)
-
-    def _t_courier(self, now, out):
-        self._after(out, self.p.courier_period, self._t_courier)
-        self._courier_cycle(now, out)
 
     def _t_scan_report(self, now, out):
         """Each scan period a member not out on a mission checks its root: it
@@ -960,7 +935,8 @@ class Node:
 
     # root periodic cycles --------------------------------------------------
 
-    def _ping_cycle(self, now, out):
+    def _t_ping(self, now, out):
+        self._after(out, self.p.ping_interval, self._t_ping)
         self.catalog.expire_remote(now, self.p.catalog_ttl)
         gone = self.subnets.expire(now, self.p.neighbor_ttl)
         if gone:
@@ -986,7 +962,8 @@ class Node:
             elif quiet >= ping_at:
                 self._send(out, K.PING, peer, {}, now)
 
-    def _courier_cycle(self, now, out):
+    def _t_courier(self, now, out):
+        self._after(out, self.p.courier_period, self._t_courier)
         busy_targets = {r.away.target for r in self.members.values()
                         if r.away is not None and r.away.kind == "catalog"}
         # Rotate which neighbor gets first claim each cycle, otherwise a

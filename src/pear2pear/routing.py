@@ -16,24 +16,20 @@ class Remote:
     gateway: str
 
 
-def designate_courier(sub: SubnetCatalog, target: str, eligible=None):
-    """Next courier for `target`: round robin over its reachable peers.
+def designate_courier(sub: SubnetCatalog, target: str, eligible):
+    """Next courier for `target` among `eligible`, the peers that reach it
+    and are free to go: round robin.
 
     Implemented as least-assigned-first with device-id tie-break, which walks
     the sorted peers cyclically when the set is stable and self-corrects after
     membership churn (a peer that missed a turn is favoured on return, keeping
-    the assignment spread within one). `eligible` optionally filters out busy
-    or leaving peers. Returns None when nobody can go.
+    the assignment spread within one). Returns None when nobody can go.
     """
-    info = sub.neighbors.get(target)
-    if info is None or not info.reachable_by:
+    if not eligible:
         return None
-    candidates = sorted(p for p in info.reachable_by
-                        if eligible is None or p in eligible)
-    if not candidates:
-        return None
-    peer = min(candidates, key=lambda p: (info.assigned.get(p, 0), p))
-    info.assigned[peer] = info.assigned.get(peer, 0) + 1
+    assigned = sub.neighbors[target].assigned
+    peer = min(eligible, key=lambda p: (assigned.get(p, 0), p))
+    assigned[peer] = assigned.get(peer, 0) + 1
     return peer
 
 

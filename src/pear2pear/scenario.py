@@ -123,7 +123,8 @@ def check_params(params: Params) -> None:
     """Every field in its domain: counts positive, periods and timeouts
     finite and at least MIN_PERIOD, latencies finite and not negative. And
     two rules across fields: an idle member, which proves it is alive only
-    by its scan reports, scans within every silent_timeout, and its unchanged
+    by its scan reports, earns a PING for a lost one a ping cycle before its
+    purge (and so scans within every silent_timeout), and its unchanged
     reports, one per beacon period, come within every neighbor_ttl, so that
     the neighbours it sees do not expire between them."""
     for f in fields(params):
@@ -139,10 +140,11 @@ def check_params(params: Params) -> None:
         if not ok:
             raise ScenarioError(f"$.params.{f.name}",
                                 f"{f.name} must be {domain}, got {value!r}")
-    if params.scan_period >= params.silent_timeout:
+    if params.silent_timeout - params.scan_period - params.link_latency < params.ping_interval:
         raise ScenarioError("$.params.scan_period",
-                            f"scan_period {params.scan_period!r} must be below "
-                            f"silent_timeout {params.silent_timeout!r}")
+                            f"scan_period {params.scan_period!r} must be at most silent_timeout"
+                            f" - ping_interval - link_latency ({params.silent_timeout!r} - "
+                            f"{params.ping_interval!r} - {params.link_latency!r})")
     beacon_period = params.beacon_scans * params.scan_period
     if beacon_period >= params.neighbor_ttl:
         raise ScenarioError("$.params.neighbor_ttl",

@@ -2,16 +2,15 @@
 
 A TransferSession tracks per-block state for one retrieval: either pulling
 blocks from a set of same-subnet holders, or waiting for couriers to push
-blocks in. Reassembled content is always verified against the FileId.
+blocks in. Each index of the `wanted` range is buffered once it has landed,
+in flight from one source since the time it was requested, or else missing.
+Reassembled content is always verified against the FileId.
 """
 
 from dataclasses import dataclass, field
 
 from .core import FileId, FileMeta, compute_file_id
 from .routing import assign_block_source
-
-MISSING = "missing"
-HELD = "held"
 
 PHASE_INIT = "init"        # waiting for the root's SourceList
 PHASE_PULL = "pull"        # requesting blocks from holders
@@ -26,10 +25,10 @@ class TransferSession:
     file_id: FileId
     meta: FileMeta | None = None
     phase: str = PHASE_INIT
-    sources: list = field(default_factory=list)      # sorted holder ids (pull)
-    wanted: list = field(default_factory=list)       # block indices needed
-    block_state: dict = field(default_factory=dict)  # idx -> MISSING|HELD|(src, since)
-    buffers: dict = field(default_factory=dict)      # idx -> bytes, HELD blocks only
+    sources: list = field(default_factory=list)    # sorted holder ids (pull)
+    wanted: range = range(0)                       # block indices needed
+    inflight: dict = field(default_factory=dict)   # idx -> (src, sent), requested blocks
+    buffers: dict = field(default_factory=dict)    # idx -> bytes, landed blocks
     hops_used: int = 0
     hash_retry_used: bool = False
     reassign_used: bool = False
@@ -47,56 +46,44 @@ class TransferSession:
         self.phase = PHASE_PUSH
 
     def _set_range(self, block_range) -> None:
-        if block_range is None:
-            self.wanted = list(range(self.meta.block_count))
-        else:
-            self.wanted = list(range(block_range[0], block_range[1]))
-        self.block_state = {i: MISSING for i in self.wanted}
+        start, end = block_range or (0, self.meta.block_count)
+        self.wanted = range(start, end)
+        self.inflight = {}
         self.buffers = {}
 
     def next_requests(self, now: float) -> list:
         """(source, index) pairs to request now: every missing block, assigned
         round-robin by index over the sorted sources."""
         out = []
-        for idx in self.wanted:
-            if self.block_state[idx] == MISSING and self.sources:
-                src = assign_block_source(idx, self.sources)
-                self.block_state[idx] = (src, now)
-                out.append((src, idx))
+        if self.sources:
+            for idx in self.wanted:
+                if idx not in self.buffers and idx not in self.inflight:
+                    src = assign_block_source(idx, self.sources)
+                    self.inflight[idx] = (src, now)
+                    out.append((src, idx))
         return out
 
     def on_block(self, idx: int, data: bytes) -> bool:
-        if idx not in self.block_state or self.block_state[idx] == HELD:
+        if idx not in self.wanted or idx in self.buffers:
             return False
-        self.block_state[idx] = HELD
+        self.inflight.pop(idx, None)
         self.buffers[idx] = data
         return True
 
     def drop_source(self, src: int) -> None:
         """Remove a dead source; its in-flight blocks go back to missing."""
         self.sources = [s for s in self.sources if s != src]
-        for idx, state in self.block_state.items():
-            if isinstance(state, tuple) and state[0] == src:
-                self.block_state[idx] = MISSING
+        self.inflight = {i: sent for i, sent in self.inflight.items() if sent[0] != src}
 
     def overdue_sources(self, now: float, timeout: float) -> list:
         """Sources of blocks requested `timeout` or more before `now`. The
         deadline is `sent + timeout`, the same float sum as the fire time of
         a timer armed when the block was sent; `now - sent` can round below
         `timeout` at that very instant."""
-        dead = set()
-        for state in self.block_state.values():
-            if isinstance(state, tuple) and now >= state[1] + timeout:
-                dead.add(state[0])
-        return sorted(dead)
-
-    @property
-    def held(self) -> int:
-        """Wanted blocks in HELD: exactly the buffered ones."""
-        return len(self.buffers)
+        return sorted({src for src, sent in self.inflight.values() if now >= sent + timeout})
 
     def complete(self) -> bool:
-        return bool(self.wanted) and self.held == len(self.wanted)
+        return bool(self.wanted) and len(self.buffers) == len(self.wanted)
 
     def assemble(self) -> bytes:
         return b"".join(self.buffers[i] for i in sorted(self.buffers))
@@ -108,7 +95,7 @@ class TransferSession:
 
     def reset_for_retry(self) -> None:
         self.hash_retry_used = True
-        self.block_state = {i: MISSING for i in self.wanted}
+        self.inflight = {}
         self.buffers = {}
 
 
@@ -123,14 +110,13 @@ M_HOMEBOUND = "homebound"
 class CourierMission:
     """One courier order. The home root holds it as its courier's `away`
     until the order ends; the courier rebuilds it with `from_order` and
-    flies it. Only the courier side sets `home` and `home_root`."""
+    flies it. Only the courier side sets `home`; the courier's own
+    `Node.home_root` is the root it reports to."""
     mission_id: str
     kind: str                      # "catalog" | "file"
     target: str                    # rendered SSID to visit
     home: str = ""                 # rendered SSID to return to
-    home_root: int | None = None
     ttl: int = 1
-    courier: int | None = None
     phase: str = M_OUTBOUND
     fail_reason: str = ""          # set when the mission fails
     # catalog missions
@@ -159,14 +145,12 @@ class CourierMission:
         return payload
 
     @classmethod
-    def from_order(cls, payload: dict, courier: int, home: str,
-                   home_root: int) -> "CourierMission":
-        """The mission a courier flies for an `order()` payload."""
+    def from_order(cls, payload: dict, home: str) -> "CourierMission":
+        """The mission a courier at `home` flies for an `order()` payload."""
         rng = payload.get("range")
         session_id = payload.get("session_id", "")
         return cls(mission_id=payload["mission_id"], kind=payload["mission"],
-                   target=payload["target"], home=home, home_root=home_root,
-                   ttl=payload.get("ttl", 1), courier=courier,
+                   target=payload["target"], home=home, ttl=payload.get("ttl", 1),
                    since=payload.get("since", 0),
                    file_id=FileId(payload["file_id"]) if "file_id" in payload else None,
                    block_range=(rng[0], rng[1]) if rng else None,

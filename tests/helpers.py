@@ -92,8 +92,8 @@ def members_of(world, ssid):
 
 
 def orders_of(root):
-    """The orders `root`'s members are away on, in member order."""
-    return [r.away for _, r in sorted(root.members.items()) if r.away is not None]
+    """(courier, order) for each order `root`'s members are away on, in member order."""
+    return [(p, r.away) for p, r in sorted(root.members.items()) if r.away is not None]
 
 
 def subnet_adjacency(world):

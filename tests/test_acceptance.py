@@ -70,7 +70,7 @@ def test_c02_multi_source():
     # deterministic round-robin split over sorted holders [2, 3]
     assert sess.sources == [2, 3]
     for i in range(10):
-        assert sess.block_state[i][0] == (2 if i % 2 == 0 else 3)
+        assert sess.inflight[i][0] == (2 if i % 2 == 0 else 3)
     w.schedule(5.03, "depart", device=2, silent=True)
     w.run_until(60.0)
     rec = only_download(w)
@@ -319,9 +319,9 @@ def test_c10_determinism():
 def test_c11_swarm():
     w, fid, content = swarm_world(bridges=(2, 3, 4))
     w.run_until(50.05)
-    orders = [o for o in orders_of(w.nodes[1]) if o.kind == "file"]
-    assert sorted(o.block_range for o in orders) == [(0, 11), (11, 22), (22, 32)]
-    assert len({o.courier for o in orders}) == 3
+    orders = {c: o for c, o in orders_of(w.nodes[1]) if o.kind == "file"}
+    assert sorted(o.block_range for o in orders.values()) == [(0, 11), (11, 22), (22, 32)]
+    assert len(orders) == 3
     w.run_until(130.0)
     rec = only_download(w)
     assert rec["success"] and rec["couriers"] == 3
@@ -330,7 +330,7 @@ def test_c11_swarm():
     # with a single eligible bridge the request degrades to one courier
     w, fid, content = swarm_world(bridges=(2,))
     w.run_until(50.05)
-    orders = [o for o in orders_of(w.nodes[1]) if o.kind == "file"]
+    orders = [o for _, o in orders_of(w.nodes[1]) if o.kind == "file"]
     assert len(orders) == 1 and orders[0].block_range is None
     w.run_until(130.0)
     rec = only_download(w)

@@ -77,11 +77,11 @@ def test_drop_holder_keeps_entries_with_remote_copies():
     assert "NET-B" in cat.entries[fid.digest].remote
 
 
-def _far(ssid, holders, *records):
-    """A catalog of subnet `ssid` holding the song on `holders` members and
+def _far(holders, *records):
+    """A neighbour's catalog holding the song on `holders` members and
     knowing these (subnet, hops, holder_count) records of it."""
     meta = make_meta("song", b"tune", BS)
-    return {"subnet": ssid, "entries": [
+    return {"entries": [
         [meta.file_id.digest, ["song"], meta.size, meta.block_count, holders,
          [list(r) for r in sorted(records)]]]}
 
@@ -102,7 +102,7 @@ def test_merge_adds_one_hop_per_jump():
 
 def test_merge_keeps_minimum_hops():
     a = _cat()
-    far = _far("NET-X", 0, ("NET-C", 3, 1))
+    far = _far(0, ("NET-C", 3, 1))
     merge_whole(a, far, "NET-X", now=0.0)
     assert a.entries[SONG.digest].remote["NET-C"][0] == 4
     merge_whole(a, _cat_with(("song", b"tune"), root=5, ssid="NET-C").snapshot(0), "NET-C", now=1.0)
@@ -117,15 +117,15 @@ def test_merge_skips_records_about_home():
     a = _cat_with(("song", b"tune"))
     # neighbor knows our copy at hops 1; merging must not create a remote
     # record pointing back at ourselves
-    merge_whole(a, _far("NET-B", 0, ("NET-A", 1, 1)), "NET-B", now=0.0)
+    merge_whole(a, _far(0, ("NET-A", 1, 1)), "NET-B", now=0.0)
     assert a.entries[SONG.digest].remote == {}
 
 
 def test_equal_hop_offers_give_one_record_whatever_the_merge_order():
     # B and D both offer C's song at two hops, with different holder counts:
     # the record is B's, the gateway first in SSID order, in either order
-    offers = [("NET-B", _far("NET-B", 0, ("NET-C", 1, 2))),
-              ("NET-D", _far("NET-D", 0, ("NET-C", 1, 5)))]
+    offers = [("NET-B", _far(0, ("NET-C", 1, 2))),
+              ("NET-D", _far(0, ("NET-C", 1, 5)))]
     for order in (offers, offers[::-1]):
         a = _cat()
         for t, (gateway, snap) in enumerate(order):
@@ -136,12 +136,12 @@ def test_equal_hop_offers_give_one_record_whatever_the_merge_order():
 
 def test_a_withdrawn_record_falls_back_to_a_longer_offer():
     a = _cat()
-    merge_whole(a, _far("NET-B", 0, ("NET-C", 1, 2)), "NET-B", now=0.0)
-    merge_whole(a, _far("NET-D", 0, ("NET-C", 2, 3)), "NET-D", now=0.0)
+    merge_whole(a, _far(0, ("NET-C", 1, 2)), "NET-B", now=0.0)
+    merge_whole(a, _far(0, ("NET-C", 2, 3)), "NET-D", now=0.0)
     assert a.entries[SONG.digest].remote["NET-C"][2] == "NET-B"
     # B's next delta removes the song: D's three-hop offer takes over at once
     b = a.mirrors["NET-B"]
-    delta = {"subnet": "NET-B", "entries": [], "removed": [SONG.digest],
+    delta = {"entries": [], "removed": [SONG.digest],
              "version": b.version + 1, "base": b.version}
     assert a.merge_snapshot(delta, "NET-B", now=1.0)
     assert a.entries[SONG.digest].remote["NET-C"] == (3, 3, "NET-D")
@@ -161,11 +161,11 @@ def test_an_expired_mirror_takes_only_what_it_alone_offered():
     # B (merged at 0) offers the song and file f; D (merged at 30) offers
     # the song one hop further. B's expiry at 60 leaves the song to D.
     f = make_meta("f", b"only-b", BS)
-    b = _far("NET-B", 0, ("NET-C", 1, 1))
+    b = _far(0, ("NET-C", 1, 1))
     b["entries"] = sorted(b["entries"] + [[f.file_id.digest, ["f"], f.size, f.block_count, 1, []]])
     a = _cat()
     merge_whole(a, b, "NET-B", now=0.0)
-    merge_whole(a, _far("NET-D", 0, ("NET-C", 2, 4)), "NET-D", now=30.0)
+    merge_whole(a, _far(0, ("NET-C", 2, 4)), "NET-D", now=30.0)
     a.expire_remote(now=59.9, ttl=60.0)
     assert set(a.mirrors) == {"NET-B", "NET-D"}
     a.expire_remote(now=60.0, ttl=60.0)
@@ -179,7 +179,7 @@ def test_an_expired_mirror_takes_only_what_it_alone_offered():
 def test_drop_via_gateways():
     a = _cat()
     merge_whole(a, _cat_with(("song", b"tune"), root=5, ssid="NET-B").snapshot(0), "NET-B", now=0.0)
-    merge_whole(a, _far("NET-D", 0, ("NET-E", 1, 1)), "NET-D", now=0.0)
+    merge_whole(a, _far(0, ("NET-E", 1, 1)), "NET-D", now=0.0)
     a.drop_via_gateways({"NET-B"})
     assert set(a.mirrors) == {"NET-D"}
     assert set(a.entries[SONG.digest].remote) == {"NET-E"}
@@ -190,7 +190,7 @@ def test_drop_via_gateways():
 def test_a_malformed_digest_gets_no_entry():
     # a neighbour's snapshot is outside input: an id that is no 32-byte
     # digest neither enters the catalog nor travels on in its snapshots
-    snap = _far("NET-B", 1)
+    snap = _far(1)
     snap["entries"] = sorted(snap["entries"] + [[b"short", ["bad"], 3, 1, 1, []]])
     a = _cat()
     merge_whole(a, snap, "NET-B", now=0.0)
@@ -202,7 +202,7 @@ def test_no_snapshot_ships_a_record_at_the_hop_cap():
     # a record CAP hops away is kept here but not shipped: no neighbour
     # could hold it at more than CAP
     a = _cat()
-    merge_whole(a, _far("NET-B", 1, ("NET-C", CAP - 2, 1), ("NET-D", CAP - 1, 1)), "NET-B", now=0.0)
+    merge_whole(a, _far(1, ("NET-C", CAP - 2, 1), ("NET-D", CAP - 1, 1)), "NET-B", now=0.0)
     assert {s: r[0] for s, r in a.entries[SONG.digest].remote.items()} == \
         {"NET-B": 1, "NET-C": CAP - 1, "NET-D": CAP}
     assert a.snapshot(0)["entries"][0][-1] == (("NET-B", 1, 1), ("NET-C", CAP - 1, 1))
@@ -246,25 +246,23 @@ def test_mirror_reports_exactly_what_changed():
     mirror = Mirror(5, {e[0]: e for e in (kept, old, dropped)})
     # a full dump over the held entries: one unchanged (an equal copy, as
     # decoded off the wire), one changed, one dropped and one new
-    dump = {"subnet": "NET-B", "entries": [list(kept), new, added],
+    dump = {"entries": [list(kept), new, added],
             "removed": [], "version": 7, "base": 0}
-    assert mirror.apply(dump) == {"subnet": "NET-B", "entries": [new, added],
-                                  "removed": [dropped[0]]}
+    assert mirror.apply(dump) == {"entries": [new, added], "removed": [dropped[0]]}
     assert mirror.entries == {e[0]: e for e in (kept, new, added)}
     # a delta that re-sends an identical entry and removes a digest never
     # held reports neither, only its real change and removal
     changed = raw(4, 3)
-    delta = {"subnet": "NET-B", "entries": [list(new), changed],
+    delta = {"entries": [list(new), changed],
              "removed": [kept[0], raw(9, 1)[0]], "version": 8, "base": 7}
-    assert mirror.apply(delta) == {"subnet": "NET-B", "entries": [changed],
-                                   "removed": [kept[0]]}
+    assert mirror.apply(delta) == {"entries": [changed], "removed": [kept[0]]}
     assert (mirror.version, mirror.entries) == (8, {e[0]: e for e in (new, changed)})
 
 
 def test_a_refused_delta_asks_for_a_full_dump():
     a = _cat()
-    merge_whole(a, _far("NET-B", 1), "NET-B", now=0.0)
-    stale = {"subnet": "NET-B", "entries": [], "removed": [SONG.digest], "version": 9, "base": 7}
+    merge_whole(a, _far(1), "NET-B", now=0.0)
+    stale = {"entries": [], "removed": [SONG.digest], "version": 9, "base": 7}
     assert not a.merge_snapshot(stale, "NET-B", now=1.0)
     assert a.mirrors["NET-B"].version == 0
     assert set(a.entries[SONG.digest].remote) == {"NET-B"}
@@ -273,10 +271,10 @@ def test_a_refused_delta_asks_for_a_full_dump():
 def test_delta_carries_a_holder_count_refresh():
     # an equal-hop record whose holder count changes is a change to ship
     a = _cat()
-    merge_whole(a, _far("NET-C", 1), "NET-C", now=0.0)
+    merge_whole(a, _far(1), "NET-C", now=0.0)
     held = Mirror()
     assert held.apply(a.snapshot(0))
-    merge_whole(a, _far("NET-C", 2), "NET-C", now=1.0)
+    merge_whole(a, _far(2), "NET-C", now=1.0)
     delta = a.snapshot(held.version)
     # an entry's remote records are its last field, a record's holders its last
     assert [e[-1][0][-1] for e in delta["entries"]] == [2]

@@ -23,20 +23,26 @@ from test_golden_generated import SEED, TINY, workloads
 @pytest.mark.parametrize("name", ["chain_large", "catalog_mesh"])
 def test_merges_see_the_full_snapshot_of_the_cut(name, monkeypatch):
     full_at = {}   # (subnet, version) -> the full snapshot entries then
-    deltas = []
+    deltas = []    # (since, subnet, delta) of every cut
     merged = []    # entries each merge found changed in its mirror
+    via = []       # the gateway of each merge, the subnet its delta was cut at
     snapshot, apply = NetworkFileCatalog.snapshot, Mirror.apply
+    merge = NetworkFileCatalog.merge_snapshot
 
     def cut(self, since):
         out = snapshot(self, since)
         full_at[self.ssid, out["version"]] = snapshot(self, 0)["entries"]
-        deltas.append((since, out))
+        deltas.append((since, self.ssid, out))
         return out
+
+    def merge_via(self, delta, gateway, now):
+        via.append(gateway)
+        return merge(self, delta, gateway, now)
 
     def checked_apply(self, delta):
         changes = apply(self, delta)
         assert changes is not None, "delta cut against a version the home root does not hold"
-        assert self.entries == {e[0]: e for e in full_at[delta["subnet"], delta["version"]]}
+        assert self.entries == {e[0]: e for e in full_at[via[-1], delta["version"]]}
         merged.append(len(changes["entries"]))
         return changes
 
@@ -51,6 +57,7 @@ def test_merges_see_the_full_snapshot_of_the_cut(name, monkeypatch):
 
     monkeypatch.setattr(NetworkFileCatalog, "snapshot", cut)
     monkeypatch.setattr(Mirror, "apply", checked_apply)
+    monkeypatch.setattr(NetworkFileCatalog, "merge_snapshot", merge_via)
     for method in ("merge_snapshot", "expire_remote", "drop_via_gateways"):
         monkeypatch.setattr(NetworkFileCatalog, method,
                             checked_after(getattr(NetworkFileCatalog, method)))
@@ -58,14 +65,14 @@ def test_merges_see_the_full_snapshot_of_the_cut(name, monkeypatch):
     build_world(sc).run_until(sc.until)
 
     assert merged
-    repeats = [d for since, d in deltas if since and d["base"] == since]
+    repeats = [d for since, _, d in deltas if since and d["base"] == since]
     assert repeats, "no repeat visit was cut as a delta"
     unchanged = [d for d in repeats if d["version"] == d["base"]]
     assert unchanged, "no repeat visit found its target unchanged"
     for d in unchanged:
         assert d["entries"] == () and d["removed"] == ()
-    shipped = sum(len(d["entries"]) for _, d in deltas)
-    whole = sum(len(full_at[d["subnet"], d["version"]]) for _, d in deltas)
+    shipped = sum(len(d["entries"]) for _, _, d in deltas)
+    whole = sum(len(full_at[subnet, d["version"]]) for _, subnet, d in deltas)
     assert sum(merged) <= shipped < whole
 
 
@@ -109,7 +116,7 @@ def test_a_fetch_that_lands_after_its_neighbour_expired_is_dropped():
     assert not [r for e in root.catalog.entries.values() for r in e.remote.values()
                 if r[2] == target]
     w.run_until(60.05)
-    (order,) = orders_of(root)
+    ((_, order),) = orders_of(root)
     assert (order.target, order.since) == (target, 0)
 
 

@@ -50,8 +50,7 @@ def render(cat):
             tuple((s, hops, count) for s, (hops, count, _) in sorted(e.remote.items())
                   if hops < cat.max_hops),
         ))
-    return {"subnet": cat.ssid, "entries": tuple(entries), "removed": (),
-            "version": cat._version, "base": 0}
+    return {"entries": tuple(entries), "removed": (), "version": cat._version, "base": 0}
 
 
 files = st.integers(0, len(CONTENTS) - 1)
@@ -132,7 +131,7 @@ def test_incremental_catalog_matches_full_rendering(ops, data):
             cat.drop_holder(op[1])
         elif kind == "merge":
             now += op[3]
-            merge_whole(cat, {"subnet": op[1], "entries": op[2]}, op[1], now)
+            merge_whole(cat, {"entries": op[2]}, op[1], now)
         elif kind == "expire":
             now += op[1]
             kept = {g for g, m in cat.mirrors.items() if now - m.merged < TTL}
@@ -230,7 +229,7 @@ def test_the_merge_leaves_what_a_full_walk_leaves(ops):
             neighbours[op[1]].apply_file_change(op[2], op[3], [METAS[f][0].file_id for f in op[4]])
         elif kind == "learn":
             for gateway in op[1]:
-                merge_whole(neighbours[gateway], {"subnet": op[2], "entries": op[3]}, op[2], now)
+                merge_whole(neighbours[gateway], {"entries": op[3]}, op[2], now)
         elif kind == "forget":
             neighbours[op[1]].drop_via_gateways(op[2])
         elif kind == "fetch":

@@ -8,7 +8,9 @@ from pear2pear.core import parse_ssid
 from pear2pear.frames import FrameKind
 from pear2pear.node import MEMBER, ROOT, SCANNING, Node
 from pear2pear.params import Params
-from pear2pear.scenario import build_world, load_scenario, parse_scenario, run_scenario
+from pear2pear.scenario import (
+    ScenarioError, build_world, check_params, load_scenario, parse_scenario, run_scenario,
+)
 
 from helpers import (
     arrive, clique, make_world, members_of, record_frames, roots_of, send_times, star,
@@ -284,6 +286,40 @@ def test_one_beacon_lost_in_flight_does_not_purge_an_idle_member(joins_at):
     assert [(f.src, f.dst) for f in frames if f.kind in (FrameKind.PING, FrameKind.PONG)] \
         == [(1, 2), (2, 1)]
     assert 2 in w.nodes[1].members and w.nodes[2].role == MEMBER
+
+
+def _purged_after_a_lost_beacon(scan_period, phases=40):
+    """Of `phases` joins 0.5 s apart, how many a root purges after losing the
+    member's first beacon."""
+    purged = 0
+    for i in range(phases):
+        joins_at = 0.02 + 0.5 * i
+        w = make_world(scan_period=scan_period)
+        w.add_device(1)
+        w.add_device(2)
+        w.add_edge(2, 1)
+        arrive(w, [1])
+        arrive(w, [2], t=joins_at - 2 * w.p.link_latency)
+        lost = _drop_one_report(w, after=joins_at + 15.0)
+        w.run_until(joins_at + 5 * w.p.silent_timeout)
+        assert lost, joins_at
+        purged += bool(trace_events(w, "purge"))
+    return purged
+
+
+def test_one_lost_beacon_purges_no_member_when_it_beacons_every_scan():
+    # Past a scan_period of 10 s a member beacons on every scan (k = 1). At
+    # 19.99 s, the longest check_params accepts, the PING that a lost beacon
+    # earns comes a ping cycle before the purge at every phase of the join
+    # against the root's cycle. At 25 s, which it refuses, half the phases
+    # find the member silent before any PING.
+    accepted, refused = Params(scan_period=19.99), Params(scan_period=25.0)
+    check_params(accepted)
+    assert accepted.beacon_scans == refused.beacon_scans == 1
+    with pytest.raises(ScenarioError):
+        check_params(refused)
+    assert _purged_after_a_lost_beacon(19.99) == 0
+    assert _purged_after_a_lost_beacon(25.0) == 20
 
 
 def test_a_neighbour_kept_only_by_unchanged_beacons_does_not_expire():

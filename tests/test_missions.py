@@ -17,7 +17,7 @@ def test_swarm_courier_lost_mid_mission_is_replaced():
     w, fid, content = swarm_world(bridges=(2, 3))
     w.schedule(50.5, "depart", device=3, silent=True)
     w.run_until(50.05)
-    lost = next(o.mission_id for o in orders_of(w.nodes[1]) if o.courier == 3)
+    lost = next(o.mission_id for c, o in orders_of(w.nodes[1]) if c == 3)
     w.run_until(200.0)
     (timeout,) = [r for r in trace_events(w, "mission-timeout", device=1)
                   if r.details["mission"] == lost]
@@ -161,6 +161,26 @@ def test_an_order_ends_when_its_courier_leaves():
     assert purge.details == {"peer": 2, "reason": "leave"}
     assert purge.time == pytest.approx(lost.time + w.p.leave_countdown)
     assert trace_events(w, "mission-timeout", device=1) == []
+
+
+def test_a_member_leaving_politely_takes_no_order_in_its_grace():
+    # courier 2 leaves politely at 20.005 s, just after root 1 orders its
+    # first catalog run. The order lands at 20.01 s, within the leave's
+    # grace, and is refused, so 2 stays on the hotspot: its notice lands at
+    # 20.015 s and ends the order as lost, and the countdown purges it as
+    # leaving, not at the order's deadline and then as silent
+    w, _ = _catalog_run()
+    w.schedule(w.p.courier_period + w.p.link_latency / 2, "depart", device=2, silent=False)
+    w.run_until(100.0)
+    (lost,) = trace_events(w, "mission-failed", device=1)
+    assert lost.details["status"] == "lost"
+    assert lost.time == pytest.approx(20.015)
+    (purge,) = trace_events(w, "purge", device=1)
+    assert purge.details == {"peer": 2, "reason": "leave"}
+    assert purge.time == pytest.approx(20.015 + w.p.leave_countdown)
+    assert trace_events(w, "mission-timeout", device=1) == []
+    assert trace_events(w, "hop-start", device=2) == []
+    assert trace_events(w, "drop", device=1) == []
 
 
 def test_a_courier_rejected_twice_by_its_target_heads_home():

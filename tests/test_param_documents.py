@@ -1,7 +1,7 @@
 """Drawn parameter documents: each is refused with a ScenarioError at its
-field, or it keeps the rules across fields (a scan within silent_timeout, a
-beacon within neighbor_ttl) and the world it builds runs with no raw
-exception and a clock that keeps moving.
+field, or it keeps the rules across fields (a ping cycle between the PING
+a lost beacon earns and the purge, a beacon within neighbor_ttl) and the
+world it builds runs with no raw exception and a clock that keeps moving.
 
 A document sets some `Params` fields to plausible values, zero, huge or tiny
 ones among them, and may set one field to anything: a negative, non-finite,
@@ -58,6 +58,8 @@ def param_docs(draw):
 @settings(max_examples=300, deadline=None)
 @given(param_docs())
 @example({"neighbor_ttl": 20.0})   # one beacon period: refused
+@example({"scan_period": 19.99})   # the longest scan period accepted at the defaults
+@example({"scan_period": 25.0})    # a lost beacon purges before any PING: refused
 @example({"neighbor_ttl": 20.5, "scan_period": 7.0})
 @example({"silent_timeout": 1.7e308, "scan_period": 1e-6})   # an inf beacon period
 def test_a_parameter_document_is_refused_or_runs(params):
@@ -69,6 +71,7 @@ def test_a_parameter_document_is_refused_or_runs(params):
         return
     # an accepted document keeps both rules across fields
     p = sc.params
+    assert p.silent_timeout - p.scan_period - p.link_latency >= p.ping_interval
     assert p.scan_period < p.silent_timeout
     assert p.scan_period <= p.beacon_scans * p.scan_period < p.neighbor_ttl
     world = build_world(sc)

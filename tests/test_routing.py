@@ -20,21 +20,27 @@ def _sub_with(peers, target="NET-B"):
     return sub
 
 
+def _next(sub, target):
+    """The next courier for `target` when every peer that reaches it may go."""
+    info = sub.neighbors.get(target)
+    return designate_courier(sub, target, set(info.reachable_by) if info else set())
+
+
 def test_round_robin_cycles_sorted_order():
     sub = _sub_with([30, 10, 20])
-    picks = [designate_courier(sub, "NET-B") for _ in range(6)]
+    picks = [_next(sub, "NET-B") for _ in range(6)]
     assert picks == [10, 20, 30, 10, 20, 30]
 
 
 def test_round_robin_singleton():
     sub = _sub_with([7])
-    assert [designate_courier(sub, "NET-B") for _ in range(3)] == [7, 7, 7]
+    assert [_next(sub, "NET-B") for _ in range(3)] == [7, 7, 7]
 
 
 def test_round_robin_fairness_even_missions():
     # 8 missions over 4 peers -> exactly 2 each
     sub = _sub_with([1, 2, 3, 4])
-    picks = [designate_courier(sub, "NET-B") for _ in range(8)]
+    picks = [_next(sub, "NET-B") for _ in range(8)]
     assert all(picks.count(p) == 2 for p in (1, 2, 3, 4))
 
 
@@ -42,21 +48,21 @@ def test_round_robin_spread_never_exceeds_one():
     sub = _sub_with([1, 2, 3])
     counts = {1: 0, 2: 0, 3: 0}
     for _ in range(10):
-        counts[designate_courier(sub, "NET-B")] += 1
+        counts[_next(sub, "NET-B")] += 1
     assert max(counts.values()) - min(counts.values()) <= 1
 
 
 def test_round_robin_skips_ineligible():
     sub = _sub_with([1, 2, 3])
-    picks = [designate_courier(sub, "NET-B", eligible={1, 3}) for _ in range(4)]
+    picks = [designate_courier(sub, "NET-B", {1, 3}) for _ in range(4)]
     assert picks == [1, 3, 1, 3]
 
 
 def test_no_courier_when_unreachable():
     sub = _sub_with([1])
-    assert designate_courier(sub, "NET-MISSING") is None
+    assert _next(sub, "NET-MISSING") is None
     sub.drop_peer(1)
-    assert designate_courier(sub, "NET-B") is None
+    assert _next(sub, "NET-B") is None
     assert designate_courier(_sub_with([1]), "NET-B", eligible=set()) is None
 
 
@@ -64,10 +70,10 @@ def test_per_target_cursors_are_independent():
     sub = SubnetCatalog()
     for p in (1, 2):
         sub.report_scan(p, ["NET-B", "NET-C"], now=0.0)
-    assert designate_courier(sub, "NET-B") == 1
+    assert _next(sub, "NET-B") == 1
     # a different target starts its own rotation from the beginning
-    assert designate_courier(sub, "NET-C") == 1
-    assert designate_courier(sub, "NET-B") == 2
+    assert _next(sub, "NET-C") == 1
+    assert _next(sub, "NET-B") == 2
 
 
 # --- source selection -----------------------------------------------------

@@ -153,6 +153,8 @@ def _generated(size):
     (lambda d: d.update(params={"ping_interval": 0}), "$.params.ping_interval"),
     # idle members prove liveness only by scan reports, one per scan_period
     (lambda d: d.update(params={"scan_period": 30}), "$.params.scan_period"),
+    # and one lost beacon earns a PING a ping cycle before the purge
+    (lambda d: d.update(params={"scan_period": 25}), "$.params.scan_period"),
     # an idle member's unchanged reports, one per beacon period (2 scan
     # periods at the defaults), refresh the neighbours it sees
     (lambda d: d.update(params={"neighbor_ttl": 20}), "$.params.neighbor_ttl"),
@@ -176,7 +178,8 @@ def _generated(size):
 ], ids=["devices-not-list", "visibility-not-list", "script-not-list", "files-not-list",
         "bool-device-id", "bool-edge-endpoint", "bool-script-device", "bool-size",
         "non-string-hex", "non-integer-seed", "non-string-name", "zero-ping-interval",
-        "scan-period-not-below-silent-timeout", "beacon-period-not-below-neighbor-ttl",
+        "scan-period-not-below-silent-timeout", "scan-period-leaves-no-ping-cycle",
+        "beacon-period-not-below-neighbor-ttl",
         "beacon-period-of-7s-scans-not-below-neighbor-ttl", "nan-silent-timeout",
         "zero-block-size", "negative-block-size", "negative-hop-latency", "nan-link-latency",
         "string-block-size", "fractional-block-size", "bool-seed", "method-as-param",

@@ -9,7 +9,7 @@ from pear2pear.core import block_count_for, block_payload, compute_file_id, make
 from pear2pear.frames import Frame, FrameKind, decode_frame, encode_frame
 from pear2pear.params import Params
 from pear2pear.transfer import (
-    HELD, MISSING, PHASE_PULL, PHASE_PUSH, CourierMission, TransferSession,
+    PHASE_PULL, PHASE_PUSH, CourierMission, TransferSession,
 )
 
 BS = 16
@@ -62,8 +62,8 @@ def test_drop_source_requeues_inflight_blocks():
     sess.drop_source(10)
     assert sess.sources == [20]
     # block 2 was assigned to 10 and must be requeued; block 0 stays held
-    assert sess.block_state[2] == MISSING
-    assert sess.block_state[0] == HELD
+    assert sess.inflight == {1: (20, 0.0), 3: (20, 0.0)}
+    assert list(sess.buffers) == [0]
     reqs = sess.next_requests(now=1.0)
     assert reqs == [(20, 2)]
 
@@ -92,7 +92,7 @@ def test_block_is_overdue_exactly_at_its_deadline():
 
 def test_block_range_limits_wanted():
     sess, _ = _pull_session(b"x" * (BS * 10), sources=[1], block_range=(3, 6))
-    assert sess.wanted == [3, 4, 5]
+    assert list(sess.wanted) == [3, 4, 5]
     sess.next_requests(now=0.0)
     for i in (3, 4, 5):
         sess.on_block(i, b"x" * BS)
@@ -121,13 +121,13 @@ def test_verify_catches_corruption_and_retry_resets():
     sess.reset_for_retry()
     assert sess.hash_retry_used
     assert not sess.complete()
-    assert all(s == MISSING for s in sess.block_state.values())
+    assert sess.inflight == {} and sess.buffers == {}
 
 
 def test_single_byte_file_is_one_block():
     sess, meta = _pull_session(b"z", sources=[1])
     assert meta.block_count == 1
-    assert sess.wanted == [0]
+    assert list(sess.wanted) == [0]
     sess.next_requests(now=0.0)
     sess.on_block(0, b"z")
     assert sess.complete() and sess.verify()
@@ -138,15 +138,15 @@ def test_single_byte_file_is_one_block():
 def test_held_ignores_duplicates_and_out_of_range_blocks():
     sess, _ = _pull_session(b"x" * (BS * 3), sources=[1])
     sess.next_requests(now=0.0)
-    assert sess.held == 0
+    assert len(sess.buffers) == 0
     sess.on_block(0, b"x" * BS)
     sess.on_block(0, b"x" * BS)
     sess.on_block(7, b"x" * BS)
     sess.on_block(-1, b"x" * BS)
-    assert sess.held == 1 and not sess.complete()
+    assert len(sess.buffers) == 1 and not sess.complete()
     sess.on_block(1, b"x" * BS)
     sess.on_block(2, b"x" * BS)
-    assert sess.held == 3 and sess.complete()
+    assert len(sess.buffers) == 3 and sess.complete()
 
 
 def test_held_counts_a_block_once_across_a_dropped_source():
@@ -154,14 +154,14 @@ def test_held_counts_a_block_once_across_a_dropped_source():
     sess.next_requests(now=0.0)
     sess.on_block(0, b"x" * BS)          # from 10, before it is dropped
     sess.drop_source(10)                 # block 2 goes back to missing
-    assert sess.held == 1
+    assert len(sess.buffers) == 1
     assert sess.next_requests(now=1.0) == [(20, 2)]
     sess.on_block(2, b"x" * BS)          # late copy from the dropped source
     sess.on_block(2, b"x" * BS)          # the re-request's copy
-    assert sess.held == 2
+    assert len(sess.buffers) == 2
     sess.on_block(1, b"x" * BS)
     sess.on_block(3, b"x" * BS)
-    assert sess.held == 4 and sess.complete()
+    assert len(sess.buffers) == 4 and sess.complete()
 
 
 def test_reset_for_retry_restarts_the_held_count():
@@ -171,21 +171,21 @@ def test_reset_for_retry_restarts_the_held_count():
     sess.on_block(1, b"x" * BS)
     assert sess.complete()
     sess.reset_for_retry()
-    assert sess.held == 0 and not sess.complete()
+    assert len(sess.buffers) == 0 and not sess.complete()
     sess.next_requests(now=1.0)
     sess.on_block(0, b"x" * BS)
-    assert sess.held == 1 and not sess.complete()
+    assert len(sess.buffers) == 1 and not sess.complete()
     sess.on_block(1, b"x" * BS)
-    assert sess.held == 2 and sess.complete()
+    assert len(sess.buffers) == 2 and sess.complete()
 
 
 def test_held_restarts_with_a_new_range():
     sess, meta = _pull_session(b"x" * (BS * 4), sources=[1], block_range=(0, 2))
     sess.on_block(0, b"x" * BS)
     sess.begin_push(meta, block_range=(2, 4))
-    assert sess.held == 0
+    assert len(sess.buffers) == 0
     sess.on_block(0, b"x" * BS)
-    assert sess.held == 0
+    assert len(sess.buffers) == 0
 
 
 TARGET = "P2P-000000000000000A-0000002A"
@@ -215,10 +215,10 @@ def test_an_order_renders_and_round_trips(mission, payload):
     back = decode_frame(encode_frame(frame))
     assert back == frame
     home = "P2P-0000000000000001-00000001"
-    flown = CourierMission.from_order(back.payload, 2, home, 1)
-    assert flown == replace(mission, courier=2, home=home, home_root=1)
+    flown = CourierMission.from_order(back.payload, home)
+    assert flown == replace(mission, home=home)
 
 
 def test_an_order_without_an_origin_serves_its_own_session():
     payload = ORDERS[1][1] | {"origin": ""}
-    assert CourierMission.from_order(payload, 2, "", 1).origin == "11-1/sub"
+    assert CourierMission.from_order(payload, "").origin == "11-1/sub"
