@@ -1,18 +1,11 @@
 """Effects a node hands back to its host for execution.
 
-Nodes never touch the world directly: every handler returns a list of these,
-which keeps transitions replayable and the simulator in full control of
-timing, delivery and tracing.
+Nodes never touch the world directly: every handler returns a list of these
+and of the `Frame`s to send, which keeps transitions replayable and the
+simulator in full control of timing, delivery and tracing.
 """
 
 from dataclasses import dataclass, field
-
-from .frames import Frame
-
-
-@dataclass(slots=True)
-class Send:
-    frame: Frame
 
 
 @dataclass(slots=True)

@@ -47,7 +47,6 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a scenario")
     p_run.add_argument("scenario")
-    p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--until", type=float, default=None)
     p_run.add_argument("--trace", default=None, help="write trace lines here")
     p_run.add_argument("--metrics", default=None, help="write metrics JSON here")
@@ -82,7 +81,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    world = run_scenario(sc, seed=args.seed, until=args.until)
+    world = run_scenario(sc, until=args.until)
     report = world.metrics.report()
 
     if args.trace:

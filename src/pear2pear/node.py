@@ -9,7 +9,7 @@ trace notes) for the host to execute; nodes never touch the world directly.
 from dataclasses import dataclass
 
 from . import core, routing, transfer
-from .actions import HopTo, Note, RequestScan, Send, StartTimer
+from .actions import HopTo, Note, RequestScan, StartTimer
 from .catalog import NetworkFileCatalog, SubnetCatalog
 from .core import FileId, FileMeta, parse_ssid, render_ssid
 from .frames import Frame, FrameKind as K
@@ -140,15 +140,11 @@ class Node:
         if dst == self.device:
             self._dispatch_frame(now, frame, out)
         else:
-            out.append(Send(frame))
+            out.append(frame)
 
     def _after(self, out, delay, handler, *args):
         """Arm `handler(now, out, *args)` to fire after `delay` within this term."""
         out.append(StartTimer(delay, (self.term, handler) + args))
-
-    def detach(self):
-        """Called by the world when a hop physically leaves the hotspot."""
-        self.attached = None
 
     # --------------------------------------------------------------- arrivals
 
@@ -159,14 +155,15 @@ class Node:
         return out
 
     def on_depart(self, now: float, silent: bool) -> list:
-        """A departure ends the device's downloads; its mission and any hop
-        in flight end with the next arrival's new life."""
+        """A departure ends the device's downloads. A member leaving politely tells
+        the root of the hotspot it is on and ends its role and mission at once;
+        any other mission or hop in flight ends with the next arrival's new life."""
         out = [Note("depart", {"silent": silent})]
         if not silent and self.role == MEMBER and self.attached:
-            self._send(out, K.LEAVE_NOTICE, self.home_root, {}, now)
+            self._send(out, K.LEAVE_NOTICE, parse_ssid(self.attached).root_id, {}, now)
             self._enter(SCANNING)   # it takes no order, and its timers end
-        for sid in sorted(self.sessions):
-            self._session_fail(now, self.sessions[sid], "departed", out)
+            self.mission = None
+        self._fail_downloads(now, out, "departed")
         return out
 
     # ------------------------------------------------------------------- scan
@@ -219,8 +216,7 @@ class Node:
 
     def _to_scanning(self, now, out, reason):
         out.append(Note("root-lost", {"reason": reason}))
-        for sid in sorted(self.sessions):
-            self._session_fail(now, self.sessions[sid], reason, out)
+        self._fail_downloads(now, out, reason)
         self._new_life()
         out.append(RequestScan())
 
@@ -420,14 +416,12 @@ class Node:
             digests = self.catalog.lookup_name(query)
         results = []
         for digest in digests:
-            entry = self.catalog.entries[digest]
-            if entry.holders:
-                locality, hops = "local", 0
-            elif entry.remote:
-                locality, hops = "remote", min(r[0] for r in entry.remote.values())
-            else:
-                continue
-            results.append({**self._meta_payload(digest, entry), "locality": locality, "hops": hops})
+            sel = routing.select_source(self.catalog, digest)
+            if sel is not None:
+                local = isinstance(sel, routing.Local)
+                results.append({**self._meta_payload(digest, self.catalog.entries[digest]),
+                                "locality": "local" if local else "remote",
+                                "hops": 0 if local else sel.hops})
         self._send(out, K.SEARCH_RESPONSE, dst, {"ok": bool(results), "results": tuple(results),
                                                  "query": query, "by": by}, now)
         return bool(results)
@@ -451,9 +445,10 @@ class Node:
         if key in self.wanted:
             return
         self.wanted[key] = WantedEntry(query=query, by=by, requester=requester)
-        self._emit_wanted(now, key, out)
+        self._emit_wanted(now, out, key)
 
-    def _emit_wanted(self, now, key, out):
+    def _emit_wanted(self, now, out, key):
+        """Ask the members here for `key`'s file; its timer asks again while `key` is wanted."""
         entry = self.wanted.get(key)
         if entry is None:
             return
@@ -466,7 +461,7 @@ class Node:
             del self.wanted[key]
             out.append(Note("wanted-dead", {"key": key}))
         else:
-            self._after(out, self.p.wanted_repeat, self._t_wanted, key)
+            self._after(out, self.p.wanted_repeat, self._emit_wanted, key)
 
     def _check_wanted(self, now, added_metas, out):
         for key in sorted(self.wanted):
@@ -535,7 +530,7 @@ class Node:
             mission.since = mirror.version if mirror else 0
         self.members[courier].away = mission
         self._send(out, K.COURIER_ORDER, courier, mission.order(), now)
-        self._after(out, self.p.mission_timeout, self._t_mission_deadline, courier, mid)
+        self._after(out, self.p.mission_timeout, self._close_order, courier, mid, "timeout")
         out.append(Note("courier-assign", {"courier": courier, "target": mission.target,
                                            "mission": mission.kind,
                                            "session": mission.session_id}))
@@ -627,12 +622,10 @@ class Node:
         out.append(Note("download-source", {"session": sess.session_id,
                                             "mode": payload["mode"],
                                             "hops": sess.hops_used}))
-        if payload["mode"] == "pull":
-            sess.begin_pull(meta, payload["sources"], block_range)
+        sess.begin(meta, payload.get("sources", ()), block_range)
+        if sess.phase == transfer.PHASE_PULL:
             self._session_pump(now, sess, out)
             self._after(out, self.p.block_timeout, self._t_block_timeout, sess.session_id)
-        else:
-            sess.begin_push(meta, block_range)
 
     def _session_pump(self, now, sess, out):
         for src, idx in sess.next_requests(now):
@@ -717,6 +710,10 @@ class Node:
             # courier sub-fetch finished: head home with the goods
             self._leave_target(now, out)
 
+    def _fail_downloads(self, now, out, reason):
+        for sid in sorted(self.sessions):
+            self._session_fail(now, self.sessions[sid], reason, out)
+
     def _session_fail(self, now, sess, reason, out):
         sess.phase = transfer.PHASE_FAILED
         if sess.session_id in self.sessions:
@@ -732,7 +729,7 @@ class Node:
     def _h_courier_order(self, now, src, payload, out):
         status = payload.get("status")
         if status is not None:
-            self._h_courier_report(now, src, payload, out)
+            self._close_order(now, out, src, payload.get("mission_id", ""), status)
             return
         if self.role != MEMBER or src != self.home_root or self.mission is not None:
             self._report(now, out, src, payload["mission_id"], "refused")
@@ -790,18 +787,17 @@ class Node:
         """End the order `peer` is away on, if any, as `lost`."""
         order = self.members[peer].away
         if order is not None:
-            self._h_courier_report(now, peer, {"status": "lost",
-                                               "mission_id": order.mission_id}, out)
+            self._close_order(now, out, peer, order.mission_id, "lost")
 
-    def _h_courier_report(self, now, src, payload, out):
+    def _close_order(self, now, out, courier, mid, status):
+        """End order `mid` if `courier` is still away on it, with
+        `status`: the courier's report, `lost`, or `timeout` at its deadline."""
         if self.role != ROOT:
             return
-        mid = payload.get("mission_id", "")
-        order = self._end_order(src, mid)
+        order = self._end_order(courier, mid)
         if order is None:
             return
-        status = payload["status"]
-        if status == "timeout":   # the deadline's own report
+        if status == "timeout":
             out.append(Note("mission-timeout", {"mission": mid}))
         if status == "done":
             # the courier was just in the target, so it is still reachable,
@@ -823,7 +819,7 @@ class Node:
                 del self.requests[sid]
             return
         if replaceable and self._order(
-                now, out, order, exclude={src, order.requester}) is not None:
+                now, out, order, exclude={courier, order.requester}) is not None:
             self.requests[sid] = False
             return
         del self.requests[sid]
@@ -892,13 +888,6 @@ class Node:
             self._send(out, K.CATALOG_SNAPSHOT, peer,
                        {"snapshot": self.catalog.snapshot(since),
                         "via": self.ssid, "mission_id": ""}, now)
-
-    def _t_wanted(self, now, out, key):
-        if key in self.wanted:
-            self._emit_wanted(now, key, out)
-
-    def _t_mission_deadline(self, now, out, courier, mid):
-        self._h_courier_report(now, courier, {"status": "timeout", "mission_id": mid}, out)
 
     def _t_session_timeout(self, now, out, sid):
         sess = self.sessions.get(sid)

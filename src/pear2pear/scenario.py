@@ -1,8 +1,8 @@
 """Scenario files: load, validate, and build a runnable world.
 
 A scenario is one JSON document with the device table, the visibility edge
-list, a time-ordered action script, parameter overrides and a seed. File
-contents are either inline ("text"/"hex") or generator-specified
+list, a time-ordered action script, parameter overrides and a reserved integer
+seed. File contents are either inline ("text"/"hex") or generator-specified
 ("seed" + "size") so large-file tests need no binary fixtures.
 """
 
@@ -25,7 +25,6 @@ class ScenarioError(Exception):
 
 @dataclass
 class Scenario:
-    seed: int = 0
     params: Params = field(default_factory=Params)
     devices: list = field(default_factory=list)   # (device_id, [(name, bytes, FileId)])
     edges: list = field(default_factory=list)
@@ -156,8 +155,7 @@ def parse_scenario(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("$", "scenario must be a JSON object")
     sc = Scenario()
-    sc.seed = doc.get("seed", 0)
-    if not _is_int(sc.seed):
+    if not _is_int(doc.get("seed", 0)):
         raise ScenarioError("$.seed", "seed must be an integer")
     sc.params = _params_of(doc.get("params", {}))
     check_params(sc.params)
@@ -268,8 +266,8 @@ def load_scenario(path: str) -> Scenario:
     return parse_scenario(doc)
 
 
-def build_world(sc: Scenario, seed: int | None = None) -> World:
-    world = World(params=sc.params, seed=sc.seed if seed is None else seed)
+def build_world(sc: Scenario) -> World:
+    world = World(params=sc.params)
     scripted_arrivals = {row["device"] for row in sc.script
                         if row["action"] == "arrive"}
     for device, files in sc.devices:
@@ -284,8 +282,7 @@ def build_world(sc: Scenario, seed: int | None = None) -> World:
     return world
 
 
-def run_scenario(sc: Scenario, seed: int | None = None,
-                 until: float | None = None) -> World:
-    world = build_world(sc, seed=seed)
+def run_scenario(sc: Scenario, until: float | None = None) -> World:
+    world = build_world(sc)
     world.run_until(sc.until if until is None else until)
     return world

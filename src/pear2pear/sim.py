@@ -2,16 +2,15 @@
 
 The world owns the clock, the visibility graph, and the event queue; protocol
 nodes only see events and return actions. Ties in event time break by
-insertion order, so a (scenario, seed) pair fully determines the trace.
+insertion order, so a scenario fully determines the trace.
 """
 
 import functools
 import heapq
-import random
 from array import array
 from typing import NamedTuple
 
-from .actions import HopTo, Note, RequestScan, Send, StartTimer
+from .actions import HopTo, Note, RequestScan, StartTimer
 from .core import parse_ssid
 from .frames import JOIN_PHASE_KINDS, Frame, FrameKind
 from .metrics import MetricsCollector
@@ -28,9 +27,8 @@ class TraceRecord(NamedTuple):
 
 
 class World:
-    def __init__(self, params: Params | None = None, seed: int = 0):
+    def __init__(self, params: Params | None = None):
         self.p = params or Params()
-        self.rng = random.Random(seed)
         self.clock = 0.0
         self._seq = 0
         self.nodes: dict[int, Node] = {}
@@ -102,6 +100,11 @@ class World:
             return parsed.root_id
         return None
 
+    def _in_range(self, device: int, ssid: str) -> bool:
+        """Whether `device` sees the active root hosting `ssid`."""
+        root = self.find_root(ssid)
+        return root is not None and root in self.vis.get(device, ())
+
     # --------------------------------------------------------------- stepping
 
     def step(self) -> bool:
@@ -167,8 +170,7 @@ class World:
         node = self.nodes[device]
         if not node.active or term != node.term:
             return   # the device left since the hop began
-        root = self.find_root(target)
-        if root is not None and root in self.vis.get(device, ()):
+        if self._in_range(device, target):
             self._note(device, "hop-complete", {"target": target})
             self._emit(node, node.on_hop_complete(self.clock, target))
         else:
@@ -216,8 +218,8 @@ class World:
         device = node.device
         for act in outputs:
             cls = type(act)
-            if cls is Send:
-                frame = act.frame
+            if cls is Frame:
+                frame = act
                 self.metrics.on_frame_emit(frame)
                 details = {"frame": _FRAME_NAMES[frame.kind], "dst": frame.dst}
                 sid = frame.payload.get("session_id")
@@ -241,15 +243,12 @@ class World:
                 self._push(self.clock, self._scan, (device,))
 
             elif cls is HopTo:
-                root = self.find_root(act.target)
-                valid = (node.role != ROOT and root is not None
-                         and root in self.vis.get(device, ()))
-                if valid:
+                if node.role != ROOT and self._in_range(device, act.target):
                     details = {"target": act.target, "label": act.label}
                     if act.session_id:
                         details["session"] = act.session_id
                     self._note(device, "hop-start", details)
-                    node.detach()
+                    node.attached = None   # it has left the hotspot
                     self._push(self.clock + self.p.hop_latency, self._hop_done,
                                (device, act.target, node.term))
                 else:

@@ -33,23 +33,15 @@ class TransferSession:
     hash_retry_used: bool = False
     reassign_used: bool = False
 
-    def begin_pull(self, meta: FileMeta, sources, block_range) -> None:
+    def begin(self, meta: FileMeta, sources, block_range=None) -> None:
+        """Want `block_range` of `meta` (all of it by default), pulled from
+        `sources`, or pushed in by couriers when `sources` is empty."""
         self.meta = meta
         self.sources = sorted(sources)
-        self._set_range(block_range)
-        self.phase = PHASE_PULL
-
-    def begin_push(self, meta: FileMeta, block_range=None) -> None:
-        self.meta = meta
-        self.sources = []
-        self._set_range(block_range)
-        self.phase = PHASE_PUSH
-
-    def _set_range(self, block_range) -> None:
-        start, end = block_range or (0, self.meta.block_count)
-        self.wanted = range(start, end)
+        self.wanted = range(*(block_range or (0, meta.block_count)))
         self.inflight = {}
         self.buffers = {}
+        self.phase = PHASE_PULL if self.sources else PHASE_PUSH
 
     def next_requests(self, now: float) -> list:
         """(source, index) pairs to request now: every missing block, assigned

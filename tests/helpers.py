@@ -15,8 +15,8 @@ from pear2pear.params import Params
 from pear2pear.sim import World
 
 
-def make_world(seed=0, **overrides):
-    return World(params=Params().override(**overrides), seed=seed)
+def make_world(**overrides):
+    return World(params=Params().override(**overrides))
 
 
 def clique(world, ids):

@@ -105,7 +105,7 @@ def test_c03_chain():
 
 def _random_scenario_world(i):
     rng = random.Random(1000 + i)
-    w = make_world(seed=i, block_size=1024, courier_period=10.0)
+    w = make_world(block_size=1024, courier_period=10.0)
     n_sub = rng.randint(2, 6)
     hubs = [(k + 1) * 100 for k in range(n_sub)]
     members = []

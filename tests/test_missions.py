@@ -183,6 +183,27 @@ def test_a_member_leaving_politely_takes_no_order_in_its_grace():
     assert trace_events(w, "drop", device=1) == []
 
 
+def test_a_courier_leaving_politely_at_its_target_tells_that_target():
+    # courier 2 is admitted at root 10 at 22.03 s and leaves politely at
+    # 22.035 s: its one LEAVE_NOTICE goes to root 10, the hotspot it is on,
+    # which counts the leave down and purges it as leaving. It flies its
+    # mission no further, so root 1 times the order out.
+    w, frames = _catalog_run()
+    w.schedule(22.035, "depart", device=2, silent=False)
+    w.run_until(100.0)
+    assert trace_events(w, "undeliverable", device=2) == []
+    notices = [f for f in frames if f.kind == FrameKind.LEAVE_NOTICE]
+    assert [(f.src, f.dst) for f in notices] == [(2, 10)]
+    (leaving,) = trace_events(w, "leaving", device=10)
+    assert leaving.details == {"peer": 2}
+    assert leaving.time == pytest.approx(22.045)
+    (purge,) = trace_events(w, "purge", device=10)
+    assert purge.details == {"peer": 2, "reason": "leave"}
+    assert purge.time == pytest.approx(22.045 + w.p.leave_countdown)
+    (timeout,) = trace_events(w, "mission-timeout", device=1)
+    assert timeout.time == pytest.approx(w.p.courier_period + w.p.mission_timeout)
+
+
 def test_a_courier_rejected_twice_by_its_target_heads_home():
     # the target is full: the first reject at 22.03 s arms one retry after
     # hop_latency, and the second reject sends the courier home

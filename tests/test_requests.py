@@ -148,3 +148,28 @@ def test_a_search_by_id_waits_for_the_file_to_appear(spell):
     (resolved,) = trace_events(w, "wanted-resolved", device=1)
     assert resolved.details["key"] == f"id:{fid.hex}"
     assert resolved.time == pytest.approx(15.03)
+
+
+def test_a_search_reads_each_files_locality_and_hops():
+    # three chained subnets, 100 -> 200 -> 300, through gateways 103 and
+    # 203: 102 holds same.txt, and 301 holds far.txt and same.txt. By 150 s
+    # root 100's catalog has both from 300, two hops away; a local holder
+    # beats the remote copy.
+    w = make_world()
+    star(w, 100, [101, 102, 103], files={102: [("same.txt", b"same" * 50)]})
+    star(w, 200, [201, 202, 203])
+    star(w, 300, [301], files={301: [("far.txt", b"far" * 50), ("same.txt", b"same" * 50)]})
+    w.add_edge(103, 200)
+    w.add_edge(203, 300)
+    for t, query in [(150.0, "far.txt"), (151.0, "same.txt"), (152.0, "none.txt")]:
+        w.schedule(t, "search", device=101, query=query)
+    frames = record_frames(w)
+    w.run_until(155.0)
+    answers = {f.payload["query"]: f.payload for f in frames
+               if f.kind == FrameKind.SEARCH_RESPONSE and f.dst == 101}
+    (far,) = answers["far.txt"]["results"]
+    assert answers["far.txt"]["ok"] and (far["locality"], far["hops"]) == ("remote", 2)
+    assert far["names"] == ("far.txt",)
+    (same,) = answers["same.txt"]["results"]
+    assert answers["same.txt"]["ok"] and (same["locality"], same["hops"]) == ("local", 0)
+    assert answers["none.txt"]["ok"] is False and answers["none.txt"]["results"] == ()

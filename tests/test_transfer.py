@@ -18,7 +18,7 @@ BS = 16
 def _pull_session(content, sources, block_range=None, name="f"):
     meta = make_meta(name, content, BS)
     sess = TransferSession("s1", file_id=meta.file_id)
-    sess.begin_pull(meta, sources, block_range)
+    sess.begin(meta, sources, block_range)
     return sess, meta
 
 
@@ -102,7 +102,7 @@ def test_block_range_limits_wanted():
 def test_push_session_has_no_sources():
     meta = make_meta("f", b"x" * (BS * 2), BS)
     sess = TransferSession("s2", file_id=meta.file_id)
-    sess.begin_push(meta)
+    sess.begin(meta, ())
     assert sess.phase == PHASE_PUSH
     assert sess.next_requests(now=0.0) == []
     sess.on_block(0, b"x" * BS)
@@ -182,7 +182,7 @@ def test_reset_for_retry_restarts_the_held_count():
 def test_held_restarts_with_a_new_range():
     sess, meta = _pull_session(b"x" * (BS * 4), sources=[1], block_range=(0, 2))
     sess.on_block(0, b"x" * BS)
-    sess.begin_push(meta, block_range=(2, 4))
+    sess.begin(meta, (), block_range=(2, 4))
     assert len(sess.buffers) == 0
     sess.on_block(0, b"x" * BS)
     assert len(sess.buffers) == 0
