@@ -561,7 +561,7 @@ class Node:
                 return
             self._send(out, K.SOURCE_LIST, src,
                        {"ok": True, "mode": "pull", "session_id": sid,
-                        "file_id": file_id.digest, "sources": here, "hops": 0,
+                        "sources": here, "hops": 0,
                         "meta": self._meta_payload(file_id.digest, entry)}, now)
             return
 
@@ -585,8 +585,7 @@ class Node:
                 return
             self.requests[sid] = len(ranges) > 1
             self._send(out, K.SOURCE_LIST, src,
-                       {"ok": True, "mode": "push", "session_id": sid,
-                        "file_id": file_id.digest, "hops": sel.hops,
+                       {"ok": True, "mode": "push", "session_id": sid, "hops": sel.hops,
                         "meta": self._meta_payload(file_id.digest, entry)}, now)
             return
 
@@ -628,27 +627,33 @@ class Node:
             self._after(out, self.p.block_timeout, self._t_block_timeout, sess.session_id)
 
     def _session_pump(self, now, sess, out):
+        """One BLOCK_REQUEST per source, for all of its missing blocks."""
+        asked = {}
         for src, idx in sess.next_requests(now):
+            asked.setdefault(src, []).append(idx)
+        for src, indices in asked.items():
             self._send(out, K.BLOCK_REQUEST, src,
-                       {"file_id": sess.file_id.digest, "index": idx,
+                       {"file_id": sess.file_id.digest, "indices": tuple(indices),
                         "session_id": sess.session_id}, now)
 
     # block plane -----------------------------------------------------------
 
     def _h_block_request(self, now, src, payload, out):
-        file_id = FileId(payload["file_id"])
-        idx = payload["index"]
+        """One BLOCK_RESPONSE per index, in the order asked. The first index
+        it cannot serve is refused, and the rest go unanswered: the
+        requester drops a source at its first refusal."""
         sid = payload.get("session_id", "")
-        content = self.files.get(file_id)
-        if content is None or not 0 <= idx < core.block_count_for(len(content), self.p.block_size):
+        content = self.files.get(FileId(payload["file_id"]))
+        count = 0 if content is None else core.block_count_for(len(content), self.p.block_size)
+        for idx in payload["indices"]:
+            if not 0 <= idx < count:
+                self._send(out, K.BLOCK_RESPONSE, src,
+                           {"ok": False, "index": idx, "session_id": sid}, now)
+                return
             self._send(out, K.BLOCK_RESPONSE, src,
-                       {"ok": False, "file_id": file_id.digest, "index": idx,
+                       {"ok": True, "index": idx,
+                        "data": core.block_payload(content, idx, self.p.block_size),
                         "session_id": sid}, now)
-            return
-        data = core.block_payload(content, idx, self.p.block_size)
-        self._send(out, K.BLOCK_RESPONSE, src,
-                   {"ok": True, "file_id": file_id.digest, "index": idx,
-                    "data": data, "session_id": sid}, now)
 
     def _h_block_response(self, now, src, payload, out):
         sess = self._session(payload.get("session_id", ""))
@@ -759,8 +764,8 @@ class Node:
             sub = m.sub_session
             for idx in sorted(sub.buffers):
                 self._send(out, K.BLOCK_RESPONSE, m.requester,
-                           {"ok": True, "file_id": m.file_id.digest, "index": idx,
-                            "data": sub.buffers[idx], "session_id": m.session_id}, now)
+                           {"ok": True, "index": idx, "data": sub.buffers[idx],
+                            "session_id": m.session_id}, now)
             self._report(now, out, self.home_root, m.mission_id, "done")
         else:
             self._report(now, out, self.home_root, m.mission_id, "failed",

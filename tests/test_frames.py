@@ -127,13 +127,13 @@ PINNED = [
     (FrameKind.SOURCE_LIST, {"ok": False, "session_id": "1-1", "reason": "notfound"},
      "0cac0201050303026f6b06000306726561736f6e03086e6f74666f756e64030a73657373696f6e5f6964"
      "0303312d31"),
-    (FrameKind.BLOCK_REQUEST, {"file_id": D, "index": 0, "session_id": "1-1"},
-     "0dac02010503030766696c655f69640202d19e0305696e6465780100030a73657373696f6e5f69640303"
-     "312d31"),
+    (FrameKind.BLOCK_REQUEST, {"file_id": D, "indices": (0, 2), "session_id": "1-1"},
+     "0dac02010503030766696c655f69640202d19e0307696e6469636573040201000104030a73657373696f"
+     "6e5f69640303312d31"),
     (FrameKind.BLOCK_RESPONSE,
-     {"ok": True, "file_id": D, "index": 1, "data": b"xy", "session_id": "1-1"},
-     "0eac0201050503046461746102027879030766696c655f69640202d19e0305696e646578010203026f6b"
-     "0601030a73657373696f6e5f69640303312d31"),
+     {"ok": True, "index": 1, "data": b"xy", "session_id": "1-1"},
+     "0eac02010504030464617461020278790305696e646578010203026f6b0601030a73657373696f6e5f69"
+     "640303312d31"),
     (FrameKind.CATALOG_SNAPSHOT,
      {"snapshot": {"subnet": N, "entries": ((D, ("a",), 5, 1, 1, ((M, 1, 2),)),),
                    "removed": (), "version": 4, "base": 0},

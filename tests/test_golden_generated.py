@@ -70,10 +70,14 @@ GOLDEN = {
     # block sent in the instant the periodic check was armed, so the pull
     # after the holder loss waited a second period. The pull now takes
     # 5.04 sim s instead of 10.04, with one event fewer.
+    # Re-pinned when a pull began to send one BLOCK_REQUEST per source for
+    # all of its blocks: the trace lost only BLOCK_REQUEST lines (77 send,
+    # 66 recv and 11 drop), events fell 1493 -> 1416, and the report changed
+    # only in the pull's frame count (62 -> 29).
     "bulk_blocks": (
-        1493,
-        "c4e8e2dffd60bbaae0a8967765ba53415c53ef931d0ee5a139a6d205668e15b6",
-        "e886df4d16bfeee3539d06812cf8dad293a97b9b69f9a228cb0960602e8df4cd"),
+        1416,
+        "ea50f80063078ee31a34e8cc39e6d3daf1c2a9f13441113d259aaf74172b01cb",
+        "a56edf886e693a7154d6fea1ee68ca276c213cb28878ee2bc4360eca99348b8f"),
     # Re-pinned when remote records became a view over the neighbour
     # mirrors: an equal-hop tie now goes to the gateway first in SSID order,
     # not to the last one merged. At 58.53 s root 8 sends file order 11-2

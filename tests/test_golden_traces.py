@@ -35,18 +35,25 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 # lines (34, 18 and 52). multi_source lost 12 of them, and its one silent
 # purge, of member 2, moved from 40 to 50 s, with one undeliverable PING to
 # 2 moving with it. No metrics report changed.
+# All four traces were re-pinned when a pull began to send one BLOCK_REQUEST
+# per source for all of its blocks: each lost only BLOCK_REQUEST send and
+# recv lines (6, 8, 24 and 58). In multi_source, holder 3's four
+# BLOCK_RESPONSE sends at 5.03 s now follow holder 2's instead of
+# alternating with them, and their four recv lines at 5.04 s likewise.
+# intra_subnet's and multi_source's metrics reports changed only in their
+# download's frame count (12 -> 8 and 32 -> 20).
 GOLDEN = {
     "chain.json": (
-        "258c5256e93770939601c577b91c48cfcc58135cb86125b2ee3f70bf26e9fed2",
+        "d8ccff83ea233070699a3dea126adf8ad6db113cf2307e13e5df27aca4c68457",
         "fcd6faadc8328d887d22a20b51221bc372c5e3e7460dde89189899967d5c89a7"),
     "intra_subnet.json": (
-        "39ee91ee5a6f4ec0e0d5901d755e85e3a48f54c277f28936a3a18bb574b65250",
-        "6840d7701cd87e62ec08f089d94c7a47e772b40a49b6489675081cdc997305ca"),
+        "b3474fb63b8ec1cdb8cfad4f9d8446072d5010e4ff54d20b2a3a21a1ff174679",
+        "e00cbb01e19cea0ec7fa832259952b0fb60a4c3f57f961e3c189571e453124e7"),
     "multi_source.json": (
-        "a05429af42aa9c202ae3b19ee70a1ee0c5b44c6bea0c9b67a7fdfb13e90b36be",
-        "38007262784af1a67ea4220ab18a1d68136f9c9b6f968a46aeb9c27eeb7af3a8"),
+        "6ff3ce0dff3c59dfb5a4d104e6faa852a2040644feaf62fc7dd82d17bd178bc2",
+        "398591b9a1ad9b19e32562034510e30cabdffbce451dead385a0ab687708c5cf"),
     "swarm.json": (
-        "eba242c9e52446f21a69a7d0879fe418bb1c48720d3fc99f4e5f35839dcfaca2",
+        "671dd07f2993ca4ce29a8d5256096063068bff4b1e668cb5be656b275dfe7c4c",
         "7783e839c7205f7cebf4871f85b0b2b899a3df4084278517b61fd3cb6c36319a"),
 }
 

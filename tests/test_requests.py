@@ -1,18 +1,22 @@
 """A device's own requests inside its subnet: a root that searches and
-downloads for itself, a holder that refuses its blocks, a holder that
-serves corrupt bytes, a holder away on a courier order, and a search by id
-for a file that appears later."""
+downloads for itself, one block request per holder, a holder that refuses
+its blocks, a holder that serves corrupt bytes, a holder away on a courier
+order, and a search by id for a file that appears later."""
+
+import pathlib
 
 import pytest
 
 from pear2pear.core import make_meta
 from pear2pear.frames import FrameKind
+from pear2pear.scenario import build_world, load_scenario
 
 from helpers import (
     make_world, only_download, random_content, record_frames, star, trace_events,
 )
 
 BLOCK = 1024
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _pull_world(holders, requester, blocks=8):
@@ -38,19 +42,56 @@ def test_a_root_searches_and_downloads_a_members_file():
     assert root.catalog.entries[fid.digest].holders == {1, 2}
 
 
+def _block_requests(frames):
+    """(dst, indices) of each recorded BLOCK_REQUEST, in order."""
+    return [(f.dst, f.payload["indices"]) for f in frames if f.kind == FrameKind.BLOCK_REQUEST]
+
+
+def test_a_pull_asks_each_holder_once_for_all_its_blocks():
+    w, fid, content = _pull_world(holders=[2, 3], requester=4)
+    frames = record_frames(w)
+    w.schedule(2.0, "download", device=4, file_id=fid)
+    w.run_until(20.0)
+    assert only_download(w)["success"]
+    assert _block_requests(frames) == [(2, (0, 2, 4, 6)), (3, (1, 3, 5, 7))]
+    answers = [(f.src, f.payload["index"]) for f in frames if f.kind == FrameKind.BLOCK_RESPONSE]
+    assert answers == [(2, 0), (2, 2), (2, 4), (2, 6), (3, 1), (3, 3), (3, 5), (3, 7)]
+    assert w.nodes[4].files[fid] == content
+
+
+def test_a_silent_holders_blocks_are_asked_of_the_other_in_one_frame():
+    # holder 2 leaves without a word before its request lands; at the block
+    # timeout its four blocks go to holder 3 in one request
+    w, fid, content = _pull_world(holders=[2, 3], requester=4)
+    frames = record_frames(w)
+    w.schedule(2.0, "download", device=4, file_id=fid)
+    w.schedule(2.025, "depart", device=2, silent=True)
+    w.run_until(20.0)
+    (reassign,) = trace_events(w, "reassign", device=4)
+    assert reassign.details["dropped"] == 2
+    assert _block_requests(frames) == [(2, (0, 2, 4, 6)), (3, (1, 3, 5, 7)), (3, (0, 2, 4, 6))]
+    assert only_download(w)["success"]
+    assert w.nodes[4].files[fid] == content
+
+
 def test_a_holder_that_refuses_every_block_is_dropped_once():
-    # holder 2 lost the file but is still listed: it refuses each of its
-    # four in-flight blocks. The first refusal moves them to holder 3; the
-    # other three come from a source already dropped and change nothing.
+    # holder 2 lost the file but is still listed: asked for its four blocks
+    # in one request, it refuses the first and answers no further. That one
+    # refusal moves all four to holder 3.
     w, fid, content = _pull_world(holders=[2, 3], requester=4)
     w.run_until(1.0)
     del w.nodes[2].files[fid]
+    frames = record_frames(w)
     w.schedule(2.0, "download", device=4, file_id=fid)
     w.run_until(20.0)
     rec = only_download(w)
     assert rec["success"], rec
     (reassign,) = trace_events(w, "reassign", device=4)
     assert reassign.details["dropped"] == 2
+    (refusal,) = [f.payload for f in frames
+                  if f.kind == FrameKind.BLOCK_RESPONSE and not f.payload["ok"]]
+    assert refusal["index"] == 0 and "file_id" not in refusal
+    assert _block_requests(frames) == [(2, (0, 2, 4, 6)), (3, (1, 3, 5, 7)), (3, (0, 2, 4, 6))]
     assert w.nodes[4].files[fid] == content
 
 
@@ -58,6 +99,7 @@ def test_corrupt_blocks_are_retried_once_then_fail_the_pull():
     w, fid, content = _pull_world(holders=[2, 3], requester=4)
     w.run_until(1.0)
     w.nodes[3].files[fid] = bytes(len(content))
+    frames = record_frames(w)
     w.schedule(2.0, "download", device=4, file_id=fid)
     w.run_until(20.0)
     (retry,) = trace_events(w, "hash-retry", device=4)
@@ -65,6 +107,8 @@ def test_corrupt_blocks_are_retried_once_then_fail_the_pull():
     assert failed.details["reason"] == "hash-mismatch"
     assert failed.time > retry.time
     assert fid not in w.nodes[4].files and w.nodes[4].sessions == {}
+    # the retry asks each holder once again for its blocks
+    assert _block_requests(frames) == [(2, (0, 2, 4, 6)), (3, (1, 3, 5, 7))] * 2
 
 
 def test_a_lone_holder_that_refuses_is_reassigned_then_exhausted():
@@ -173,3 +217,17 @@ def test_a_search_reads_each_files_locality_and_hops():
     (same,) = answers["same.txt"]["results"]
     assert answers["same.txt"]["ok"] and (same["locality"], same["hops"]) == ("local", 0)
     assert answers["none.txt"]["ok"] is False and answers["none.txt"]["results"] == ()
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_no_block_response_or_source_list_carries_a_file_id(name):
+    # the session id names the download; the file's digest travels in a
+    # source list's meta and in each block request only
+    sc = load_scenario(str(SCENARIOS / name))
+    world = build_world(sc)
+    frames = record_frames(world)
+    world.run_until(sc.until)
+    kinds = (FrameKind.BLOCK_RESPONSE, FrameKind.SOURCE_LIST)
+    sent = [f for f in frames if f.kind in kinds]
+    assert {f.kind for f in sent} == set(kinds)
+    assert [f.payload for f in sent if "file_id" in f.payload] == []
